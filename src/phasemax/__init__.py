@@ -26,7 +26,6 @@ from .anchor import AnchorReport, anchor_correlation, constant_anchor, spectral_
 from .solver import (
     Solution,
     SolverConfig,
-    disk_project,
     feasibility_residual,
     oracle_solve_small,
     solve_phasemax,
@@ -79,7 +78,6 @@ __all__ = [
     "spectral_anchor",
     "Solution",
     "SolverConfig",
-    "disk_project",
     "feasibility_residual",
     "oracle_solve_small",
     "solve_phasemax",

@@ -35,9 +35,7 @@ def spectral_anchor(
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    b = obs.b
-    if b.shape[0] != ens.m:
-        raise ValueError(f"observations have length {b.shape[0]}, expected {ens.m}")
+    b = obs.b_for(ens)
     if not np.any(b > 0):
         raise ValueError("all-zero observations: Sigma has no principal direction")
 

@@ -53,6 +53,8 @@ class SweepNoise:
     def __post_init__(self):
         if self.kind not in ("none", "uniform", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ValueError("noise parameter must be finite")
         if self.kind == "uniform" and self.param < 0:
             raise ValueError("uniform noise requires eta_inv >= 0")
 

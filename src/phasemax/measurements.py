@@ -27,6 +27,12 @@ class MeasurementEnsemble:
     Subclasses provide matching forward/adjoint pairs; both are pure and an
     ensemble is immutable after construction, so one instance may be shared
     across concurrent solves.
+
+    forward and adjoint are raw kernels: they take a 1-D complex128 vector of
+    length n (forward) or m (adjoint) that the caller has already validated,
+    and check nothing themselves. Vectors from outside the program are
+    validated once, at the public entry point where they arrive (observe,
+    solve_phasemax, feasibility_residual, ...).
     """
 
     kind: str
@@ -39,17 +45,15 @@ class MeasurementEnsemble:
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_forward_arg(self, x) -> np.ndarray:
-        arr = as_signal(x, "x")
-        if arr.shape[0] != self.n:
-            raise ValueError(f"expected length {self.n}, got {arr.shape[0]}")
-        return arr
 
-    def _check_adjoint_arg(self, z) -> np.ndarray:
-        arr = as_signal(z, "z")
-        if arr.shape[0] != self.m:
-            raise ValueError(f"expected length {self.m}, got {arr.shape[0]}")
-        return arr
+def _as_matrix(a, name: str) -> np.ndarray:
+    """Coerce to a nonempty, finite, 2-D complex128 array."""
+    arr = np.atleast_2d(np.asarray(a, dtype=np.complex128))
+    if arr.ndim != 2 or arr.size < 1:
+        raise ValueError(f"{name} must be a nonempty 2-D array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contain non-finite entries")
+    return arr
 
 
 class DenseEnsemble(MeasurementEnsemble):
@@ -58,11 +62,7 @@ class DenseEnsemble(MeasurementEnsemble):
     kind = "dense-gaussian"
 
     def __init__(self, rows):
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ValueError("rows must be a nonempty (m, n) array")
-        if not np.all(np.isfinite(rows.real)) or not np.all(np.isfinite(rows.imag)):
-            raise ValueError("rows contain non-finite entries")
+        rows = _as_matrix(rows, "rows")
         self.rows = rows
         self.m, self.n = rows.shape
         self._rows_conj = rows.conj()
@@ -77,12 +77,10 @@ class DenseEnsemble(MeasurementEnsemble):
         rows = scale * (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n)))
         return cls(rows)
 
-    def forward(self, x) -> np.ndarray:
-        x = self._check_forward_arg(x)
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return self._rows_conj @ x
 
-    def adjoint(self, z) -> np.ndarray:
-        z = self._check_adjoint_arg(z)
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
         return self.rows.T @ z
 
 
@@ -97,11 +95,7 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
     kind = "coded-diffraction"
 
     def __init__(self, masks):
-        masks = np.atleast_2d(np.asarray(masks, dtype=np.complex128))
-        if masks.ndim != 2 or masks.shape[0] < 1:
-            raise ValueError("masks must be a nonempty (L, n) array")
-        if not np.all(np.isfinite(masks.real)) or not np.all(np.isfinite(masks.imag)):
-            raise ValueError("masks contain non-finite entries")
+        masks = _as_matrix(masks, "masks")
         self.masks = masks
         self.num_masks, self.n = masks.shape
         self.m = self.num_masks * self.n
@@ -114,15 +108,12 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         masks = np.stack([sample_rademacher(n, rng) for _ in range(num_masks)])
         return cls(masks)
 
-    def forward(self, x) -> np.ndarray:
-        x = self._check_forward_arg(x)
-        blocks = np.fft.fft(self.masks * x[None, :], axis=1, norm="ortho")
-        return blocks.ravel()
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.fft(self.masks * x[None, :], axis=1, norm="ortho").ravel()
 
-    def adjoint(self, z) -> np.ndarray:
-        z = self._check_adjoint_arg(z)
-        blocks = z.reshape(self.num_masks, self.n)
-        return (self.masks.conj() * np.fft.ifft(blocks, axis=1, norm="ortho")).sum(axis=0)
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        blocks = np.fft.ifft(z.reshape(self.num_masks, self.n), axis=1, norm="ortho")
+        return (self.masks.conj() * blocks).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -141,6 +132,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "uniform", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not (np.isfinite(self.eta_inv) and np.isfinite(self.sigma)):
+            raise ValueError("noise parameters must be finite")
         if self.kind == "uniform" and self.eta_inv < 0:
             raise ValueError("uniform noise requires eta_inv >= 0")
         if self.kind == "gaussian" and self.sigma <= 0:
@@ -180,6 +173,12 @@ class Observations:
     def __len__(self):
         return self.b.shape[0]
 
+    def b_for(self, ens: MeasurementEnsemble) -> np.ndarray:
+        """b, after checking that it holds one measurement per row of ens."""
+        if self.b.shape[0] != ens.m:
+            raise ValueError(f"observations have length {self.b.shape[0]}, expected {ens.m}")
+        return self.b
+
 
 def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) -> Observations:
     """Measure b_i = |a_i^H xstar|^2 + xi_i with xi drawn from the noise model.
@@ -188,7 +187,7 @@ def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) 
     observation time. For gaussian noise the input SNR
     10*log10(||xstar||^4 / sigma^2) is recorded on the result.
     """
-    xs = as_signal(xstar, "xstar")
+    xs = as_signal(xstar, "xstar", ens.n)
     clean = np.abs(ens.forward(xs)) ** 2
     snr_db = None
     if noise.kind == "none":

@@ -3,6 +3,8 @@ phase-ambiguity-aware error metrics, and reproducible random sampling."""
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = [
@@ -34,14 +36,21 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def as_signal(x, name: str = "signal") -> np.ndarray:
-    """Coerce to a 1-D complex128 vector and validate it is finite and nonempty."""
+def as_signal(x, name: str = "signal", length: Optional[int] = None) -> np.ndarray:
+    """Coerce to a 1-D complex128 vector and validate it is finite and nonempty,
+    and, when length is given, that it has exactly that many entries.
+
+    This is the one validator for vectors arriving from outside the program;
+    the operator kernels (MeasurementEnsemble.forward/adjoint) do not repeat it.
+    """
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
         raise ValueError(f"{name} must have length >= 1")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if length is not None and arr.shape[0] != length:
+        raise ValueError(f"{name} has length {arr.shape[0]}, expected {length}")
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -49,9 +58,7 @@ def as_signal(x, name: str = "signal") -> np.ndarray:
 def real_inner(x, y) -> float:
     """Real inner product Re(x^H y), treating C^N as a 2N-dimensional real space."""
     xa = as_signal(x, "x")
-    ya = as_signal(y, "y")
-    if xa.shape != ya.shape:
-        raise ValueError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
+    ya = as_signal(y, "y", xa.shape[0])
     return float(np.vdot(xa, ya).real)
 
 
@@ -63,9 +70,7 @@ def phase_align_error(xhat, xstar) -> float:
     every phi is optimal and phi* = 0 is used.
     """
     xh = as_signal(xhat, "xhat")
-    xs = as_signal(xstar, "xstar")
-    if xh.shape != xs.shape:
-        raise ValueError(f"length mismatch: {xh.shape[0]} vs {xs.shape[0]}")
+    xs = as_signal(xstar, "xstar", xh.shape[0])
     norm_star = np.linalg.norm(xs)
     if norm_star == 0.0:
         raise ValueError("xstar must be nonzero")

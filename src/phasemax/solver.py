@@ -14,7 +14,6 @@ from .numerics import RngStream, as_signal, real_inner
 __all__ = [
     "SolverConfig",
     "Solution",
-    "disk_project",
     "solve_phasemax",
     "feasibility_residual",
     "oracle_solve_small",
@@ -23,31 +22,25 @@ __all__ = [
 # Fixed stream for the internal operator-norm estimate so that identical
 # inputs and config always produce identical Solutions.
 _NORM_EST_SEED = 0x5EED
+_NORM_EST_ITERS = 30
+# Fraction of the step-size stability bound: both steps are set to
+# _STEP_SCALE / ||A||, so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1.
+_STEP_SCALE = 0.95
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls for the primal-dual splitting.
-
-    step_scale is the fraction of the step-size stability bound: both steps are
-    set to step_scale / ||A||, so tau * sigma * ||A||^2 = step_scale^2 < 1.
-    """
+    """Iteration controls for the primal-dual splitting."""
 
     max_iters: int = 2000
     tol_rel_change: float = 1e-9
     tol_feas: float = 1e-9
-    step_scale: float = 0.95
-    norm_est_iters: int = 30
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol_rel_change <= 0 or self.tol_feas <= 0:
             raise ValueError("tolerances must be > 0")
-        if not 0.0 < self.step_scale < 1.0:
-            raise ValueError("step_scale must lie in (0, 1)")
-        if self.norm_est_iters < 1:
-            raise ValueError("norm_est_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,24 +65,12 @@ class Solution:
     converged: bool
 
 
-def disk_project(z: complex, r: float) -> complex:
-    """Project the complex scalar z onto the disk {w : |w| <= r}.
-
-    Radial shrinkage: the phase of z is preserved and only the modulus is
-    clipped; r = 0 maps everything to 0.
-    """
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    mag = abs(z)
-    if mag <= r:
-        return z
-    if r == 0.0:
-        return 0.0 + 0.0j
-    return z * (r / mag)
-
-
 def _disk_project_vector(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Entrywise disk projection for a complex vector."""
+    """Project each z_i onto the disk {w : |w| <= radii_i}.
+
+    Radial shrinkage: the phase of z_i is preserved and only its modulus is
+    clipped; a zero radius maps z_i to 0. Radii must be non-negative.
+    """
     mag = np.abs(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(mag > radii, radii / np.where(mag > 0, mag, 1.0), 1.0)
@@ -98,10 +79,8 @@ def _disk_project_vector(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 def feasibility_residual(ens: MeasurementEnsemble, obs: Observations, x) -> float:
     """Largest slab violation max_i (|a_i^H x|^2 - b_i)_+ ; zero when x is feasible."""
-    b = obs.b
-    if b.shape[0] != ens.m:
-        raise ValueError(f"observations have length {b.shape[0]}, expected {ens.m}")
-    viol = np.abs(ens.forward(x)) ** 2 - b
+    b = obs.b_for(ens)
+    viol = np.abs(ens.forward(as_signal(x, "x", ens.n))) ** 2 - b
     return float(max(np.max(viol, initial=0.0), 0.0))
 
 
@@ -111,11 +90,11 @@ def solve_phasemax(
     """Solve max <a0, x> s.t. |a_i^H x|^2 <= b_i by primal-dual splitting.
 
     The slab constraints are reformulated once as disk constraints
-    |(Ax)_i| <= sqrt(b_i). With tau = sigma = step_scale / ||A|| the iteration
+    |(Ax)_i| <= sqrt(b_i). With tau = sigma = _STEP_SCALE / ||A|| the iteration
     from x = y = xbar = 0 is
 
         y    <- y + sigma * A xbar
-        y    <- y - sigma * disk_project(y / sigma, radii)
+        y    <- y - sigma * P(y / sigma),  P projects entry i onto |w| <= sqrt(b_i)
         x_new <- x + tau * a0 - tau * A^H y
         xbar <- 2 x_new - x
 
@@ -126,22 +105,14 @@ def solve_phasemax(
     only to Solution.feas_residual and not projected onto the slabs (see
     Solution for why).
     """
-    a0 = as_signal(a0, "a0")
-    if a0.shape[0] != ens.n:
-        raise ValueError(f"a0 has length {a0.shape[0]}, expected {ens.n}")
+    a0 = as_signal(a0, "a0", ens.n)
     if np.linalg.norm(a0) == 0:
         raise ValueError("a0 must be nonzero")
-    b = obs.b
-    if b.shape[0] != ens.m:
-        raise ValueError(f"observations have length {b.shape[0]}, expected {ens.m}")
-    if ens.m < 1:
-        raise ValueError("at least one constraint is required (program is unbounded)")
-
-    radii = np.sqrt(b)
-    op_norm = operator_norm(ens, cfg.norm_est_iters, RngStream(_NORM_EST_SEED))
+    radii = np.sqrt(obs.b_for(ens))  # Observations guarantees b >= 0
+    op_norm = operator_norm(ens, _NORM_EST_ITERS, RngStream(_NORM_EST_SEED))
     if op_norm == 0:
         raise ValueError("measurement operator is identically zero")
-    tau = sigma = cfg.step_scale / op_norm
+    tau = sigma = _STEP_SCALE / op_norm
 
     x = np.zeros(ens.n, dtype=np.complex128)
     y = np.zeros(ens.m, dtype=np.complex128)

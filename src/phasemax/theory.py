@@ -121,10 +121,8 @@ def pmin_lower_bound(delta: float, t: float) -> float:
 
 def in_R_delta(h, ctx: GeometryContext) -> bool:
     """Membership in the region ||h - (x^H h) x||_2 >= delta * |Im(x^H h)|."""
-    hv = as_signal(h, "h")
     x = ctx.xstar
-    if hv.shape != x.shape:
-        raise ValueError("h must match the length of ctx.xstar")
+    hv = as_signal(h, "h", x.shape[0])
     overlap = np.vdot(x, hv)
     perp = hv - overlap * x
     return bool(np.linalg.norm(perp) >= ctx.delta * abs(overlap.imag))
@@ -132,20 +130,16 @@ def in_R_delta(h, ctx: GeometryContext) -> bool:
 
 def in_C_delta(y, ctx: GeometryContext) -> bool:
     """Membership in the cone Re(x^H y) >= delta * ||y||_2."""
-    yv = as_signal(y, "y")
     x = ctx.xstar
-    if yv.shape != x.shape:
-        raise ValueError("y must match the length of ctx.xstar")
+    yv = as_signal(y, "y", x.shape[0])
     return bool(np.vdot(x, yv).real >= ctx.delta * np.linalg.norm(yv))
 
 
 def in_Cprime_delta(z, ctx: GeometryContext) -> bool:
     """Membership in the closure of the complement of the polar cone:
     delta * <x, z> >= -sqrt(1 - delta^2) * sqrt(||z||^2 - |x^H z|^2)."""
-    zv = as_signal(z, "z")
     x = ctx.xstar
-    if zv.shape != x.shape:
-        raise ValueError("z must match the length of ctx.xstar")
+    zv = as_signal(z, "z", x.shape[0])
     overlap = np.vdot(x, zv)
     residual_sq = max(float(np.linalg.norm(zv) ** 2 - abs(overlap) ** 2), 0.0)
     lhs = ctx.delta * overlap.real
@@ -171,10 +165,9 @@ def check_certificate(
     estimate's feas_residual: xhat is feasible only to that residual, and a
     cut value can exceed a noise-only threshold by up to feas_residual / 2.
     """
-    hv = as_signal(h, "h")
-    a0v = as_signal(a0, "a0")
-    if hv.shape[0] != ens.n or a0v.shape[0] != ens.n:
-        raise ValueError("h and a0 must match the ensemble dimension")
+    hv = as_signal(h, "h", ens.n)
+    a0v = as_signal(a0, "a0", ens.n)
+    in_r = in_R_delta(hv, ctx)  # also checks that ctx.xstar has length ens.n
     anchor_ok = real_inner(a0v, hv) >= 0.0
     vals = (np.conj(ens.forward(ctx.xstar)) * ens.forward(hv)).real
     threshold = 0.5 * ctx.eta_inv
@@ -182,7 +175,7 @@ def check_certificate(
     first = int(violated[0]) if violated.size else None
     return CertificateReport(
         h=hv,
-        in_R_delta=in_R_delta(hv, ctx),
+        in_R_delta=in_r,
         anchor_inequality_holds=anchor_ok,
         first_violated_constraint=first,
         certified_excluded=(not anchor_ok) or first is not None,
@@ -194,11 +187,9 @@ def measurement_cut_probability(ctx: GeometryContext, h, num_a: int, rng: RngStr
     complex Gaussian measurement draws a."""
     if num_a < 1:
         raise ValueError("num_a must be >= 1")
-    hv = as_signal(h, "h")
     x = ctx.xstar
-    if hv.shape != x.shape:
-        raise ValueError("h must match the length of ctx.xstar")
     n = x.shape[0]
+    hv = as_signal(h, "h", n)
     threshold = 0.5 * ctx.eta_inv
     g = rng.generator
     scale = np.sqrt(0.5)

@@ -122,6 +122,10 @@ def test_sweep_config_validation():
         SweepConfig(n=16, ratios=(2.0,), trials=0)
     with pytest.raises(ValueError):
         SweepNoise("uniform", -1.0)
+    for kind in ("uniform", "gaussian"):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                SweepNoise(kind, bad)
 
 
 def test_ratio_summary_orders_by_ratio():
@@ -269,5 +273,7 @@ def test_cli_verify_exit_codes(capsys, monkeypatch):
 
 
 def test_cli_rejects_bad_noise():
-    with pytest.raises(SystemExit):
-        main(["sweep", "--noise", "exotic:1"])
+    for noise in ("exotic:1", "uniform:inf", "uniform:nan", "gaussian:nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--noise", noise])
+        assert exc.value.code == 2

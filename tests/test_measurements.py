@@ -148,6 +148,11 @@ def test_noise_model_validation():
         NoiseModel.gaussian(0.0)
     with pytest.raises(ValueError):
         NoiseModel("bogus")
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            NoiseModel.uniform(bad)
+        with pytest.raises(ValueError):
+            NoiseModel.gaussian(bad)
 
 
 def test_observations_reject_negative_entries():

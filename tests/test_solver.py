@@ -3,10 +3,11 @@ import pytest
 
 from phasemax import (
     DenseEnsemble,
+    GeometryContext,
     NoiseModel,
     RngStream,
     SolverConfig,
-    disk_project,
+    check_certificate,
     feasibility_residual,
     observe,
     oracle_solve_small,
@@ -16,34 +17,35 @@ from phasemax import (
     solve_phasemax,
 )
 from phasemax.measurements import Observations
+from phasemax.solver import _disk_project_vector
 
 
 def test_disk_project_inside_unchanged():
-    z = 0.3 + 0.2j
-    assert disk_project(z, 1.0) == z
+    z = np.array([0.3 + 0.2j])
+    assert _disk_project_vector(z, np.array([1.0]))[0] == z[0]
 
 
 def test_disk_project_radial_scaling():
     theta = 0.9
     r = 1.7
-    z = 2 * r * np.exp(1j * theta)
-    out = disk_project(z, r)
+    z = np.array([2 * r * np.exp(1j * theta)])
+    out = _disk_project_vector(z, np.array([r]))[0]
     assert abs(out) == pytest.approx(r, abs=1e-14)
     assert np.angle(out) == pytest.approx(theta, abs=1e-14)
 
 
 def test_disk_project_polar_oracle():
     rng = RngStream(401).generator
-    for _ in range(200):
-        z = rng.standard_normal() + 1j * rng.standard_normal()
-        r = abs(rng.standard_normal())
-        out = disk_project(z, r)
-        assert abs(out) == pytest.approx(min(abs(z), r), abs=1e-14)
-        if abs(z) > 0 and min(abs(z), r) > 0:
-            assert np.angle(out) == pytest.approx(np.angle(z), abs=1e-14)
-    assert disk_project(1.0 + 1.0j, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        disk_project(1.0, -0.1)
+    z, r = np.empty(200, dtype=complex), np.empty(200)
+    for i in range(200):
+        z[i] = rng.standard_normal() + 1j * rng.standard_normal()
+        r[i] = abs(rng.standard_normal())
+    out = _disk_project_vector(z, r)
+    for zi, ri, oi in zip(z, r, out):
+        assert abs(oi) == pytest.approx(min(abs(zi), ri), abs=1e-14)
+        if abs(zi) > 0 and min(abs(zi), ri) > 0:
+            assert np.angle(oi) == pytest.approx(np.angle(zi), abs=1e-14)
+    assert _disk_project_vector(np.array([1.0 + 1.0j]), np.array([0.0]))[0] == 0.0
 
 
 def make_instance(seed, n=8, m=64, noise=None):
@@ -60,6 +62,29 @@ def test_solver_rejects_degenerate_inputs():
         solve_phasemax(ens, obs, np.zeros(ens.n, dtype=complex))
     with pytest.raises(ValueError):
         solve_phasemax(ens, obs, np.full(ens.n, np.nan + 0j))
+
+
+@pytest.mark.parametrize("bad", ["nan", "length"])
+@pytest.mark.parametrize(
+    "entry", ["observe", "feasibility_residual", "check_certificate", "solve_phasemax"]
+)
+def test_entry_points_reject_bad_vectors(entry, bad):
+    # The operator kernels do not validate, so each entry point must.
+    ens, obs, xs = make_instance(417)
+    if bad == "length":
+        v = np.append(xs, 1.0)
+    else:
+        v = xs.copy()
+        v[1] = np.nan
+    calls = {
+        "observe": lambda: observe(ens, v, NoiseModel.none(), RngStream(418)),
+        "feasibility_residual": lambda: feasibility_residual(ens, obs, v),
+        "check_certificate": lambda: check_certificate(
+            v, xs, ens, GeometryContext(xstar=xs, delta=0.5, t=1.0)),
+        "solve_phasemax": lambda: solve_phasemax(ens, obs, v),
+    }
+    with pytest.raises(ValueError):
+        calls[entry]()
 
 
 def test_zero_constraints_rejected():
@@ -200,7 +225,5 @@ def test_oracle_rejects_rank_deficiency_and_big_n():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_scale=1.0)
     with pytest.raises(ValueError):
         SolverConfig(tol_feas=0.0)
