@@ -16,22 +16,18 @@ from .numerics import (
 from .measurements import (
     CodedDiffractionEnsemble,
     DenseEnsemble,
-    MeasurementEnsemble,
     NoiseModel,
     Observations,
     observe,
     operator_norm,
 )
-from .anchor import AnchorReport, anchor_correlation, constant_anchor, spectral_anchor
+from .anchor import anchor_correlation, constant_anchor, spectral_anchor
 from .solver import (
-    Solution,
     SolverConfig,
     feasibility_residual,
-    oracle_solve_small,
     solve_phasemax,
 )
 from .theory import (
-    CertificateReport,
     GeometryContext,
     check_certificate,
     empirical_pmin,
@@ -47,11 +43,7 @@ from .theory import (
     vc_deviation_bound,
 )
 from .experiments import (
-    CdpReport,
     SweepConfig,
-    SweepNoise,
-    TrialRecord,
-    VerifyReport,
     run_cdp_demo,
     run_sweep,
     run_verify,
@@ -67,21 +59,16 @@ __all__ = [
     "sample_rademacher",
     "CodedDiffractionEnsemble",
     "DenseEnsemble",
-    "MeasurementEnsemble",
     "NoiseModel",
     "Observations",
     "observe",
     "operator_norm",
-    "AnchorReport",
     "anchor_correlation",
     "constant_anchor",
     "spectral_anchor",
-    "Solution",
     "SolverConfig",
     "feasibility_residual",
-    "oracle_solve_small",
     "solve_phasemax",
-    "CertificateReport",
     "GeometryContext",
     "check_certificate",
     "empirical_pmin",
@@ -95,11 +82,7 @@ __all__ = [
     "sauer_bound",
     "sauer_bound_loose",
     "vc_deviation_bound",
-    "CdpReport",
     "SweepConfig",
-    "SweepNoise",
-    "TrialRecord",
-    "VerifyReport",
     "run_cdp_demo",
     "run_sweep",
     "run_verify",

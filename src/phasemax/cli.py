@@ -4,20 +4,25 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .experiments import (
     DEFAULT_CDP_CONFIG,
     SweepConfig,
-    SweepNoise,
     ratio_summary,
     run_cdp_demo,
     run_sweep,
     run_verify,
 )
+from .measurements import NoiseModel
 from .solver import SolverConfig
 
 __all__ = ["main", "parse_ratios", "parse_noise"]
+
+
+# Largest number of ratios the lo:hi:step form may expand to.
+MAX_RANGE_RATIOS = 10_000
 
 
 def parse_ratios(text: str):
@@ -27,8 +32,17 @@ def parse_ratios(text: str):
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("range form must be lo:hi:step")
         lo, hi, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise argparse.ArgumentTypeError("range form needs finite lo, hi and step")
         if step <= 0 or hi < lo:
             raise argparse.ArgumentTypeError("range form needs step > 0 and hi >= lo")
+        # Checked before the list is built: a step at or below the float
+        # spacing of the range would never advance r, and a huge count eats
+        # memory.
+        if step <= math.ulp(max(abs(lo), abs(hi))) or (hi - lo) / step + 1 > MAX_RANGE_RATIOS:
+            raise argparse.ArgumentTypeError(
+                f"range {text!r} needs at most {MAX_RANGE_RATIOS} ratios and a step "
+                "above the float spacing of its values")
         out = []
         r = lo
         while r <= hi + 1e-9:
@@ -41,20 +55,19 @@ def parse_ratios(text: str):
         raise argparse.ArgumentTypeError(f"bad ratio list {text!r}") from exc
 
 
-def parse_noise(text: str) -> SweepNoise:
-    """Parse 'none', 'uniform:<eta_inv>' or 'gaussian:<snr_db>'."""
+def parse_noise(text: str) -> NoiseModel:
+    """Parse 'none', 'uniform:<eta_inv>' or 'gaussian:<snr_db>' into a NoiseModel."""
     if text == "none":
-        return SweepNoise("none")
+        return NoiseModel.none()
     kind, sep, value = text.partition(":")
     if not sep or kind not in ("uniform", "gaussian"):
         raise argparse.ArgumentTypeError(
             f"noise must be none, uniform:<eta_inv> or gaussian:<snr_db>, got {text!r}"
         )
     try:
-        param = float(value)
+        return NoiseModel(kind, float(value))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad noise parameter {value!r}") from exc
-    return SweepNoise(kind, param)
+        raise argparse.ArgumentTypeError(f"bad noise parameter {value!r}: {exc}") from exc
 
 
 def _solver_config(args, default: SolverConfig) -> SolverConfig:
@@ -79,8 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--ratios", type=parse_ratios, default=[2, 4, 6, 8, 10, 12],
                        help="comma list or lo:hi:step of M/N values")
     sweep.add_argument("--trials", type=int, default=20, help="trials per ratio")
-    sweep.add_argument("--noise", type=parse_noise, default=SweepNoise("none"),
-                       help="none | uniform:<eta_inv> | gaussian:<snr_db>")
+    sweep.add_argument("--noise", type=parse_noise, default=NoiseModel.none(),
+                       help="none | uniform:<eta_inv> | gaussian:<snr_db>, where snr_db is "
+                            "the target input SNR; the number is the CSV's noise_param")
     sweep.add_argument("--anchor-iters", type=int, default=50)
     sweep.add_argument("--max-iters", type=int, default=None)
     sweep.add_argument("--tol", type=float, default=None,

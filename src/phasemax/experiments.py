@@ -21,7 +21,6 @@ from .solver import SolverConfig, solve_phasemax
 from . import theory
 
 __all__ = [
-    "SweepNoise",
     "SweepConfig",
     "TrialRecord",
     "CSV_HEADER",
@@ -42,31 +41,13 @@ CSV_HEADER = [
 
 
 @dataclass(frozen=True)
-class SweepNoise:
-    """Sweep-level noise request. For kind "uniform" param is the support
-    bound eta_inv; for kind "gaussian" param is the target input SNR in dB and
-    the per-trial sigma is derived from the drawn signal's energy."""
-
-    kind: str = "none"
-    param: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "uniform", "gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not math.isfinite(self.param):
-            raise ValueError("noise parameter must be finite")
-        if self.kind == "uniform" and self.param < 0:
-            raise ValueError("uniform noise requires eta_inv >= 0")
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     """Configuration for a Gaussian measurement sweep across sampling ratios."""
 
     n: int
     ratios: tuple
     trials: int
-    noise: SweepNoise = SweepNoise()
+    noise: NoiseModel = NoiseModel.none()
     anchor_iters: int = 50
     solver: SolverConfig = field(default_factory=SolverConfig)
     seed: int = 0
@@ -77,8 +58,8 @@ class SweepConfig:
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.ratios or any(r < 1 for r in self.ratios):
-            raise ValueError("ratios must be a nonempty list of values >= 1")
+        if not self.ratios or not all(1 <= r < math.inf for r in self.ratios):
+            raise ValueError("ratios must be a nonempty list of finite values >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.anchor_iters < 1:
@@ -106,41 +87,25 @@ class TrialRecord:
     runtime_ms: float
 
 
-def _trial_noise_model(noise: SweepNoise, signal_energy: float) -> NoiseModel:
-    if noise.kind == "none":
-        return NoiseModel.none()
-    if noise.kind == "uniform":
-        return NoiseModel.uniform(noise.param)
-    sigma = signal_energy * 10.0 ** (-noise.param / 20.0)
-    return NoiseModel.gaussian(sigma)
-
-
 def _run_trial(task) -> TrialRecord:
     (n, ratio, stream_id, trial, base_seed, noise, anchor_iters, solver_cfg) = task
     stream = RngStream(base_seed, stream_id)
     m = int(round(ratio * n))
     xstar = sample_complex_gaussian(n, stream)
     ens = DenseEnsemble.gaussian(n, m, stream)
-    noise_model = _trial_noise_model(noise, float(np.sum(np.abs(xstar) ** 2)))
-    obs = observe(ens, xstar, noise_model, stream)
+    obs = observe(ens, xstar, noise, stream)
     t0 = time.perf_counter()
     report = spectral_anchor(ens, obs, anchor_iters, stream)
     sol = solve_phasemax(ens, obs, report.a0, solver_cfg)
     runtime_ms = (time.perf_counter() - t0) * 1e3
-    if noise_model.kind == "uniform":
-        noise_param = noise_model.eta_inv
-    elif noise_model.kind == "gaussian":
-        noise_param = noise_model.sigma
-    else:
-        noise_param = 0.0
     return TrialRecord(
         n=n,
         m=m,
         ratio=ratio,
         trial=trial,
         seed=base_seed,
-        noise_kind=noise_model.kind,
-        noise_param=noise_param,
+        noise_kind=noise.kind,
+        noise_param=noise.param,
         snr_db=obs.snr_db,
         anchor_corr=anchor_correlation(report.a0, xstar),
         rel_error=phase_align_error(sol.xhat, xstar),

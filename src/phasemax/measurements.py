@@ -3,6 +3,7 @@ squared-magnitude observation process, and operator-norm estimation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,28 +117,40 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         return (self.masks.conj() * blocks).sum(axis=0)
 
 
+def _snr_amplitude(snr_db: float) -> float:
+    """10^(-snr_db/20): gaussian sigma per unit signal energy; inf on overflow."""
+    try:
+        return 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive noise on the squared-magnitude measurements.
+    """Additive noise xi_i on the squared-magnitude measurements.
 
-    kind "none": no noise. kind "uniform": i.i.d. Uniform([0, eta_inv]), which
-    is non-negative by construction. kind "gaussian": i.i.d. Normal(0, sigma^2)
-    with any resulting negative measurement clipped to zero.
+    param is the number after the colon in --noise, and a sweep CSV's
+    noise_param. kind "none": no noise, param 0. kind "uniform": i.i.d.
+    Uniform([0, param]) with param = eta_inv >= 0. kind "gaussian": i.i.d.
+    Normal(0, sigma^2) with param = the target input SNR in dB; observe sets
+    sigma = ||xstar||^2 * 10^(-param/20) and clips negative measurements to 0.
     """
 
     kind: str
-    eta_inv: float = 0.0
-    sigma: float = 0.0
+    param: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "param", float(self.param))
         if self.kind not in ("none", "uniform", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not (np.isfinite(self.eta_inv) and np.isfinite(self.sigma)):
-            raise ValueError("noise parameters must be finite")
-        if self.kind == "uniform" and self.eta_inv < 0:
+        if not math.isfinite(self.param):
+            raise ValueError("noise parameter must be finite")
+        if self.kind == "none" and self.param != 0:
+            raise ValueError("noise kind 'none' takes no parameter")
+        if self.kind == "uniform" and self.param < 0:
             raise ValueError("uniform noise requires eta_inv >= 0")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise ValueError("gaussian noise requires sigma > 0")
+        if self.kind == "gaussian" and not 0 < _snr_amplitude(self.param) < math.inf:
+            raise ValueError(f"gaussian SNR {self.param} dB is out of range")
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -145,11 +158,11 @@ class NoiseModel:
 
     @classmethod
     def uniform(cls, eta_inv: float) -> "NoiseModel":
-        return cls("uniform", eta_inv=float(eta_inv))
+        return cls("uniform", eta_inv)
 
     @classmethod
-    def gaussian(cls, sigma: float) -> "NoiseModel":
-        return cls("gaussian", sigma=float(sigma))
+    def gaussian(cls, snr_db: float) -> "NoiseModel":
+        return cls("gaussian", snr_db)
 
 
 @dataclass(frozen=True)
@@ -183,9 +196,11 @@ class Observations:
 def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) -> Observations:
     """Measure b_i = |a_i^H xstar|^2 + xi_i with xi drawn from the noise model.
 
-    Gaussian noise can produce negative values; those are clipped to zero at
-    observation time. For gaussian noise the input SNR
-    10*log10(||xstar||^4 / sigma^2) is recorded on the result.
+    For gaussian noise, noise.param is the target input SNR in dB: the noise
+    level is sigma = ||xstar||^2 * 10^(-snr_db/20), negative measurements are
+    clipped to zero, and the realized SNR 10*log10(||xstar||^4 / sigma^2) is
+    recorded on the result. Raises ValueError when that sigma is 0 (a zero or
+    underflowing signal).
     """
     xs = as_signal(xstar, "xstar", ens.n)
     clean = np.abs(ens.forward(xs)) ** 2
@@ -193,13 +208,15 @@ def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) 
     if noise.kind == "none":
         b = clean
     elif noise.kind == "uniform":
-        b = clean + rng.generator.uniform(0.0, noise.eta_inv, size=ens.m)
+        b = clean + rng.generator.uniform(0.0, noise.param, size=ens.m)
     else:
-        b = clean + noise.sigma * rng.generator.standard_normal(ens.m)
-        np.maximum(b, 0.0, out=b)
         energy = float(np.sum(np.abs(xs) ** 2))
-        if energy > 0:
-            snr_db = 10.0 * np.log10(energy**2 / noise.sigma**2)
+        sigma = energy * _snr_amplitude(noise.param)
+        if sigma == 0:
+            raise ValueError("gaussian noise needs a nonzero signal: sigma is 0")
+        b = clean + sigma * rng.generator.standard_normal(ens.m)
+        np.maximum(b, 0.0, out=b)
+        snr_db = 10.0 * np.log10(energy**2 / sigma**2)
     return Observations(b=b, noise=noise, snr_db=snr_db)
 
 

@@ -17,11 +17,9 @@ from phasemax import (
     RngStream,
     SolverConfig,
     SweepConfig,
-    SweepNoise,
     empirical_pmin,
     observe,
     operator_norm,
-    oracle_solve_small,
     phase_align_error,
     pmin_lower_bound,
     rayleigh_normal_cdf,
@@ -37,6 +35,7 @@ from phasemax import (
 from phasemax.experiments import ratio_summary
 from phasemax.measurements import Observations
 from phasemax.pgm import write_pgm
+from support import oracle_solve_small, strip_runtime
 
 SEED = 20260809
 
@@ -45,18 +44,12 @@ def report_line(criterion, passed, detail):
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {criterion}: {detail}")
 
 
-def strip_runtime(csv_text):
-    rows = [line.split(",") for line in csv_text.strip().splitlines()]
-    idx = rows[0].index("runtime_ms")
-    return [",".join(r[:idx] + r[idx + 1:]) for r in rows]
-
-
 def transition_config(out_path):
     return SweepConfig(
         n=128,
         ratios=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0),
         trials=20,
-        noise=SweepNoise("none"),
+        noise=NoiseModel.none(),
         anchor_iters=50,
         solver=SolverConfig(),
         seed=SEED,
@@ -107,7 +100,7 @@ def test_criterion_2_noise_scaling(tmp_path):
     for eta_inv in (1e-4, 1e-2):
         cfg = SweepConfig(
             n=128, ratios=(12.0,), trials=20,
-            noise=SweepNoise("uniform", eta_inv),
+            noise=NoiseModel.uniform(eta_inv),
             anchor_iters=50, solver=SolverConfig(), seed=SEED,
         )
         records = run_sweep(cfg)

@@ -1,22 +1,16 @@
 import numpy as np
 import pytest
 
-from phasemax import SweepConfig, SweepNoise, run_cdp_demo, run_sweep, run_verify
+from phasemax import NoiseModel, SweepConfig, run_cdp_demo, run_sweep, run_verify
 from phasemax.cli import main, parse_noise, parse_ratios
 from phasemax.experiments import CSV_HEADER, ratio_summary
 from phasemax.pgm import read_f64_sidecar, read_pgm, write_pgm
 from phasemax.solver import SolverConfig
+from support import strip_runtime
 
 
 def gradient_image(h, w):
     return np.add.outer(np.linspace(10, 240, h), np.linspace(0, 15, w))
-
-
-def strip_runtime(csv_text):
-    """Drop the wall-clock column, which is measurement rather than output."""
-    rows = [line.split(",") for line in csv_text.strip().splitlines()]
-    idx = rows[0].index("runtime_ms")
-    return [",".join(r[:idx] + r[idx + 1:]) for r in rows]
 
 
 # ------------------------------------------------------------------------ PGM
@@ -95,18 +89,18 @@ def test_sweep_matches_across_worker_counts():
 
 def test_sweep_gaussian_noise_records_snr():
     cfg = SweepConfig(n=16, ratios=(4.0,), trials=2, seed=5,
-                      noise=SweepNoise("gaussian", 30.0),
+                      noise=NoiseModel.gaussian(30.0),
                       solver=SolverConfig(max_iters=100))
     records = run_sweep(cfg)
     for r in records:
         assert r.noise_kind == "gaussian"
         assert r.snr_db == pytest.approx(30.0, abs=1e-9)
-        assert r.noise_param > 0
+        assert r.noise_param == 30.0
 
 
 def test_sweep_uniform_noise_records_param():
     cfg = SweepConfig(n=16, ratios=(4.0,), trials=2, seed=5,
-                      noise=SweepNoise("uniform", 0.05),
+                      noise=NoiseModel.uniform(0.05),
                       solver=SolverConfig(max_iters=100))
     records = run_sweep(cfg)
     for r in records:
@@ -120,12 +114,15 @@ def test_sweep_config_validation():
         SweepConfig(n=16, ratios=(0.5,), trials=2)
     with pytest.raises(ValueError):
         SweepConfig(n=16, ratios=(2.0,), trials=0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SweepConfig(n=16, ratios=(2.0, bad), trials=2)
     with pytest.raises(ValueError):
-        SweepNoise("uniform", -1.0)
+        NoiseModel("uniform", -1.0)
     for kind in ("uniform", "gaussian"):
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError):
-                SweepNoise(kind, bad)
+                NoiseModel(kind, bad)
 
 
 def test_ratio_summary_orders_by_ratio():
@@ -222,12 +219,18 @@ def test_verify_rejects_unknown_suite():
 def test_parse_ratios_forms():
     assert parse_ratios("2,4,6") == [2.0, 4.0, 6.0]
     assert parse_ratios("2:4:0.5") == [2.0, 2.5, 3.0, 3.5, 4.0]
+    import argparse
+
+    for text in ("2:nan:1", "-inf:2:1", "1:2:1e-20", "1:1:1e-20", "1:10001:1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_ratios(text)
+    assert len(parse_ratios("1:10000:1")) == 10_000
 
 
 def test_parse_noise_forms():
-    assert parse_noise("none") == SweepNoise("none")
-    assert parse_noise("uniform:0.01") == SweepNoise("uniform", 0.01)
-    assert parse_noise("gaussian:25") == SweepNoise("gaussian", 25.0)
+    assert parse_noise("none") == NoiseModel("none")
+    assert parse_noise("uniform:0.01") == NoiseModel("uniform", 0.01)
+    assert parse_noise("gaussian:25") == NoiseModel("gaussian", 25.0)
     import argparse
 
     with pytest.raises(argparse.ArgumentTypeError):
@@ -272,8 +275,26 @@ def test_cli_verify_exit_codes(capsys, monkeypatch):
     assert main(["verify", "--suite", "vc"]) == 1
 
 
-def test_cli_rejects_bad_noise():
-    for noise in ("exotic:1", "uniform:inf", "uniform:nan", "gaussian:nan"):
+def test_cli_rejects_bad_noise(capsys):
+    for noise in ("exotic:1", "uniform:inf", "uniform:nan", "gaussian:nan",
+                  "gaussian:8000", "gaussian:-8000"):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--noise", noise])
         assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_ratios(capsys, monkeypatch):
+    import phasemax.cli as cli_mod
+
+    def no_sweep(cfg):
+        raise AssertionError(f"sweep started with ratios {cfg.ratios}")
+
+    monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+    for ratios in ("inf", "nan", "2:inf:1", "1:2:1e-20", "1:1:1e-20"):
+        try:
+            code = main(["sweep", "--n", "4", "--trials", "1", "--ratios", ratios])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err

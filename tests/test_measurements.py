@@ -127,11 +127,17 @@ def test_observe_gaussian_noise_clips_and_records_snr():
     rng = RngStream(212)
     ens = DenseEnsemble.gaussian(8, 500, rng)
     xs = sample_complex_gaussian(8, rng)
-    sigma = 5.0
-    obs = observe(ens, xs, NoiseModel.gaussian(sigma), RngStream(213))
+    snr_db = 0.0
+    obs = observe(ens, xs, NoiseModel.gaussian(snr_db), RngStream(213))
     assert np.all(obs.b >= 0.0)
-    energy = np.sum(np.abs(xs) ** 2)
-    assert obs.snr_db == pytest.approx(10 * np.log10(energy**2 / sigma**2))
+    assert np.any(obs.b == 0.0)  # negative measurements were clipped
+    assert obs.snr_db == pytest.approx(snr_db, abs=1e-9)
+
+
+def test_observe_gaussian_noise_rejects_zero_signal():
+    ens = DenseEnsemble.gaussian(8, 24, RngStream(216))
+    with pytest.raises(ValueError):
+        observe(ens, np.zeros(8, dtype=complex), NoiseModel.gaussian(30.0), RngStream(217))
 
 
 def test_observe_none_records_no_snr():
@@ -145,9 +151,12 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel.uniform(-0.5)
     with pytest.raises(ValueError):
-        NoiseModel.gaussian(0.0)
-    with pytest.raises(ValueError):
         NoiseModel("bogus")
+    with pytest.raises(ValueError):
+        NoiseModel("none", 1.0)
+    for snr_db in (8000.0, -8000.0):  # 10^(-snr_db/20) underflows to 0 / overflows
+        with pytest.raises(ValueError):
+            NoiseModel.gaussian(snr_db)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             NoiseModel.uniform(bad)

@@ -10,7 +10,6 @@ from phasemax import (
     check_certificate,
     feasibility_residual,
     observe,
-    oracle_solve_small,
     phase_align_error,
     real_inner,
     sample_complex_gaussian,
@@ -18,6 +17,7 @@ from phasemax import (
 )
 from phasemax.measurements import Observations
 from phasemax.solver import _disk_project_vector
+from support import oracle_solve_small
 
 
 def test_disk_project_inside_unchanged():
