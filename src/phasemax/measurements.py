@@ -1,5 +1,5 @@
 """Measurement ensembles (dense rows and coded diffraction patterns), the noisy
-squared-magnitude observation process, and operator-norm estimation."""
+squared-magnitude observation process, and the operator norm."""
 
 from __future__ import annotations
 
@@ -45,6 +45,10 @@ class MeasurementEnsemble:
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def exact_norm(self) -> Optional[float]:
+        """||A|| in closed form, or None when it has to be estimated."""
+        return None
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -115,6 +119,10 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         blocks = np.fft.ifft(z.reshape(self.num_masks, self.n), axis=1, norm="ortho")
         return (self.masks.conj() * blocks).sum(axis=0)
+
+    def exact_norm(self) -> float:
+        """A^H A = diag(sum_l |phi_l|^2), so ||A|| = sqrt(max_j sum_l |phi_l[j]|^2)."""
+        return float(np.sqrt(np.max(np.sum(np.abs(self.masks) ** 2, axis=0))))
 
 
 def _snr_amplitude(snr_db: float) -> float:
@@ -198,9 +206,9 @@ def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) 
 
     For gaussian noise, noise.param is the target input SNR in dB: the noise
     level is sigma = ||xstar||^2 * 10^(-snr_db/20), negative measurements are
-    clipped to zero, and the realized SNR 10*log10(||xstar||^4 / sigma^2) is
+    clipped to zero, and the realized SNR 20*log10(||xstar||^2 / sigma) is
     recorded on the result. Raises ValueError when that sigma is 0 (a zero or
-    underflowing signal).
+    underflowing signal) or overflows to inf.
     """
     xs = as_signal(xstar, "xstar", ens.n)
     clean = np.abs(ens.forward(xs)) ** 2
@@ -212,22 +220,26 @@ def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) 
     else:
         energy = float(np.sum(np.abs(xs) ** 2))
         sigma = energy * _snr_amplitude(noise.param)
-        if sigma == 0:
-            raise ValueError("gaussian noise needs a nonzero signal: sigma is 0")
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"gaussian noise level sigma = {sigma} must be positive and finite")
         b = clean + sigma * rng.generator.standard_normal(ens.m)
         np.maximum(b, 0.0, out=b)
-        snr_db = 10.0 * np.log10(energy**2 / sigma**2)
+        snr_db = 20.0 * math.log10(energy / sigma)
     return Observations(b=b, noise=noise, snr_db=snr_db)
 
 
 def operator_norm(ens: MeasurementEnsemble, iters: int, rng: RngStream) -> float:
-    """Estimate ||A|| (largest singular value) by power iteration on A^H A.
+    """||A|| (largest singular value): exact when the ensemble knows it in
+    closed form (CDP), otherwise estimated by power iteration on A^H A.
 
-    Runs `iters` iterations from a random complex start and reports
-    ||A v|| for the final unit iterate v.
+    The estimate runs `iters` iterations from a random complex start and
+    reports ||A v|| for the final unit iterate v.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    exact = ens.exact_norm()
+    if exact is not None:
+        return exact
     v = sample_complex_gaussian(ens.n, rng)
     nv = np.linalg.norm(v)
     if nv == 0:

@@ -1,5 +1,5 @@
 """First-order solver for the anchored relaxation: maximize <a0, x> subject to
-|a_i^H x|^2 <= b_i, by primal-dual proximal splitting with disk projections."""
+|a_i^H x|^2 <= b_i, by primal-dual proximal splitting with balanced steps."""
 
 from __future__ import annotations
 
@@ -21,9 +21,10 @@ __all__ = [
 # inputs and config always produce identical Solutions.
 _NORM_EST_SEED = 0x5EED
 _NORM_EST_ITERS = 30
-# Fraction of the step-size stability bound: both steps are set to
-# _STEP_SCALE / ||A||, so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1.
+# Fraction of the step-size stability bound: tau = c * _STEP_SCALE / ||A|| and
+# sigma = _STEP_SCALE / (c * ||A||), so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1.
 _STEP_SCALE = 0.95
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,20 @@ class Solution:
     converged: bool
 
 
-def _disk_project_vector(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Project each z_i onto the disk {w : |w| <= radii_i}.
+def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, buf: np.ndarray) -> None:
+    """Overwrite y with y - sigma * P(y / sigma), P projecting entry i onto
+    the disk |w| <= radii_i, given sigma_radii = sigma * radii.
 
-    Radial shrinkage: the phase of z_i is preserved and only its modulus is
-    clipped; a zero radius maps z_i to 0. Radii must be non-negative.
+    By the Moreau identity this is a per-modulus soft threshold,
+    y_i <- y_i * (1 - sigma r_i / max(|y_i|, sigma r_i, tiny)); the tiny floor
+    keeps r_i = 0, y_i = 0 from giving 0/0. buf is float scratch of y's length.
     """
-    mag = np.abs(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mag > radii, radii / np.where(mag > 0, mag, 1.0), 1.0)
-    return z * scale
+    np.abs(y, out=buf)
+    np.maximum(buf, sigma_radii, out=buf)
+    np.maximum(buf, _TINY, out=buf)
+    np.divide(sigma_radii, buf, out=buf)
+    np.subtract(1.0, buf, out=buf)
+    y *= buf
 
 
 def feasibility_residual(ens: MeasurementEnsemble, obs: Observations, x) -> float:
@@ -88,13 +93,24 @@ def solve_phasemax(
     """Solve max <a0, x> s.t. |a_i^H x|^2 <= b_i by primal-dual splitting.
 
     The slab constraints are reformulated once as disk constraints
-    |(Ax)_i| <= sqrt(b_i). With tau = sigma = _STEP_SCALE / ||A|| the iteration
-    from x = y = xbar = 0 is
+    |(Ax)_i| <= r_i = sqrt(b_i). With primal step tau = c * _STEP_SCALE / ||A||
+    and dual step sigma = _STEP_SCALE / (c * ||A||) the iteration from
+    x = y = xbar = 0 is
 
         y    <- y + sigma * A xbar
-        y    <- y - sigma * P(y / sigma),  P projects entry i onto |w| <= sqrt(b_i)
+        y_i  <- y_i * (1 - sigma r_i / max(|y_i|, sigma r_i, tiny))
         x_new <- x + tau * a0 - tau * A^H y
         xbar <- 2 x_new - x
+
+    The second line is the shrink y - sigma * P(y / sigma), P projecting entry
+    i onto |w| <= r_i, done in place. The balance c = ||r|| / (||A|| ||a0||)
+    bounds ||x*|| / ||a0|| from below for noiseless data (||A x*|| = ||r||),
+    so the primal step follows the scale of the signal rather than that of a0:
+    a large x* is not under-stepped. The x iterates do not depend on the scale
+    of a0 (a0 -> t a0 scales y by t); c is 1 for unit a0 and x* under
+    unimodular CDP masks, and falls back to 1 when b is all zero.
+    tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1 keeps the iteration stable for
+    any c.
 
     Stops when the relative primal change drops below tol_rel_change and the
     feasibility residual below tol_feas, or at max_iters. Zero-radius disks
@@ -104,25 +120,33 @@ def solve_phasemax(
     Solution for why).
     """
     a0 = as_signal(a0, "a0", ens.n)
-    if np.linalg.norm(a0) == 0:
+    a0_norm = np.linalg.norm(a0)
+    if a0_norm == 0:
         raise ValueError("a0 must be nonzero")
     radii = np.sqrt(obs.b_for(ens))  # Observations guarantees b >= 0
     op_norm = operator_norm(ens, _NORM_EST_ITERS, RngStream(_NORM_EST_SEED))
     if op_norm == 0:
         raise ValueError("measurement operator is identically zero")
-    tau = sigma = _STEP_SCALE / op_norm
+    balance = np.linalg.norm(radii) / (op_norm * a0_norm)
+    if not 0 < balance < np.inf:
+        balance = 1.0
+    tau = balance * _STEP_SCALE / op_norm
+    sigma = _STEP_SCALE / (balance * op_norm)
+    sigma_radii = sigma * radii
+    tau_a0 = tau * a0
 
     x = np.zeros(ens.n, dtype=np.complex128)
     y = np.zeros(ens.m, dtype=np.complex128)
     xbar = np.zeros(ens.n, dtype=np.complex128)
+    buf = np.empty(ens.m)
 
     iters_used = cfg.max_iters
     converged = False
     feas = None
     for k in range(cfg.max_iters):
-        y = y + sigma * ens.forward(xbar)
-        y = y - sigma * _disk_project_vector(y / sigma, radii)
-        x_new = x + tau * a0 - tau * ens.adjoint(y)
+        y += ens.forward(sigma * xbar)
+        _shrink_dual(y, sigma_radii, buf)
+        x_new = x + tau_a0 - tau * ens.adjoint(y)
         step = np.linalg.norm(x_new - x)
         norm_new = np.linalg.norm(x_new)
         rel_change = step / norm_new if norm_new > 0 else step

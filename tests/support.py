@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: an independent brute-force oracle for
-the relaxation in dimension n <= 3, and CSV comparison without the
-wall-clock column."""
+the relaxation in dimension n <= 3, the disk projection the solver's dual
+shrink is checked against, and CSV comparison without the wall-clock
+column."""
 
 from itertools import combinations, product
 
@@ -12,6 +13,18 @@ def strip_runtime(csv_text):
     rows = [line.split(",") for line in csv_text.strip().splitlines()]
     idx = rows[0].index("runtime_ms")
     return [",".join(r[:idx] + r[idx + 1:]) for r in rows]
+
+
+def disk_project_vector(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Project each z_i onto the disk {w : |w| <= radii_i}.
+
+    Radial shrinkage: the phase of z_i is preserved and only its modulus is
+    clipped; a zero radius maps z_i to 0. Radii must be non-negative.
+    """
+    mag = np.abs(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(mag > radii, radii / np.where(mag > 0, mag, 1.0), 1.0)
+    return z * scale
 
 
 def oracle_solve_small(rows, b, a0, grid_points: int = 501, method: str = "auto") -> np.ndarray:

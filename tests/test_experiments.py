@@ -54,6 +54,14 @@ def test_sweep_success_region(tmp_path):
     assert all(r.m == 768 for r in records)
 
 
+def test_sweep_trial_converges_before_max_iters():
+    # A default-config trial in the success region stops on its own rule.
+    (record,) = run_sweep(SweepConfig(n=128, ratios=(12,), trials=1))
+    assert record.converged
+    assert record.iters < SolverConfig().max_iters
+    assert record.rel_error <= 1e-6
+
+
 def test_sweep_failure_region():
     cfg = SweepConfig(n=64, ratios=(1.5,), trials=5, seed=7,
                       solver=SolverConfig(max_iters=300))

@@ -140,6 +140,15 @@ def test_observe_gaussian_noise_rejects_zero_signal():
         observe(ens, np.zeros(8, dtype=complex), NoiseModel.gaussian(30.0), RngStream(217))
 
 
+def test_observe_gaussian_noise_huge_signal():
+    # ||x*||^2 = 4e156: its square overflows a float, the SNR must not.
+    ens = DenseEnsemble.gaussian(4, 16, RngStream(1))
+    obs = observe(ens, np.full(4, 1e78 + 0j), NoiseModel.gaussian(30.0), RngStream(2))
+    assert obs.snr_db == pytest.approx(30.0, abs=1e-9)
+    with pytest.raises(ValueError):  # ||x*||^2 and so sigma overflow to inf
+        observe(ens, np.full(4, 1e200 + 0j), NoiseModel.gaussian(30.0), RngStream(2))
+
+
 def test_observe_none_records_no_snr():
     rng = RngStream(214)
     ens = DenseEnsemble.gaussian(4, 8, rng)
@@ -191,6 +200,15 @@ def test_operator_norm_matches_svd_oracle():
     top_singular = np.linalg.svd(ens.rows.conj(), compute_uv=False)[0]
     est = operator_norm(ens, 500, RngStream(220))
     assert est == pytest.approx(top_singular, abs=1e-6)
+
+
+def test_operator_norm_cdp_exact_matches_svd_oracle():
+    # Non-unimodular masks: the closed form sqrt(max_j sum_l |phi_l[j]|^2) is
+    # the top singular value of the materialized operator.
+    masks = sample_complex_gaussian(3 * 16, RngStream(222)).reshape(3, 16)
+    top_singular = np.linalg.svd(materialize_cdp_rows(masks).conj(), compute_uv=False)[0]
+    est = operator_norm(CodedDiffractionEnsemble(masks), 1, RngStream(223))
+    assert est == pytest.approx(top_singular, rel=1e-12)
 
 
 def test_rademacher_masks_are_signs():

@@ -16,36 +16,48 @@ from phasemax import (
     solve_phasemax,
 )
 from phasemax.measurements import Observations
-from phasemax.solver import _disk_project_vector
-from support import oracle_solve_small
+from phasemax.solver import _shrink_dual
+from support import disk_project_vector, oracle_solve_small
 
 
-def test_disk_project_inside_unchanged():
-    z = np.array([0.3 + 0.2j])
-    assert _disk_project_vector(z, np.array([1.0]))[0] == z[0]
+def shrink(y, sigma, radii):
+    out = np.array(y, dtype=complex)
+    _shrink_dual(out, sigma * np.asarray(radii, dtype=float), np.empty(out.shape[0]))
+    return out
 
 
-def test_disk_project_radial_scaling():
-    theta = 0.9
-    r = 1.7
-    z = np.array([2 * r * np.exp(1j * theta)])
-    out = _disk_project_vector(z, np.array([r]))[0]
-    assert abs(out) == pytest.approx(r, abs=1e-14)
+def test_shrink_dual_inside_disk_gives_zero():
+    # |y / sigma| <= r: the projection leaves y / sigma unchanged, so the
+    # shrink y - sigma P(y / sigma) is 0.
+    assert shrink(np.array([0.3 + 0.2j]), 2.0, [1.0])[0] == 0.0
+
+
+def test_shrink_dual_radial_soft_threshold():
+    theta, r, sigma = 0.9, 1.7, 0.4
+    y = np.array([3 * sigma * r * np.exp(1j * theta)])
+    out = shrink(y, sigma, [r])[0]
+    assert abs(out) == pytest.approx(2 * sigma * r, abs=1e-14)
     assert np.angle(out) == pytest.approx(theta, abs=1e-14)
 
 
-def test_disk_project_polar_oracle():
+def test_shrink_dual_matches_moreau_oracle():
     rng = RngStream(401).generator
-    z, r = np.empty(200, dtype=complex), np.empty(200)
+    y, r = np.empty(200, dtype=complex), np.empty(200)
     for i in range(200):
-        z[i] = rng.standard_normal() + 1j * rng.standard_normal()
+        y[i] = rng.standard_normal() + 1j * rng.standard_normal()
         r[i] = abs(rng.standard_normal())
-    out = _disk_project_vector(z, r)
-    for zi, ri, oi in zip(z, r, out):
-        assert abs(oi) == pytest.approx(min(abs(zi), ri), abs=1e-14)
-        if abs(zi) > 0 and min(abs(zi), ri) > 0:
-            assert np.angle(oi) == pytest.approx(np.angle(zi), abs=1e-14)
-    assert _disk_project_vector(np.array([1.0 + 1.0j]), np.array([0.0]))[0] == 0.0
+    # Zero radius, zero entry, and both at once.
+    y[:3] = [1.0 + 1.0j, 0.0, 0.0]
+    r[:3] = [0.0, 0.5, 0.0]
+    for sigma in (1.0, 0.37, 5.0):
+        expected = y - sigma * disk_project_vector(y / sigma, r)
+        out = shrink(y, sigma, r)
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out - expected)) <= 1e-14 * max(1.0, sigma)
+        # Polar form: the modulus is soft-thresholded by sigma r_i.
+        assert np.allclose(np.abs(out), np.maximum(np.abs(y) - sigma * r, 0.0),
+                           rtol=0, atol=1e-14 * max(1.0, sigma))
+        assert out[0] == y[0] and out[1] == 0.0 and out[2] == 0.0
 
 
 def make_instance(seed, n=8, m=64, noise=None):
@@ -143,6 +155,26 @@ def test_anchor_phase_equivariance():
     err1 = phase_align_error(solve_phasemax(ens, obs, a0).xhat, xs)
     err2 = phase_align_error(solve_phasemax(ens, obs, np.exp(0.71j) * a0).xhat, xs)
     assert err1 == pytest.approx(err2, abs=1e-6)
+
+
+def test_iterates_invariant_to_anchor_scale():
+    # The step balance divides by ||a0||, so scaling a0 only scales the dual.
+    ens, obs, xs = make_instance(419)
+    a0 = xs / np.linalg.norm(xs)
+    ref = solve_phasemax(ens, obs, a0)
+    for t in (0.2, 5.0):
+        sol = solve_phasemax(ens, obs, t * a0)
+        assert sol.iters_used == ref.iters_used
+        assert np.linalg.norm(sol.xhat - ref.xhat) <= 1e-12 * np.linalg.norm(ref.xhat)
+
+
+def test_all_zero_observations_give_zero():
+    # b = 0 leaves the step balance without a scale; it falls back to 1.
+    ens, _, xs = make_instance(420, n=6, m=48)
+    sol = solve_phasemax(ens, Observations(b=np.zeros(48), noise=NoiseModel.none()), xs)
+    assert np.all(np.isfinite(sol.xhat))
+    assert np.linalg.norm(sol.xhat) <= 1e-12
+    assert sol.feas_residual <= 1e-20
 
 
 def test_solution_real_alignment_with_anchor():
