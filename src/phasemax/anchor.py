@@ -40,7 +40,9 @@ def spectral_anchor(
         raise ValueError("all-zero observations: Sigma has no principal direction")
 
     def apply_sigma(v):
-        return ens.adjoint(b * ens.forward(v)) / ens.m
+        w = ens.forward(v)
+        w *= b
+        return ens.adjoint(w) / ens.m
 
     v = sample_complex_gaussian(ens.n, rng)
     v = v / np.linalg.norm(v)

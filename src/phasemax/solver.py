@@ -83,7 +83,9 @@ def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, buf: np.ndarray) -> Non
 def feasibility_residual(ens: MeasurementEnsemble, obs: Observations, x) -> float:
     """Largest slab violation max_i (|a_i^H x|^2 - b_i)_+ ; zero when x is feasible."""
     b = obs.b_for(ens)
-    viol = np.abs(ens.forward(as_signal(x, "x", ens.n))) ** 2 - b
+    viol = np.abs(ens.forward(as_signal(x, "x", ens.n)))
+    np.square(viol, out=viol)
+    viol -= b
     return float(max(np.max(viol, initial=0.0), 0.0))
 
 

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules: an independent brute-force oracle for
 the relaxation in dimension n <= 3, the disk projection the solver's dual
-shrink is checked against, and CSV comparison without the wall-clock
-column."""
+shrink is checked against, one-expression references for the CDP kernels,
+and CSV comparison without the wall-clock column."""
 
 from itertools import combinations, product
 
@@ -25,6 +25,18 @@ def disk_project_vector(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(mag > radii, radii / np.where(mag > 0, mag, 1.0), 1.0)
     return z * scale
+
+
+def cdp_forward_reference(masks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """CDP forward map as one expression: the unitary DFT of each masked copy
+    of x, blocks concatenated mask-major."""
+    return np.fft.fft(masks * x[None, :], axis=1, norm="ortho").ravel()
+
+
+def cdp_adjoint_reference(masks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """CDP adjoint as one expression: sum_l conj(phi_l) o IDFT(block l of z)."""
+    blocks = np.fft.ifft(z.reshape(masks.shape), axis=1, norm="ortho")
+    return (masks.conj() * blocks).sum(axis=0)
 
 
 def oracle_solve_small(rows, b, a0, grid_points: int = 501, method: str = "auto") -> np.ndarray:

@@ -1,3 +1,6 @@
+import resource
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from phasemax import (
     sample_complex_gaussian,
     sample_rademacher,
 )
+from support import cdp_adjoint_reference, cdp_forward_reference
 
 
 def dft_basis_vector(k, n):
@@ -89,6 +93,80 @@ def test_adjoint_consistency(kind):
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
+@pytest.mark.parametrize("mask_kind", ["rademacher", "gaussian"])
+def test_cdp_kernels_match_reference_expressions(mask_kind):
+    rng = RngStream(224)
+    n, num_masks = 64, 5
+    if mask_kind == "rademacher":
+        ens = CodedDiffractionEnsemble.rademacher(n, num_masks, rng)
+    else:
+        ens = CodedDiffractionEnsemble(
+            sample_complex_gaussian(num_masks * n, rng).reshape(num_masks, n))
+    for _ in range(10):
+        x = sample_complex_gaussian(n, rng)
+        z = sample_complex_gaussian(ens.m, rng)
+        pairs = ((ens.forward(x), cdp_forward_reference(ens.masks, x)),
+                 (ens.adjoint(z), cdp_adjoint_reference(ens.masks, z)))
+        for got, ref in pairs:
+            if mask_kind == "rademacher":  # +/-1 masks: the same operations bit for bit
+                assert np.array_equal(got, ref)
+            else:  # in-place products may round differently in the last bit
+                assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_dense_kernels_match_reference_expressions():
+    rng = RngStream(225)
+    ens = DenseEnsemble.gaussian(16, 96, rng)
+    for _ in range(10):
+        x = sample_complex_gaussian(ens.n, rng)
+        z = sample_complex_gaussian(ens.m, rng)
+        for got, ref in ((ens.forward(x), ens.rows.conj() @ x), (ens.adjoint(z), ens.rows.T @ z)):
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind", ["dense", "cdp"])
+def test_kernel_results_belong_to_the_caller(kind):
+    # The spectral anchor scales forward's result in place; that must not
+    # reach the ensemble, another call's result or the kernel's input.
+    rng = RngStream(226)
+    if kind == "dense":
+        ens = DenseEnsemble.gaussian(12, 48, rng)
+    else:
+        ens = CodedDiffractionEnsemble.rademacher(12, 4, rng)
+    x = sample_complex_gaussian(ens.n, rng)
+    z = sample_complex_gaussian(ens.m, rng)
+    for kernel, arg in ((ens.forward, x), (ens.adjoint, z)):
+        arg_before = arg.copy()
+        first = kernel(arg)
+        expected = first.copy()
+        second = kernel(arg)
+        second[:] = 7.0 - 3.0j
+        assert np.array_equal(first, expected)
+        assert np.array_equal(kernel(arg), expected)
+        assert np.array_equal(arg, arg_before)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_cdp_kernels_do_not_page_fault():
+    # A kernel holding two m-sized temporaries at once makes the allocator
+    # hand the pages back after each call and fault them in again on the next
+    # (over 600 faults a call at this size); one temporary reuses its pages.
+    ens = CodedDiffractionEnsemble.rademacher(4096, 20, RngStream(227))
+    rng = RngStream(228)
+    x = sample_complex_gaussian(ens.n, rng)
+    z = sample_complex_gaussian(ens.m, rng)
+    for _ in range(3):
+        ens.forward(x)
+        ens.adjoint(z)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        ens.forward(x)
+        ens.adjoint(z)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    one_m_vector = 16 * ens.m // resource.getpagesize()  # 320 pages of 4 KiB
+    assert faults < one_m_vector
+
+
 def test_cdp_requires_m_equals_l_times_n():
     ens = CodedDiffractionEnsemble.rademacher(10, 4, RngStream(206))
     assert ens.m == 40
@@ -147,6 +225,21 @@ def test_observe_gaussian_noise_huge_signal():
     assert obs.snr_db == pytest.approx(30.0, abs=1e-9)
     with pytest.raises(ValueError):  # ||x*||^2 and so sigma overflow to inf
         observe(ens, np.full(4, 1e200 + 0j), NoiseModel.gaussian(30.0), RngStream(2))
+
+
+def test_observe_refuses_signal_whose_square_overflows():
+    # Refused before squaring: an overflow RuntimeWarning is an error in the
+    # test suite, so squaring first and refusing the inf would fail here.
+    ens = DenseEnsemble.gaussian(4, 16, RngStream(1))
+    for noise in (NoiseModel.none(), NoiseModel.uniform(0.1), NoiseModel.gaussian(30.0)):
+        with pytest.raises(ValueError, match="too large"):
+            observe(ens, np.full(4, 1e160 + 0j), noise, RngStream(2))
+    # |A x*| = 0 but ||x*||^2 overflows: only the gaussian noise level squares x*.
+    blind = DenseEnsemble(np.array([[1.0, 0.0]]))
+    xs = np.array([0.0, 1e160 + 0j])
+    assert np.all(observe(blind, xs, NoiseModel.none(), RngStream(2)).b == 0.0)
+    with pytest.raises(ValueError, match="too large"):
+        observe(blind, xs, NoiseModel.gaussian(30.0), RngStream(2))
 
 
 def test_observe_none_records_no_snr():
