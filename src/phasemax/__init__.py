@@ -21,7 +21,7 @@ from .measurements import (
     observe,
     operator_norm,
 )
-from .anchor import anchor_correlation, constant_anchor, spectral_anchor
+from .anchor import anchor_correlation, spectral_anchor
 from .solver import (
     SolverConfig,
     feasibility_residual,
@@ -64,7 +64,6 @@ __all__ = [
     "observe",
     "operator_norm",
     "anchor_correlation",
-    "constant_anchor",
     "spectral_anchor",
     "SolverConfig",
     "feasibility_residual",

@@ -1,5 +1,4 @@
-"""Anchor vector construction: spectral initialization by the power method and
-the constant anchor for non-negative signals."""
+"""Anchor vector construction: spectral initialization by the power method."""
 
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ import numpy as np
 from .measurements import MeasurementEnsemble, Observations
 from .numerics import RngStream, as_signal, real_inner, sample_complex_gaussian
 
-__all__ = ["AnchorReport", "spectral_anchor", "anchor_correlation", "constant_anchor"]
+__all__ = ["AnchorReport", "spectral_anchor", "anchor_correlation"]
 
 
 @dataclass(frozen=True)
@@ -18,7 +17,6 @@ class AnchorReport:
     """Unit-norm anchor plus diagnostics of the power iteration that built it."""
 
     a0: np.ndarray
-    power_iters: int
     rayleigh_quotient: float
 
 
@@ -53,7 +51,7 @@ def spectral_anchor(
             raise ValueError("power iterate collapsed to zero; Sigma is degenerate")
         v = w / nw
     quotient = real_inner(v, apply_sigma(v))
-    return AnchorReport(a0=v, power_iters=iters, rayleigh_quotient=quotient)
+    return AnchorReport(a0=v, rayleigh_quotient=quotient)
 
 
 def anchor_correlation(a0, xstar) -> float:
@@ -65,11 +63,3 @@ def anchor_correlation(a0, xstar) -> float:
     if na == 0 or nx == 0:
         raise ValueError("anchor_correlation requires nonzero vectors")
     return float(np.abs(np.vdot(a, x)) / (na * nx))
-
-
-def constant_anchor(n: int) -> np.ndarray:
-    """Unit vector with all entries 1/sqrt(n); a valid anchor for signals that
-    are real, non-negative and not too sparse."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)

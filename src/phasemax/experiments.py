@@ -7,7 +7,7 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -33,12 +33,6 @@ __all__ = [
     "VerifyReport",
     "run_verify",
 ]
-
-CSV_HEADER = [
-    "n", "m", "ratio", "trial", "seed", "noise_kind", "noise_param",
-    "snr_db", "anchor_corr", "rel_error", "iters", "converged", "runtime_ms",
-]
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -70,7 +64,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One sweep trial outcome; field names match the CSV columns."""
+    """One sweep trial outcome and one CSV row: the fields, in order, are the columns."""
 
     n: int
     m: int
@@ -85,6 +79,9 @@ class TrialRecord:
     iters: int
     converged: bool
     runtime_ms: float
+
+
+CSV_HEADER = [f.name for f in fields(TrialRecord)]
 
 
 def _run_trial(task) -> TrialRecord:
@@ -143,12 +140,8 @@ def write_records_csv(path, records) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                r.n, r.m, r.ratio, r.trial, r.seed, r.noise_kind, r.noise_param,
-                "" if r.snr_db is None else r.snr_db,
-                r.anchor_corr, r.rel_error, r.iters, r.converged, r.runtime_ms,
-            ])
+        # csv writes snr_db = None as an empty field.
+        writer.writerows(astuple(r) for r in records)
 
 
 def ratio_summary(records) -> list:
@@ -392,7 +385,10 @@ def _geometry_checks(seed: int, num_h: int, num_a: int) -> list:
         required="exact agreement on 500 random directions",
     ))
 
-    delta, t, eta_inv = 0.9, 10.0, 1e-3
+    # At (0.99, 0.1) the bound is 0.32, far above the 4-standard-error slack,
+    # so a wrong bound can fail the check; at large t / delta^2 it underflows
+    # towards 0 and any estimate would pass.
+    delta, t, eta_inv = 0.99, 0.1, 1e-3
     xs = sample_complex_gaussian(n, stream)
     ctx = theory.GeometryContext(xstar=xs, delta=delta, t=t, eta_inv=eta_inv)
     pmin_emp = theory.empirical_pmin(ctx, num_h=num_h, num_a=num_a, rng=stream)

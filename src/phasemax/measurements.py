@@ -44,7 +44,6 @@ class MeasurementEnsemble:
     more than half of each CDP kernel's time.
     """
 
-    kind: str
     n: int
     m: int
 
@@ -71,8 +70,6 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 class DenseEnsemble(MeasurementEnsemble):
     """Explicitly stored measurement vectors a_i (one per row)."""
-
-    kind = "dense-gaussian"
 
     def __init__(self, rows):
         rows = _as_matrix(rows, "rows")
@@ -105,8 +102,6 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
     concatenated mask-major, so m = L*n exactly. Only the masks are stored and
     each application costs L FFTs.
     """
-
-    kind = "coded-diffraction"
 
     def __init__(self, masks):
         masks = _as_matrix(masks, "masks")
@@ -191,10 +186,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Observations:
-    """Vector b of m non-negative squared-magnitude measurements plus noise metadata."""
+    """Vector b of m non-negative squared-magnitude measurements, plus the
+    realized SNR in dB when gaussian noise was added."""
 
     b: np.ndarray
-    noise: NoiseModel
     snr_db: Optional[float] = None
 
     def __post_init__(self):
@@ -206,9 +201,6 @@ class Observations:
         if np.any(b < 0):
             raise ValueError("b must be entrywise non-negative")
         object.__setattr__(self, "b", b)
-
-    def __len__(self):
-        return self.b.shape[0]
 
     def b_for(self, ens: MeasurementEnsemble) -> np.ndarray:
         """b, after checking that it holds one measurement per row of ens."""
@@ -246,7 +238,7 @@ def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) 
         b += sigma * rng.generator.standard_normal(ens.m)
         np.maximum(b, 0.0, out=b)
         snr_db = 20.0 * math.log10(energy / sigma)
-    return Observations(b=b, noise=noise, snr_db=snr_db)
+    return Observations(b=b, snr_db=snr_db)
 
 
 def operator_norm(ens: MeasurementEnsemble, iters: int, rng: RngStream) -> float:

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol_rel_change <= 0 or self.tol_feas <= 0:
-            raise ValueError("tolerances must be > 0")
+        if not all(0 < tol < math.inf for tol in (self.tol_rel_change, self.tol_feas)):
+            raise ValueError("tolerances must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,6 @@ class CertificateReport:
     """Outcome of testing one candidate error direction h against the
     exclusion inequalities."""
 
-    h: np.ndarray
     in_R_delta: bool
     anchor_inequality_holds: bool
     first_violated_constraint: Optional[int]
@@ -174,7 +173,6 @@ def check_certificate(
     violated = np.nonzero(vals > threshold)[0]
     first = int(violated[0]) if violated.size else None
     return CertificateReport(
-        h=hv,
         in_R_delta=in_r,
         anchor_inequality_holds=anchor_ok,
         first_violated_constraint=first,

@@ -1,10 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+Criteria 3, 4 and 8 are `phasemax verify --suite <suite> --seed 20260809`
+for the closed-forms, geometry and vc suites: each runs the suite at the
+CLI's scale and asserts its verdict, so the acceptance evidence and the
+CLI's cannot drift apart.
+
 Run with `pytest tests/test_acceptance.py -v -s`. The phase-transition and
 noise sweeps dominate the runtime (a few minutes total).
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -12,25 +15,17 @@ import pytest
 from phasemax import (
     CodedDiffractionEnsemble,
     DenseEnsemble,
-    GeometryContext,
     NoiseModel,
     RngStream,
     SolverConfig,
     SweepConfig,
-    empirical_pmin,
-    observe,
     operator_norm,
     phase_align_error,
-    pmin_lower_bound,
-    rayleigh_normal_cdf,
     run_cdp_demo,
     run_sweep,
+    run_verify,
     sample_complex_gaussian,
-    sample_complexity,
-    sauer_bound,
-    sauer_bound_loose,
     solve_phasemax,
-    vc_deviation_bound,
 )
 from phasemax.experiments import ratio_summary
 from phasemax.measurements import Observations
@@ -42,6 +37,15 @@ SEED = 20260809
 
 def report_line(criterion, passed, detail):
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {criterion}: {detail}")
+
+
+def verify_suite(criterion, suite, **scale):
+    report = run_verify(suite, seed=SEED, **scale)
+    print(report.render())
+    passed_checks = sum(c.passed for c in report.checks)
+    report_line(criterion, report.passed,
+                f"verify suite {suite}: {passed_checks} of {len(report.checks)} checks pass")
+    assert report.passed
 
 
 def transition_config(out_path):
@@ -115,40 +119,11 @@ def test_criterion_2_noise_scaling(tmp_path):
 
 
 def test_criterion_3_closed_form_grid():
-    draws = 1_000_000
-    g = RngStream(SEED, 3).generator
-    v = g.rayleigh(1.0, draws)
-    gauss = g.standard_normal(draws)
-    worst = 0.0
-    for alpha in (-2.0, -0.5, 0.0, 0.5, 2.0):
-        for beta in (-1.0, -0.1, 0.0, 0.1, 1.0):
-            p = rayleigh_normal_cdf(alpha, beta)
-            emp = float(np.mean(alpha * v + beta / v > gauss))
-            se = math.sqrt(max(p * (1 - p), 1e-12) / draws)
-            worst = max(worst, abs(p - emp) / se)
-    gap = max(abs(rayleigh_normal_cdf(a, 0.0) - rayleigh_normal_cdf(a, -1e-300))
-              for a in np.linspace(-10, 10, 201))
-    passed = worst <= 4.0 and gap <= 1e-12
-    report_line(3, passed,
-                f"worst grid deviation {worst:.2f} standard errors (need <= 4); "
-                f"branch gap {gap:.1e} (need <= 1e-12)")
-    assert passed
+    verify_suite(3, "closed-forms", mc_draws=1_000_000)
 
 
 def test_criterion_4_lemma3_empirical_bound():
-    xs = sample_complex_gaussian(8, RngStream(SEED, 4))
-    ctx = GeometryContext(xstar=xs, delta=0.9, t=10.0, eta_inv=1e-3)
-    num_a = 100_000
-    est_min = empirical_pmin(ctx, num_h=200, num_a=num_a, rng=RngStream(SEED, 5))
-    bound = pmin_lower_bound(0.9, 10.0)
-    # p_hat + 4*SE(p_hat) is increasing in p_hat, so if the smallest estimate
-    # clears the bound every sampled direction does.
-    se = math.sqrt(max(est_min * (1 - est_min), 1.0 / num_a) / num_a)
-    passed = est_min >= bound - 4 * se
-    report_line(4, passed,
-                f"smallest of 200 cut-probability estimates {est_min:.3e} vs "
-                f"closed-form bound {bound:.3e} - 4se ({se:.1e})")
-    assert passed
+    verify_suite(4, "geometry", num_h=200, num_a=100_000)
 
 
 def test_criterion_5_oracle_equivalence():
@@ -160,7 +135,7 @@ def test_criterion_5_oracle_equivalence():
         rows = g.standard_normal((m, n))
         b = (rows @ xs) ** 2
         ens = DenseEnsemble(rows.astype(complex))
-        obs = Observations(b=b, noise=NoiseModel.none())
+        obs = Observations(b=b)
         sol = solve_phasemax(ens, obs, xs.astype(complex), SolverConfig())
         x_oracle = oracle_solve_small(rows, b, xs)
         worst = max(worst, phase_align_error(sol.xhat, x_oracle.astype(complex)))
@@ -199,22 +174,7 @@ def test_criterion_7_cdp_demo(cdp_run):
 
 
 def test_criterion_8_sample_complexity_arithmetic():
-    ok = True
-    for p in (0.01, 0.05, 0.3):
-        for n_dim in (10, 500):
-            for eps in (0.1, 0.01):
-                m = sample_complexity(p, n_dim, eps)
-                lhs = (16 * n_dim * math.log(math.e * m / (2 * n_dim))
-                       + 8 * math.log(8 / eps)) / m
-                ok = ok and lhs < p * p
-    ok = ok and sauer_bound(4, 2) == 11
-    for n in range(4, 65, 4):
-        for d in range(2, 9):
-            if n > d:
-                ok = ok and sauer_bound(n, d) <= sauer_bound_loose(n, d)
-    ok = ok and vc_deviation_bound(10, 7.0, 0.0) == pytest.approx(56.0, rel=1e-14)
-    report_line(8, ok, "proof inequality and shatter/deviation grids all hold exactly")
-    assert ok
+    verify_suite(8, "vc")
 
 
 def test_criterion_9_determinism(transition_sweep, cdp_image, cdp_run, tmp_path):

@@ -6,7 +6,6 @@ from phasemax import (
     NoiseModel,
     RngStream,
     anchor_correlation,
-    constant_anchor,
     observe,
     sample_complex_gaussian,
     spectral_anchor,
@@ -18,7 +17,7 @@ def test_spectral_anchor_rank_one():
     rng = RngStream(301)
     row = sample_complex_gaussian(6, rng)
     ens = DenseEnsemble(row[None, :])
-    obs = Observations(b=np.array([1.0]), noise=NoiseModel.none())
+    obs = Observations(b=np.array([1.0]))
     report = spectral_anchor(ens, obs, 20, RngStream(302))
     assert np.linalg.norm(report.a0) == pytest.approx(1.0, abs=1e-12)
     assert anchor_correlation(report.a0, row) == pytest.approx(1.0, abs=1e-10)
@@ -57,7 +56,7 @@ def test_spectral_anchor_rayleigh_quotient_nondecreasing():
 
 def test_spectral_anchor_rejects_zero_observations():
     ens = DenseEnsemble.gaussian(4, 8, RngStream(307))
-    obs = Observations(b=np.zeros(8), noise=NoiseModel.none())
+    obs = Observations(b=np.zeros(8))
     with pytest.raises(ValueError):
         spectral_anchor(ens, obs, 10, RngStream(308))
 
@@ -111,17 +110,3 @@ def test_anchor_correlation_rejects_zero():
     with pytest.raises(ValueError):
         anchor_correlation(np.zeros(3, dtype=complex), np.ones(3, dtype=complex))
 
-
-def test_constant_anchor_values():
-    a = constant_anchor(4)
-    assert np.allclose(a, 0.5)
-    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(constant_anchor(17)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_constant_anchor_correlation_identity_for_nonneg_signals():
-    rng = RngStream(314).generator
-    n = 25
-    xs = rng.uniform(0.0, 3.0, n).astype(complex)
-    expected = np.sum(xs.real) / (np.sqrt(n) * np.linalg.norm(xs))
-    assert anchor_correlation(constant_anchor(n), xs) == pytest.approx(expected, abs=1e-12)

@@ -203,10 +203,25 @@ def test_verify_all_suites_pass():
     assert len(names) == len(set(names))
 
 
-def test_verify_single_suites():
-    assert run_verify("vc", seed=0).passed
-    assert run_verify("closed-forms", seed=1, mc_draws=100_000).passed
-    assert run_verify("geometry", seed=2, num_h=10, num_a=10_000).passed
+# Each suite must report FAIL, on exactly the check that covers it, when one
+# theory function is wrong: criteria 3, 4 and 8 rest on these verdicts.
+@pytest.mark.parametrize("suite, name, wrong, scale, check", [
+    ("closed-forms", "rayleigh_normal_cdf",
+     lambda f: lambda a, b: min(f(a, b) + 0.01, 1.0),
+     dict(mc_draws=200_000), "rayleigh_normal_cdf Monte Carlo grid"),
+    ("geometry", "pmin_lower_bound",
+     lambda f: lambda delta, t: 1.5 * f(delta, t),
+     dict(num_h=20, num_a=20_000), "empirical pmin dominates closed-form lower bound"),
+    ("vc", "sample_complexity",
+     lambda f: lambda p, n, eps: f(p, n, eps) // 2,
+     {}, "sample-complexity proof inequality"),
+], ids=("closed-forms", "geometry", "vc"))
+def test_verify_suite_fails_on_wrong_theory(monkeypatch, suite, name, wrong, scale, check):
+    from phasemax import theory
+
+    monkeypatch.setattr(theory, name, wrong(getattr(theory, name)))
+    report = run_verify(suite, seed=0, **scale)
+    assert [c.name for c in report.checks if not c.passed] == [check], report.render()
 
 
 def test_verify_report_deterministic():
@@ -304,5 +319,18 @@ def test_cli_rejects_bad_ratios(capsys, monkeypatch):
             code = main(["sweep", "--n", "4", "--trials", "1", "--ratios", ratios])
         except SystemExit as exc:
             code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_tol(capsys, monkeypatch):
+    import phasemax.cli as cli_mod
+
+    def no_sweep(cfg):
+        raise AssertionError(f"sweep started with solver {cfg.solver}")
+
+    monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+    for tol in ("nan", "inf"):
+        code = main(["sweep", "--n", "8", "--ratios", "8", "--trials", "1", "--tol", tol])
         assert code == 2
         assert "error:" in capsys.readouterr().err

@@ -268,7 +268,7 @@ def test_noise_model_validation():
 
 def test_observations_reject_negative_entries():
     with pytest.raises(ValueError):
-        Observations(b=np.array([1.0, -0.1]), noise=NoiseModel.none())
+        Observations(b=np.array([1.0, -0.1]))
 
 
 def test_operator_norm_single_unit_row():

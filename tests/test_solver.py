@@ -113,7 +113,7 @@ def test_solver_matches_small_oracle():
         xs = g.standard_normal(n)
         rows = g.standard_normal((m, n))
         b = (rows @ xs) ** 2
-        obs = Observations(b=b, noise=NoiseModel.none())
+        obs = Observations(b=b)
         ens = DenseEnsemble(rows.astype(complex))
         sol = solve_phasemax(ens, obs, xs.astype(complex), SolverConfig(max_iters=4000))
         x_oracle = oracle_solve_small(rows, b, xs)
@@ -171,7 +171,7 @@ def test_iterates_invariant_to_anchor_scale():
 def test_all_zero_observations_give_zero():
     # b = 0 leaves the step balance without a scale; it falls back to 1.
     ens, _, xs = make_instance(420, n=6, m=48)
-    sol = solve_phasemax(ens, Observations(b=np.zeros(48), noise=NoiseModel.none()), xs)
+    sol = solve_phasemax(ens, Observations(b=np.zeros(48)), xs)
     assert np.all(np.isfinite(sol.xhat))
     assert np.linalg.norm(sol.xhat) <= 1e-12
     assert sol.feas_residual <= 1e-20
@@ -259,3 +259,7 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(tol_feas=0.0)
+    for name in ("tol_rel_change", "tol_feas"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolverConfig(**{name: bad})
