@@ -252,10 +252,15 @@ def run_cdp_demo(
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One verify check. margin is how far the observed value lies inside the
+    requirement, in the units the requirement is stated in (negative on
+    failure); None for checks with a yes/no outcome."""
+
     name: str
     passed: bool
     observed: str
     required: str
+    margin: Optional[float] = None
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -300,6 +305,7 @@ def _closed_form_checks(seed: int, mc_draws: int) -> list:
         passed=worst <= 4.0,
         observed=f"max deviation {worst:.3f} standard errors",
         required="<= 4 standard errors in every cell",
+        margin=4.0 - worst,
     ))
 
     grid = np.linspace(-10.0, 10.0, 201)
@@ -310,20 +316,20 @@ def _closed_form_checks(seed: int, mc_draws: int) -> list:
         passed=gap <= 1e-12,
         observed=f"max branch gap {gap:.2e}",
         required="<= 1e-12 for alpha in [-10, 10]",
+        margin=1e-12 - gap,
     ))
 
-    worst0 = 0.0
+    # The grid's beta = 0 column already tests F(alpha, 0) against Monte Carlo.
+    gap0 = 0.0
     for a in alphas:
         s = math.hypot(a, 1.0)
-        f0 = (s + a) / (2.0 * s)
-        emp = float(np.mean(a * v > gauss))
-        se = math.sqrt(max(f0 * (1.0 - f0), 1e-12) / mc_draws)
-        worst0 = max(worst0, abs(f0 - emp) / se)
+        gap0 = max(gap0, abs(theory.rayleigh_normal_cdf(a, 0.0) - (s + a) / (2.0 * s)))
     checks.append(CheckResult(
-        name="F(0) identity vs Monte Carlo",
-        passed=worst0 <= 4.0,
-        observed=f"max deviation {worst0:.3f} standard errors",
-        required="<= 4 standard errors",
+        name="F(0) identity (s + alpha) / (2s)",
+        passed=gap0 <= 1e-12,
+        observed=f"max gap {gap0:.2e}",
+        required=f"<= 1e-12 for alpha in {alphas}",
+        margin=1e-12 - gap0,
     ))
 
     dense_a = np.linspace(-6.0, 6.0, 41)
@@ -400,6 +406,7 @@ def _geometry_checks(seed: int, num_h: int, num_a: int) -> list:
         passed=ok_pmin,
         observed=f"min estimate {pmin_emp:.3e} vs bound {bound:.3e} (se {se:.1e})",
         required=f"min over {num_h} directions >= bound - 4 standard errors",
+        margin=(pmin_emp - bound) / se + 4.0,
     ))
     return checks
 
@@ -455,6 +462,7 @@ def _vc_checks() -> list:
         passed=ok_sc,
         observed=f"worst margin p^2 - lhs = {worst_margin:.3e}",
         required="(16N log(eM/2N) + 8 log(8/eps))/M < p^2 at every grid point",
+        margin=worst_margin,
     ))
     return checks
 

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _MAX_EXP = 709.0  # largest x with exp(x) finite in float64
+_CUT_CHUNK = 1 << 18  # measurement draws per block in measurement_cut_probability
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,10 @@ class GeometryContext:
         object.__setattr__(self, "xstar", xs / norm)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.t <= 0:
-            raise ValueError("t must be > 0")
-        if self.eta_inv < 0:
-            raise ValueError("eta_inv must be >= 0")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError("t must be finite and > 0")
+        if not 0.0 <= self.eta_inv < math.inf:
+            raise ValueError("eta_inv must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,12 @@ def pmin_lower_bound(delta: float, t: float) -> float:
     measurements: (1/2 - sqrt(1 - delta^2)/2) * exp(-2*sqrt(2) * t / delta^2).
 
     Valid for unit anchors with correlation constant delta in (0, 1] and any
-    t > 0; the value lies in [0, 1/2] and underflows to 0 for large t/delta^2.
+    finite t > 0; the value lies in [0, 1/2] and underflows to 0 for large t/delta^2.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be finite and > 0")
     root = math.sqrt(max(1.0 - delta * delta, 0.0))
     prefactor = delta * delta / (2.0 * (1.0 + root))  # == (1 - root)/2, stable for small delta
     exponent = -2.0 * math.sqrt(2.0) * t / (delta * delta)
@@ -182,24 +183,41 @@ def check_certificate(
 
 def measurement_cut_probability(ctx: GeometryContext, h, num_a: int, rng: RngStream) -> float:
     """Monte Carlo estimate of P(<a a^H xstar, h> > eta_inv / 2) over fresh
-    complex Gaussian measurement draws a."""
+    complex Gaussian measurement draws a ~ CN(0, I_n).
+
+    The event depends on a only through its coordinates in span{xstar, h}.
+    ctx.xstar has unit norm, so h = c xstar + p e with c = xstar^H h,
+    p = ||h - c xstar|| and e a unit vector orthogonal to xstar. Then
+    u = a^H xstar and z = a^H e are i.i.d. CN(0, 1), and the cut value is
+    Re(c) |u|^2 + p Re(conj(u) z). Each draw therefore costs four real
+    normals whatever n is: with u = (g0 + i g1)/sqrt(2) and
+    z = (g2 + i g3)/sqrt(2), twice the cut value is
+    Re(c) (g0^2 + g1^2) + p (g0 g2 + g1 g3), compared with eta_inv.
+    """
     if num_a < 1:
         raise ValueError("num_a must be >= 1")
     x = ctx.xstar
-    n = x.shape[0]
-    hv = as_signal(h, "h", n)
-    threshold = 0.5 * ctx.eta_inv
+    hv = as_signal(h, "h", x.shape[0])
+    c = np.vdot(x, hv)
+    re_c = float(c.real)
+    p = float(np.linalg.norm(hv - c * x))
     g = rng.generator
-    scale = np.sqrt(0.5)
     hits = 0
     remaining = int(num_a)
-    chunk = max(1, int(5_000_000 // max(n, 1)))
     while remaining > 0:
-        k = min(chunk, remaining)
-        a = scale * (g.standard_normal((k, n)) + 1j * g.standard_normal((k, n)))
-        u = a.conj() @ x  # a^H xstar per draw
-        w = a.conj() @ hv
-        hits += int(np.count_nonzero((np.conj(u) * w).real > threshold))
+        k = min(_CUT_CHUNK, remaining)
+        g0, g1, g2, g3 = g.standard_normal((4, k))
+        # In place, g0 <- Re(c) (g0^2 + g1^2) + p (g0 g2 + g1 g3).
+        g2 *= g0
+        g3 *= g1
+        g2 += g3
+        g2 *= p
+        g0 *= g0
+        g1 *= g1
+        g0 += g1
+        g0 *= re_c
+        g0 += g2
+        hits += int(np.count_nonzero(g0 > ctx.eta_inv))
         remaining -= k
     return hits / num_a
 
@@ -264,16 +282,17 @@ def vc_deviation_bound(n: int, shatter: float, t: float) -> float:
     """Uniform-deviation tail bound 8 * shatter * exp(-n t^2 / 8) for empirical
     frequencies over a class with the given shatter coefficient.
 
-    The bound may exceed 1 (valid but vacuous). Evaluated through the log
+    The bound may exceed 1 (valid but vacuous); shatter = inf gives inf.
+    t must be finite and shatter must not be NaN. Evaluated through the log
     domain so that astronomically large shatter coefficients still combine
     with tiny exponential factors without overflow.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if shatter < 1:
-        raise ValueError("shatter must be >= 1")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
+    if not shatter >= 1:
+        raise ValueError("shatter must be >= 1 (inf allowed)")
     if math.isinf(shatter):
         return math.inf
     log_val = math.log(8.0) + math.log(shatter) - n * t * t / 8.0

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: an independent brute-force oracle for
 the relaxation in dimension n <= 3, the disk projection the solver's dual
 shrink is checked against, one-expression references for the CDP kernels,
-and CSV comparison without the wall-clock column."""
+the full-dimensional cut-probability sampler, and CSV comparison without the
+wall-clock column."""
 
 from itertools import combinations, product
 
@@ -37,6 +38,24 @@ def cdp_adjoint_reference(masks: np.ndarray, z: np.ndarray) -> np.ndarray:
     """CDP adjoint as one expression: sum_l conj(phi_l) o IDFT(block l of z)."""
     blocks = np.fft.ifft(z.reshape(masks.shape), axis=1, norm="ortho")
     return (masks.conj() * blocks).sum(axis=0)
+
+
+def cut_probability_reference(ctx, h, num_a: int, rng) -> float:
+    """Monte Carlo estimate of P(Re(conj(a^H xstar) a^H h) > eta_inv / 2)
+    that draws every coordinate of a ~ CN(0, I_n), with no projection onto
+    span{xstar, h}."""
+    x = ctx.xstar
+    n = x.shape[0]
+    h = np.asarray(h, dtype=np.complex128)
+    g = rng.generator
+    hits = 0
+    for start in range(0, num_a, 10_000):
+        k = min(10_000, num_a - start)
+        a = np.sqrt(0.5) * (g.standard_normal((k, n)) + 1j * g.standard_normal((k, n)))
+        u = a.conj() @ x  # a^H xstar per draw
+        w = a.conj() @ h
+        hits += int(np.count_nonzero((np.conj(u) * w).real > 0.5 * ctx.eta_inv))
+    return hits / num_a
 
 
 def oracle_solve_small(rows, b, a0, grid_points: int = 501, method: str = "auto") -> np.ndarray:

@@ -22,6 +22,7 @@ from phasemax import (
     sauer_bound_loose,
     vc_deviation_bound,
 )
+from support import cut_probability_reference
 
 
 def unit_vector(n, seed):
@@ -122,6 +123,12 @@ def test_pmin_lower_bound_domain():
         pmin_lower_bound(0.5, 0.0)
 
 
+@pytest.mark.parametrize("delta, t", [(0.5, math.nan), (0.5, math.inf)])
+def test_pmin_lower_bound_rejects_non_finite(delta, t):
+    with pytest.raises(ValueError):
+        pmin_lower_bound(delta, t)
+
+
 # ------------------------------------------------------------------ predicates
 
 
@@ -215,6 +222,15 @@ def test_geometry_context_normalizes_and_validates():
         GeometryContext(xstar=xs, delta=0.5, t=1.0, eta_inv=-0.1)
 
 
+@pytest.mark.parametrize("field", ["t", "eta_inv"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_geometry_context_rejects_non_finite(field, value):
+    kwargs = dict(xstar=unit_vector(4, 516), delta=0.5, t=1.0, eta_inv=1e-3)
+    kwargs[field] = value
+    with pytest.raises(ValueError):
+        GeometryContext(**kwargs)
+
+
 # ----------------------------------------------------------------- certificate
 
 
@@ -279,6 +295,58 @@ def test_cut_probability_forced_direction_exponential_oracle():
     expected = math.exp(-eta_inv / (2 * c))  # |a^H xstar|^2 ~ Exponential(1)
     se = math.sqrt(expected * (1 - expected) / num_a)
     assert abs(est - expected) <= 4 * se
+
+
+def cut_direction(kind, xs, stream, norm=2e-3):
+    """A direction of the given norm parallel to xs, orthogonal to xs, or drawn
+    at random; its overlap with xs has a non-negative real part, so that its
+    cut probability is not tiny."""
+    if kind == "parallel":
+        return norm * (1.0 + 0.5j) / abs(1.0 + 0.5j) * xs
+    h = sample_complex_gaussian(xs.shape[0], stream)
+    if kind == "perp":
+        h = h - np.vdot(xs, h) * xs
+    elif np.vdot(xs, h).real < 0:
+        h = -h
+    return h * (norm / np.linalg.norm(h))
+
+
+# C^1 has no nonzero direction orthogonal to xstar.
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in (1, 8, 64)
+                                     for kind in ("parallel", "perp", "general")
+                                     if (n, kind) != (1, "perp")])
+def test_cut_probability_matches_full_dimensional_reference(n, kind):
+    stream = RngStream(532, n)
+    ctx = GeometryContext(xstar=unit_vector(n, 533), delta=0.9, t=1.0, eta_inv=1e-3)
+    h = cut_direction(kind, ctx.xstar, stream)
+    num_a = 100_000
+    est = measurement_cut_probability(ctx, h, num_a, RngStream(534, n))
+    ref = cut_probability_reference(ctx, h, num_a, RngStream(535, n))
+    pooled = 0.5 * (est + ref)
+    se_diff = math.sqrt(2.0 * pooled * (1.0 - pooled) / num_a)
+    assert 0.05 < pooled < 0.95
+    assert abs(est - ref) <= 4 * se_diff
+
+
+def test_cut_probability_orthogonal_direction_laplace_oracle():
+    # For h orthogonal to xstar the cut value is ||h|| Re(conj(u) z) with u, z
+    # i.i.d. CN(0, 1), and Re(conj(u) z) is Laplace with scale 1/2.
+    xs = unit_vector(8, 536)
+    eta_inv = 1e-3
+    ctx = GeometryContext(xstar=xs, delta=0.9, t=1.0, eta_inv=eta_inv)
+    h = cut_direction("perp", xs, RngStream(537))
+    num_a = 200_000
+    est = measurement_cut_probability(ctx, h, num_a, RngStream(538))
+    expected = 0.5 * math.exp(-eta_inv / np.linalg.norm(h))
+    se = math.sqrt(expected * (1 - expected) / num_a)
+    assert abs(est - expected) <= 4 * se
+
+
+def test_cut_probability_imaginary_multiple_of_truth_is_zero():
+    # h = i c xstar gives Re(conj(u) i c u) = 0, never above a positive threshold.
+    xs = unit_vector(8, 539)
+    ctx = GeometryContext(xstar=xs, delta=0.9, t=1.0, eta_inv=1e-3)
+    assert measurement_cut_probability(ctx, 5e-3j * xs, 100_000, RngStream(540)) == 0.0
 
 
 def test_empirical_pmin_dominates_lemma_bound_small_scale():
@@ -439,6 +507,13 @@ def test_vc_deviation_bound_domain():
         vc_deviation_bound(10, 0.5, 0.1)
     with pytest.raises(ValueError):
         vc_deviation_bound(10, 2.0, -0.1)
+
+
+@pytest.mark.parametrize("shatter, t", [(math.nan, 0.1), (2.0, math.nan), (2.0, math.inf)])
+def test_vc_deviation_bound_rejects_non_finite(shatter, t):
+    with pytest.raises(ValueError):
+        vc_deviation_bound(10, shatter, t)
+    assert vc_deviation_bound(10, math.inf, 0.1) == math.inf
 
 
 # ----------------------------------------------------------- sample complexity
