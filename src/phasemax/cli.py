@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sets both the relative-change and feasibility tolerances")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default="sweep.csv", help="CSV output path")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per trial and per usable CPU")
 
     cdp = sub.add_parser("cdp", help="coded-diffraction recovery of a PGM image")
     cdp.add_argument("--image", required=True, help="input 8-bit binary PGM (P5)")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
@@ -126,8 +127,11 @@ def run_sweep(cfg: SweepConfig) -> list:
         for ri, ratio in enumerate(cfg.ratios)
         for trial in range(cfg.trials)
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # The executor forks all max_workers processes when it starts, so the pool
+    # gets no more workers than tasks or than CPUs this process may run on.
+    workers = min(cfg.workers, len(tasks), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, tasks))
     else:
         records = [_run_trial(t) for t in tasks]

@@ -22,9 +22,19 @@ __all__ = [
 # inputs and config always produce identical Solutions.
 _NORM_EST_SEED = 0x5EED
 _NORM_EST_ITERS = 30
-# Fraction of the step-size stability bound: tau = c * _STEP_SCALE / ||A|| and
-# sigma = _STEP_SCALE / (c * ||A||), so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1.
+# Fraction of the step-size stability bound: tau = w c _STEP_SCALE / ||A|| and
+# sigma = _STEP_SCALE / (w c ||A||), so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1.
 _STEP_SCALE = 0.95
+# Primal weight: the balance c below is multiplied by this constant. The ratio
+# tau / sigma sets the speed of the iteration (Applegate et al., PDLP,
+# arXiv:2106.04756), and c alone under-steps the primal; tools/step_scan.py
+# measures the iterations each multiple takes.
+_PRIMAL_WEIGHT = 2.5
+# The tracked sigma * A x differs from a fresh forward by rounding only, far
+# below the screen's slack: it passes residuals up to 2 tol_feas +
+# _SCREEN_RTOL * max b, so it does not reject an iterate the exact check
+# would accept.
+_SCREEN_RTOL = 1e-12
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -83,8 +93,15 @@ def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, buf: np.ndarray) -> Non
 
 def feasibility_residual(ens: MeasurementEnsemble, obs: Observations, x) -> float:
     """Largest slab violation max_i (|a_i^H x|^2 - b_i)_+ ; zero when x is feasible."""
-    b = obs.b_for(ens)
-    viol = np.abs(ens.forward(as_signal(x, "x", ens.n)))
+    return _max_violation(ens.forward(as_signal(x, "x", ens.n)), obs.b_for(ens))
+
+
+def _max_violation(ax: np.ndarray, b: np.ndarray, scale: float = 1.0, out=None) -> float:
+    """max_i (|ax_i / scale|^2 - b_i)_+ with ax left unchanged; out, if given,
+    is float scratch of ax's length."""
+    viol = np.abs(ax, out=out)
+    if scale != 1.0:
+        viol /= scale
     np.square(viol, out=viol)
     viol -= b
     return float(max(np.max(viol, initial=0.0), 0.0))
@@ -96,8 +113,8 @@ def solve_phasemax(
     """Solve max <a0, x> s.t. |a_i^H x|^2 <= b_i by primal-dual splitting.
 
     The slab constraints are reformulated once as disk constraints
-    |(Ax)_i| <= r_i = sqrt(b_i). With primal step tau = c * _STEP_SCALE / ||A||
-    and dual step sigma = _STEP_SCALE / (c * ||A||) the iteration from
+    |(Ax)_i| <= r_i = sqrt(b_i). With primal step tau = w * c * _STEP_SCALE / ||A||
+    and dual step sigma = _STEP_SCALE / (w * c * ||A||) the iteration from
     x = y = xbar = 0 is
 
         y    <- y + sigma * A xbar
@@ -107,16 +124,22 @@ def solve_phasemax(
 
     The second line is the shrink y - sigma * P(y / sigma), P projecting entry
     i onto |w| <= r_i, done in place. The balance c = ||r|| / (||A|| ||a0||)
-    bounds ||x*|| / ||a0|| from below for noiseless data (||A x*|| = ||r||),
-    so the primal step follows the scale of the signal rather than that of a0:
-    a large x* is not under-stepped. The x iterates do not depend on the scale
-    of a0 (a0 -> t a0 scales y by t); c is 1 for unit a0 and x* under
-    unimodular CDP masks, and falls back to 1 when b is all zero.
-    tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1 keeps the iteration stable for
-    any c.
+    puts the primal step on the scale of the signal rather than that of a0
+    (for noiseless data ||A x*|| = ||r||), and the primal weight
+    w = _PRIMAL_WEIGHT is the multiple of c that took the fewest iterations
+    on held-out noiseless trials. The x iterates do not depend on the scale
+    of a0 (a0 -> t a0 scales y by t); w * c falls back to 1 when b is all
+    zero. tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1 keeps the iteration
+    stable for any c.
 
     Stops when the relative primal change drops below tol_rel_change and the
-    feasibility residual below tol_feas, or at max_iters. Zero-radius disks
+    feasibility residual below tol_feas, or at max_iters. The first time the
+    relative change passes, the residual is computed exactly, and from then
+    on A x is tracked without an operator call: xbar = 2 x - x_prev gives
+    A x = (A xbar + A x_prev) / 2 from the forward the iteration computes
+    anyway. The tracked value only screens, with slack; each stop is
+    confirmed with feasibility_residual, so the stop decisions are those of
+    an exact check every time the relative change passes. Zero-radius disks
     (b_i = 0, e.g. after gaussian-noise clipping) are kept as constraints
     forcing (Ax)_i toward 0. The returned xhat is the last iterate, feasible
     only to Solution.feas_residual and not projected onto the slabs (see
@@ -126,11 +149,12 @@ def solve_phasemax(
     a0_norm = np.linalg.norm(a0)
     if a0_norm == 0:
         raise ValueError("a0 must be nonzero")
-    radii = np.sqrt(obs.b_for(ens))  # Observations guarantees b >= 0
+    b = obs.b_for(ens)
+    radii = np.sqrt(b)  # Observations guarantees b >= 0
     op_norm = operator_norm(ens, _NORM_EST_ITERS, RngStream(_NORM_EST_SEED))
     if op_norm == 0:
         raise ValueError("measurement operator is identically zero")
-    balance = np.linalg.norm(radii) / (op_norm * a0_norm)
+    balance = _PRIMAL_WEIGHT * np.linalg.norm(radii) / (op_norm * a0_norm)
     if not 0 < balance < np.inf:
         balance = 1.0
     tau = balance * _STEP_SCALE / op_norm
@@ -145,9 +169,30 @@ def solve_phasemax(
 
     iters_used = cfg.max_iters
     converged = False
-    feas = None
+    # sigma * A x, kept once the relative change has passed; None before that.
+    sax = None
+    # sax was just computed from x itself. The next forward, of 2 x - x_prev,
+    # is not averaged into it; the one after, of 2 x_next - x, gives x_next.
+    sax_fresh = False
+    # The relative change passed for the current x: test it for a stop.
+    pending = False
+    screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
     for k in range(cfg.max_iters):
-        y += ens.forward(sigma * xbar)
+        f = ens.forward(sigma * xbar)
+        y += f
+        if sax is not None and not sax_fresh:
+            sax += f
+            sax *= 0.5
+        # Not kept across adjoint: two live m-sized buffers fault pages back
+        # in on every call (see MeasurementEnsemble).
+        del f
+        sax_fresh = False
+        if pending and _max_violation(sax, b, sigma, buf) <= screen_tol:
+            feas = feasibility_residual(ens, obs, x)
+            if feas <= cfg.tol_feas:
+                iters_used = k
+                converged = True
+                break
         _shrink_dual(y, sigma_radii, buf)
         x_new = x + tau_a0 - tau * ens.adjoint(y)
         step = np.linalg.norm(x_new - x)
@@ -155,14 +200,22 @@ def solve_phasemax(
         rel_change = step / norm_new if norm_new > 0 else step
         xbar = 2.0 * x_new - x
         x = x_new
-        if rel_change <= cfg.tol_rel_change:
-            feas = feasibility_residual(ens, obs, x)
+        pending = rel_change <= cfg.tol_rel_change
+        if pending and sax is None:
+            sax = ens.forward(x)
+            feas = _max_violation(sax, b)
             if feas <= cfg.tol_feas:
                 iters_used = k + 1
                 converged = True
                 break
-    if feas is None or not converged:
+            sax *= sigma
+            sax_fresh = True
+            pending = False
+    if not converged:
+        # A pending check of the last iterate has no next forward to screen it.
         feas = feasibility_residual(ens, obs, x)
+        if pending and feas <= cfg.tol_feas:
+            converged = True
     return Solution(
         xhat=x,
         iters_used=iters_used,

@@ -1,8 +1,8 @@
 """Helpers shared by the test modules: an independent brute-force oracle for
 the relaxation in dimension n <= 3, the disk projection the solver's dual
 shrink is checked against, one-expression references for the CDP kernels,
-the full-dimensional cut-probability sampler, and CSV comparison without the
-wall-clock column."""
+the full-dimensional cut-probability sampler, the solver loop with an exact
+stop check, and CSV comparison without the wall-clock column."""
 
 from itertools import combinations, product
 
@@ -148,3 +148,48 @@ def _polytope_box(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
             best_det, best_idx = det, idx
     inv = np.linalg.inv(rows[list(best_idx)])
     return np.abs(inv) @ s[list(best_idx)]
+
+
+def solve_phasemax_reference(ens, obs, a0, cfg):
+    """solve_phasemax with the stop test as a plain exact check: every time
+    the relative change passes, the feasibility residual is computed with a
+    fresh forward. Same steps and arithmetic, so its Solution is the one
+    solve_phasemax must return bit for bit."""
+    from phasemax import solver
+    from phasemax.measurements import operator_norm
+    from phasemax.numerics import RngStream, real_inner
+
+    a0 = np.asarray(a0, dtype=np.complex128)
+    a0_norm = np.linalg.norm(a0)
+    radii = np.sqrt(obs.b)
+    op_norm = operator_norm(ens, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
+    balance = solver._PRIMAL_WEIGHT * np.linalg.norm(radii) / (op_norm * a0_norm)
+    if not 0 < balance < np.inf:
+        balance = 1.0
+    tau = balance * solver._STEP_SCALE / op_norm
+    sigma = solver._STEP_SCALE / (balance * op_norm)
+    sigma_radii = sigma * radii
+    tau_a0 = tau * a0
+    x = np.zeros(ens.n, dtype=np.complex128)
+    y = np.zeros(ens.m, dtype=np.complex128)
+    xbar = np.zeros(ens.n, dtype=np.complex128)
+    buf = np.empty(ens.m)
+    iters_used, converged, feas = cfg.max_iters, False, None
+    for k in range(cfg.max_iters):
+        y += ens.forward(sigma * xbar)
+        solver._shrink_dual(y, sigma_radii, buf)
+        x_new = x + tau_a0 - tau * ens.adjoint(y)
+        step = np.linalg.norm(x_new - x)
+        norm_new = np.linalg.norm(x_new)
+        rel_change = step / norm_new if norm_new > 0 else step
+        xbar = 2.0 * x_new - x
+        x = x_new
+        if rel_change <= cfg.tol_rel_change:
+            feas = solver.feasibility_residual(ens, obs, x)
+            if feas <= cfg.tol_feas:
+                iters_used, converged = k + 1, True
+                break
+    if not converged:
+        feas = solver.feasibility_residual(ens, obs, x)
+    return solver.Solution(xhat=x, iters_used=iters_used, objective=real_inner(a0, x),
+                           feas_residual=feas, converged=converged)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasemax import NoiseModel, SweepConfig, run_cdp_demo, run_sweep, run_verify
+from phasemax import NoiseModel, SweepConfig, experiments, run_cdp_demo, run_sweep, run_verify
 from phasemax.cli import main, parse_noise, parse_ratios
 from phasemax.experiments import CSV_HEADER, ratio_summary
 from phasemax.pgm import read_f64_sidecar, read_pgm, write_pgm
@@ -93,6 +93,34 @@ def test_sweep_matches_across_worker_counts():
         assert a.rel_error == b.rel_error
         assert a.anchor_corr == b.anchor_corr
         assert (a.n, a.m, a.trial, a.iters, a.converged) == (b.n, b.m, b.trial, b.iters, b.converged)
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (1, None)])
+def test_sweep_pool_never_larger_than_tasks_or_cpus(monkeypatch, cpus, expected):
+    # The executor forks all max_workers processes when it starts, so --jobs
+    # must not reach it unbounded. The stand-in starts no process.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    base = dict(n=4, ratios=(3.0,), trials=3, seed=3, solver=SolverConfig(max_iters=20))
+    records = run_sweep(SweepConfig(workers=10_000, **base))
+    assert sizes == ([] if expected is None else [expected])
+    serial = run_sweep(SweepConfig(**base))
+    assert [r.rel_error for r in records] == [r.rel_error for r in serial]
 
 
 def test_sweep_gaussian_noise_records_snr():

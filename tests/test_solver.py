@@ -15,9 +15,11 @@ from phasemax import (
     sample_complex_gaussian,
     solve_phasemax,
 )
-from phasemax.measurements import Observations
+from phasemax import solver
+from phasemax.experiments import _run_trial
+from phasemax.measurements import MeasurementEnsemble, Observations, operator_norm
 from phasemax.solver import _shrink_dual
-from support import disk_project_vector, oracle_solve_small
+from support import disk_project_vector, oracle_solve_small, solve_phasemax_reference
 
 
 def shrink(y, sigma, radii):
@@ -195,6 +197,108 @@ def test_solver_determinism():
     assert s1.objective == s2.objective
     assert s1.feas_residual == s2.feas_residual
     assert s1.converged == s2.converged
+
+
+class CountingEnsemble(MeasurementEnsemble):
+    """Wraps an ensemble and counts its forward calls."""
+
+    def __init__(self, ens):
+        self.ens, self.n, self.m = ens, ens.n, ens.m
+        self.forwards = 0
+
+    def forward(self, x):
+        self.forwards += 1
+        return self.ens.forward(x)
+
+    def adjoint(self, z):
+        return self.ens.adjoint(z)
+
+
+@pytest.mark.parametrize("noise, stop_at_cap", [
+    (None, False), (None, True), (NoiseModel.uniform(1e-2), False),
+], ids=["noiseless", "noiseless-stop-at-max-iters", "uniform"])
+def test_solver_matches_exact_check_reference(noise, stop_at_cap):
+    # The tracked A x only screens; every stop decision and the returned
+    # residual come from an exact check, so the Solution is the reference's.
+    ens, obs, xs = make_instance(430, noise=noise)
+    a0 = xs / np.linalg.norm(xs)
+    cfg = SolverConfig()
+    if stop_at_cap:
+        # The stop falls on the last iteration, with no next forward to screen it.
+        cfg = SolverConfig(max_iters=solve_phasemax_reference(ens, obs, a0, cfg).iters_used)
+    sol = solve_phasemax(ens, obs, a0, cfg)
+    ref = solve_phasemax_reference(ens, obs, a0, cfg)
+    assert np.array_equal(sol.xhat, ref.xhat)
+    assert (sol.iters_used, sol.objective, sol.feas_residual, sol.converged) == (
+        ref.iters_used, ref.objective, ref.feas_residual, ref.converged)
+    assert sol.converged is (noise is None)
+
+
+def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
+    # With uniform noise the relative change passes hundreds of iterations
+    # before max_iters while the slabs stay violated by about eta_inv.
+    ens, obs, xs = make_instance(430, noise=NoiseModel.uniform(1e-2))
+    a0 = xs / np.linalg.norm(xs)
+    checks = []
+    exact = solver.feasibility_residual
+
+    def counting_residual(*args):
+        checks.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(solver, "feasibility_residual", counting_residual)
+    solve_phasemax_reference(ens, obs, a0, SolverConfig())
+    assert len(checks) >= 100
+    norm = CountingEnsemble(ens)
+    operator_norm(norm, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
+    counted = CountingEnsemble(ens)
+    checks.clear()
+    sol = solve_phasemax(counted, obs, a0)
+    assert not sol.converged
+    # Confirmations: the exact check when the relative change first passes,
+    # plus every feasibility_residual call (here only the returned residual).
+    assert len(checks) <= 2
+    assert counted.forwards <= sol.iters_used + norm.forwards + 1 + len(checks)
+
+
+def test_tracked_forward_matches_a_fresh_one(monkeypatch):
+    # Every relative change passes and no exact check can, because b_0 = 0
+    # keeps each iterate infeasible. So A x is seeded from x_1, and the
+    # screen of iteration k sees the tracked A x_k for k = 2 .. max_iters - 1.
+    ens, obs, xs = make_instance(431)
+    b = obs.b.copy()
+    b[0] = 0.0
+    obs = Observations(b=b)
+    a0 = xs / np.linalg.norm(xs)
+
+    def cfg(iters):
+        return SolverConfig(max_iters=iters, tol_rel_change=1e300, tol_feas=1e-300)
+
+    fresh = [ens.forward(solve_phasemax(ens, obs, a0, cfg(k)).xhat) for k in range(2, 8)]
+    tracked = []
+    exact = solver._max_violation
+
+    def recording(ax, b, scale=1.0, out=None):
+        if scale != 1.0:
+            tracked.append(ax / scale)
+        return exact(ax, b, scale, out)
+
+    monkeypatch.setattr(solver, "_max_violation", recording)
+    assert not solve_phasemax(ens, obs, a0, cfg(8)).converged
+    assert len(tracked) == len(fresh)
+    for ax, ref in zip(tracked, fresh):
+        assert np.linalg.norm(ax - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("ratio, t", [(8.0, 0), (8.0, 1), (12.0, 0), (12.0, 1)])
+def test_primal_weight_halves_noiseless_iterations(ratio, t):
+    # Held-out trials RngStream(7, 100 ratio + t) took 1244-1306 iterations
+    # at the unweighted balance c.
+    record = _run_trial((128, ratio, int(100 * ratio) + t, t, 7, NoiseModel.none(), 50,
+                         SolverConfig()))
+    assert record.converged
+    assert record.iters <= 800
+    assert record.rel_error <= 1e-6
 
 
 def test_feasibility_residual_truth_is_feasible_under_nonneg_noise():
