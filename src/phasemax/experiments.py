@@ -113,6 +113,15 @@ def _run_trial(task) -> TrialRecord:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of the machine's where the platform
+    cannot say (sched_getaffinity is Linux-only)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(cfg: SweepConfig) -> list:
     """Run trials x ratios recovery experiments on dense Gaussian ensembles.
 
@@ -129,7 +138,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     ]
     # The executor forks all max_workers processes when it starts, so the pool
     # gets no more workers than tasks or than CPUs this process may run on.
-    workers = min(cfg.workers, len(tasks), len(os.sched_getaffinity(0)))
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        workers = min(workers, _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, tasks))

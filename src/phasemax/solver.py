@@ -27,9 +27,10 @@ _NORM_EST_ITERS = 30
 _STEP_SCALE = 0.95
 # Primal weight: the balance c below is multiplied by this constant. The ratio
 # tau / sigma sets the speed of the iteration (Applegate et al., PDLP,
-# arXiv:2106.04756), and c alone under-steps the primal; tools/step_scan.py
-# measures the iterations each multiple takes.
-_PRIMAL_WEIGHT = 2.5
+# arXiv:2106.04756); tools/step_scan.py measures the iterations each multiple
+# takes. Multiples above 1 halve the median iterations on noiseless trials,
+# but some hard trials then end less accurate at max_iters, so it stays 1.
+_PRIMAL_WEIGHT = 1.0
 # The tracked sigma * A x differs from a fresh forward by rounding only, far
 # below the screen's slack: it passes residuals up to 2 tol_feas +
 # _SCREEN_RTOL * max b, so it does not reject an iterate the exact check
@@ -124,13 +125,14 @@ def solve_phasemax(
 
     The second line is the shrink y - sigma * P(y / sigma), P projecting entry
     i onto |w| <= r_i, done in place. The balance c = ||r|| / (||A|| ||a0||)
-    puts the primal step on the scale of the signal rather than that of a0
-    (for noiseless data ||A x*|| = ||r||), and the primal weight
-    w = _PRIMAL_WEIGHT is the multiple of c that took the fewest iterations
-    on held-out noiseless trials. The x iterates do not depend on the scale
-    of a0 (a0 -> t a0 scales y by t); w * c falls back to 1 when b is all
-    zero. tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1 keeps the iteration
-    stable for any c.
+    bounds ||x*|| / ||a0|| from below for noiseless data (||A x*|| = ||r||),
+    so the primal step follows the scale of the signal rather than that of a0:
+    a large x* is not under-stepped. The primal weight w = _PRIMAL_WEIGHT is a
+    fixed multiple of c, now 1 (see its comment). The x iterates do not depend
+    on the scale of a0 (a0 -> t a0 scales y by t); c is 1 for unit a0 and x*
+    under unimodular CDP masks, and w * c falls back to 1 when b is all zero.
+    tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1 keeps the iteration stable for
+    any c.
 
     Stops when the relative primal change drops below tol_rel_change and the
     feasibility residual below tol_feas, or at max_iters. The first time the

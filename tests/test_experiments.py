@@ -115,12 +115,21 @@ def test_sweep_pool_never_larger_than_tasks_or_cpus(monkeypatch, cpus, expected)
             return map(fn, tasks)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     base = dict(n=4, ratios=(3.0,), trials=3, seed=3, solver=SolverConfig(max_iters=20))
     records = run_sweep(SweepConfig(workers=10_000, **base))
     assert sizes == ([] if expected is None else [expected])
     serial = run_sweep(SweepConfig(**base))
     assert [r.rel_error for r in records] == [r.rel_error for r in serial]
+
+
+def test_usable_cpus_without_sched_getaffinity(monkeypatch):
+    # sched_getaffinity exists only on Linux; elsewhere the machine's count.
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 5)
+    assert experiments._usable_cpus() == 5
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments._usable_cpus() == 1
 
 
 def test_sweep_gaussian_noise_records_snr():

@@ -3,9 +3,10 @@ multiple of the balance c in solver._PRIMAL_WEIGHT) and print, per weight,
 the median and largest iteration count, the trials that ran to max_iters and
 the worst recovered error.
 
-Trial t at ratio M/N is built as a sweep builds it, from
-RngStream(seed, 100 * M/N + t), so it shares no stream with the benchmark's
-call seeds or the acceptance tests.
+Trial t at ratio M/N is built by the sweep's own _run_trial, but on stream
+ids of this tool's choosing, RngStream(seed, 100 * M/N + t), not the ids
+run_sweep assigns (ratio index * trials + t). With the default seed 7 it
+shares no stream with the benchmark's call seeds or the acceptance tests.
 
     python3 tools/step_scan.py --weights 1 2 2.5 3 --n 128 --ratios 8 12 --trials 8
 """
