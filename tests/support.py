@@ -170,19 +170,22 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
     sigma = solver._STEP_SCALE / (balance * op_norm)
     sigma_radii = sigma * radii
     tau_a0 = tau * a0
+    rho = solver._RELAXATION
     x = np.zeros(ens.n, dtype=np.complex128)
     y = np.zeros(ens.m, dtype=np.complex128)
-    xbar = np.zeros(ens.n, dtype=np.complex128)
     buf = np.empty(ens.m)
     iters_used, converged, feas = cfg.max_iters, False, None
     for k in range(cfg.max_iters):
-        y += ens.forward(sigma * xbar)
-        solver._shrink_dual(y, sigma_radii, buf)
-        x_new = x + tau_a0 - tau * ens.adjoint(y)
+        x_half = x + tau_a0 - tau * ens.adjoint(y)
+        f = ens.forward(sigma * (2.0 * x_half - x))
+        f += y
+        solver._shrink_dual(f, sigma_radii, buf, rho)
+        y *= 1.0 - rho
+        y += f
+        x_new = x + rho * (x_half - x)
         step = np.linalg.norm(x_new - x)
         norm_new = np.linalg.norm(x_new)
         rel_change = step / norm_new if norm_new > 0 else step
-        xbar = 2.0 * x_new - x
         x = x_new
         if rel_change <= cfg.tol_rel_change:
             feas = solver.feasibility_residual(ens, obs, x)

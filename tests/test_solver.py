@@ -18,6 +18,7 @@ from phasemax import (
     solve_phasemax,
 )
 from phasemax import solver
+from phasemax.experiments import _run_trial
 from phasemax.measurements import MeasurementEnsemble, Observations, operator_norm
 from phasemax.solver import _shrink_dual
 from support import disk_project_vector, oracle_solve_small, solve_phasemax_reference
@@ -61,6 +62,16 @@ def test_shrink_dual_matches_moreau_oracle():
         assert np.allclose(np.abs(out), np.maximum(np.abs(y) - sigma * r, 0.0),
                            rtol=0, atol=1e-14 * max(1.0, sigma))
         assert out[0] == y[0] and out[1] == 0.0 and out[2] == 0.0
+
+
+def test_shrink_dual_scale_multiplies_the_shrink():
+    rng = RngStream(402).generator
+    y = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    sigma_radii = 0.4 * np.abs(rng.standard_normal(50))
+    plain, scaled = y.copy(), y.copy()
+    _shrink_dual(plain, sigma_radii, np.empty(50))
+    _shrink_dual(scaled, sigma_radii, np.empty(50), 1.7)
+    assert np.max(np.abs(scaled - 1.7 * plain)) <= 1e-15 * np.max(np.abs(y))
 
 
 def make_instance(seed, n=8, m=64, noise=None):
@@ -266,7 +277,7 @@ def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
 def test_tracked_forward_matches_a_fresh_one(monkeypatch):
     # Every relative change passes and no exact check can, because b_0 = 0
     # keeps each iterate infeasible. So A x is seeded from x_1, and the
-    # screen of iteration k sees the tracked A x_k for k = 2 .. max_iters - 1.
+    # screen of iteration k sees the tracked A x_{k+1} for k = 1 .. 7.
     ens, obs, xs = make_instance(431)
     b = obs.b.copy()
     b[0] = 0.0
@@ -276,7 +287,7 @@ def test_tracked_forward_matches_a_fresh_one(monkeypatch):
     def cfg(iters):
         return SolverConfig(max_iters=iters, tol_rel_change=1e300, tol_feas=1e-300)
 
-    fresh = [ens.forward(solve_phasemax(ens, obs, a0, cfg(k)).xhat) for k in range(2, 8)]
+    fresh = [ens.forward(solve_phasemax(ens, obs, a0, cfg(k)).xhat) for k in range(2, 9)]
     tracked = []
     exact = solver._max_violation
 
@@ -292,13 +303,46 @@ def test_tracked_forward_matches_a_fresh_one(monkeypatch):
         assert np.linalg.norm(ax - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_hard_sweep_trial_stays_accurate():
-    # Gauss-sweep call seed 3,000,010 at M/N = 8 runs to max_iters. At the
-    # primal weight 1 it ends at 1.2e-7 error; every fixed weight from 1.25 to
-    # 3 leaves it above 1e-6 (7.2e-5 at 2.5), though they halve the median
-    # iterations of easier trials.
-    [record] = run_sweep(SweepConfig(n=128, ratios=(8.0,), trials=1, seed=3_000_010))
+def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
+    # With rho = 1 the iterates are those of the plain dual-first loop
+    # y <- shrink(y + sigma A xbar), x <- x + tau a0 - tau A^H y,
+    # xbar <- 2 x_new - x, up to rounding.
+    ens, obs, xs = make_instance(432)
+    a0 = xs / np.linalg.norm(xs)
+    monkeypatch.setattr(solver, "_RELAXATION", 1.0)
+    iters = 60
+    sol = solve_phasemax(ens, obs, a0, SolverConfig(max_iters=iters, tol_rel_change=1e-300))
+    radii = np.sqrt(obs.b)
+    op_norm = operator_norm(ens, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
+    c = np.linalg.norm(radii) / op_norm
+    tau, sigma = c * solver._STEP_SCALE / op_norm, solver._STEP_SCALE / (c * op_norm)
+    x = np.zeros(ens.n, dtype=complex)
+    xbar, y = x.copy(), np.zeros(ens.m, dtype=complex)
+    for _ in range(iters):
+        y = shrink(y + sigma * ens.forward(xbar), sigma, radii)
+        x_new = x + tau * a0 - tau * ens.adjoint(y)
+        xbar, x = 2 * x_new - x, x_new
+    assert np.linalg.norm(sol.xhat - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("ratio, t", [(8.0, 0), (8.0, 1), (12.0, 0), (12.0, 1)])
+def test_relaxation_shortens_noiseless_iterations(ratio, t):
+    # Held-out trials RngStream(7, 100 ratio + t) took 1244-1306 iterations
+    # without relaxation; at 1.7 they take 741-766.
+    record = _run_trial((128, ratio, int(100 * ratio) + t, t, 7, NoiseModel.none(), 50,
+                         SolverConfig()))
+    assert record.converged
+    assert record.iters <= 800
     assert record.rel_error <= 1e-6
+
+
+def test_hard_sweep_trial_stays_accurate():
+    # Gauss-sweep call seed 3,000,010 at M/N = 8 runs to max_iters. Without
+    # relaxation it ends at 1.2e-7 error, and every fixed primal weight from
+    # 1.25 to 3 leaves it above 1e-6 (7.2e-5 at 2.5); at relaxation 1.7 it
+    # ends at 5.8e-11.
+    [record] = run_sweep(SweepConfig(n=128, ratios=(8.0,), trials=1, seed=3_000_010))
+    assert record.rel_error <= 1e-9
 
 
 def test_feasibility_residual_truth_is_feasible_under_nonneg_noise():

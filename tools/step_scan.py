@@ -1,14 +1,14 @@
 """Solve held-out noiseless sweep trials at several primal weights (the
-multiple of the balance c in solver._PRIMAL_WEIGHT) and print, per weight,
-the median and largest iteration count, the trials that ran to max_iters and
-the worst recovered error.
+multiple of the balance c in solver._PRIMAL_WEIGHT) and relaxations
+(solver._RELAXATION) and print, per pair, the median and largest iteration
+count, the trials that ran to max_iters and the worst recovered error.
 
 Trial t at ratio M/N is built by the sweep's own _run_trial, but on stream
 ids of this tool's choosing, RngStream(seed, 100 * M/N + t), not the ids
 run_sweep assigns (ratio index * trials + t). With the default seed 7 it
 shares no stream with the benchmark's call seeds or the acceptance tests.
 
-    python3 tools/step_scan.py --weights 1 2 2.5 3 --n 128 --ratios 8 12 --trials 8
+    python3 tools/step_scan.py --weights 1 2.5 --relax 1 1.5 1.7 --n 128 --ratios 8 12 --trials 8
 """
 
 from __future__ import annotations
@@ -25,28 +25,31 @@ from phasemax.experiments import _run_trial  # noqa: E402
 from phasemax.measurements import NoiseModel  # noqa: E402
 
 
-def scan(weights, n: int, ratios, trials: int, seed: int) -> None:
+def scan(weights, relaxations, n: int, ratios, trials: int, seed: int) -> None:
     cfg = solver.SolverConfig()
     tasks = [(n, ratio, int(round(100 * ratio)) + t, t, seed, NoiseModel.none(), 50, cfg)
              for ratio in ratios for t in range(trials)]
-    saved = solver._PRIMAL_WEIGHT
+    saved = solver._PRIMAL_WEIGHT, solver._RELAXATION
     print(f"n={n} ratios={list(ratios)} trials={trials} seed={seed} max_iters={cfg.max_iters}")
-    print(f"{'weight':>7} {'iters_p50':>10} {'iters_max':>10} {'unconverged':>12} {'worst_err':>10}")
+    print(f"{'weight':>7} {'relax':>6} {'iters_p50':>10} {'iters_max':>10} {'unconverged':>12} "
+          f"{'worst_err':>10}")
     try:
         for w in weights:
-            solver._PRIMAL_WEIGHT = w
-            records = [_run_trial(task) for task in tasks]
-            iters = [r.iters for r in records]
-            print(f"{w:7g} {statistics.median(iters):10g} {max(iters):10d} "
-                  f"{sum(not r.converged for r in records):12d} "
-                  f"{max(r.rel_error for r in records):10.2e}", flush=True)
+            for rho in relaxations:
+                solver._PRIMAL_WEIGHT, solver._RELAXATION = w, rho
+                records = [_run_trial(task) for task in tasks]
+                iters = [r.iters for r in records]
+                print(f"{w:7g} {rho:6g} {statistics.median(iters):10g} {max(iters):10d} "
+                      f"{sum(not r.converged for r in records):12d} "
+                      f"{max(r.rel_error for r in records):10.2e}", flush=True)
     finally:
-        solver._PRIMAL_WEIGHT = saved
+        solver._PRIMAL_WEIGHT, solver._RELAXATION = saved
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--weights", type=float, nargs="+", default=[1.0, 2.0, 2.5, 3.0])
+    parser.add_argument("--weights", type=float, nargs="+", default=[1.0])
+    parser.add_argument("--relax", type=float, nargs="+", default=[1.0, 1.5, 1.7, 1.8])
     parser.add_argument("--n", type=int, default=128)
     parser.add_argument("--ratios", type=float, nargs="+", default=[8.0, 12.0])
     parser.add_argument("--trials", type=int, default=8, help="trials t = 0 .. trials-1 a ratio")
@@ -54,7 +57,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not all(w > 0 for w in args.weights) or args.n < 1 or args.trials < 1:
         parser.error("--weights must be > 0, --n and --trials >= 1")
-    scan(args.weights, args.n, args.ratios, args.trials, args.seed)
+    if not all(0 < rho < 2 for rho in args.relax):
+        parser.error("--relax must lie in (0, 2)")
+    scan(args.weights, args.relax, args.n, args.ratios, args.trials, args.seed)
     return 0
 
 
