@@ -1,5 +1,6 @@
 """First-order solver for the anchored relaxation: maximize <a0, x> subject to
-|a_i^H x|^2 <= b_i, by primal-dual proximal splitting with balanced steps."""
+|a_i^H x|^2 <= b_i, by primal-dual proximal splitting with balanced,
+over-relaxed steps."""
 
 from __future__ import annotations
 
@@ -183,7 +184,6 @@ def solve_phasemax(
 
     iters_used = cfg.max_iters
     converged = False
-    feas = None
     # sigma * A x, kept once the relative change has passed; None before that.
     sax = None
     screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
@@ -191,8 +191,8 @@ def solve_phasemax(
         x_half = x + tau_a0 - tau * ens.adjoint(y)
         f = ens.forward(sigma * (2.0 * x_half - x))
         if sax is not None:
-            # A x_half = (A xbar + A x) / 2, so the relaxed x below has
-            # sigma A x <- sax + (rho / 2) (f - sax), done without a temporary.
+            # A x_half = (A (2 x_half - x) + A x) / 2, so the relaxed x below
+            # has sigma A x = sax + (rho / 2) (f - sax), formed in place.
             sax *= 2.0 / rho - 1.0
             sax += f
             sax *= 0.5 * rho
