@@ -6,7 +6,8 @@ count, the trials that ran to max_iters and the worst recovered error.
 Trial t at ratio M/N is built by the sweep's own _run_trial, but on stream
 ids of this tool's choosing, RngStream(seed, 100 * M/N + t), not the ids
 run_sweep assigns (ratio index * trials + t). With the default seed 7 it
-shares no stream with the benchmark's call seeds or the acceptance tests.
+shares no stream with the benchmark's call seeds or the acceptance tests;
+tests/test_solver.py pins the iteration counts of four of these trials.
 
     python3 tools/step_scan.py --weights 1 2.5 --relax 1 1.5 1.7 --n 128 --ratios 8 12 --trials 8
 """
