@@ -181,9 +181,10 @@ def check_certificate(
     )
 
 
-def measurement_cut_probability(ctx: GeometryContext, h, num_a: int, rng: RngStream) -> float:
-    """Monte Carlo estimate of P(<a a^H xstar, h> > eta_inv / 2) over fresh
-    complex Gaussian measurement draws a ~ CN(0, I_n).
+def _cut_hits(ctx: GeometryContext, hs, num_a: int, rng: RngStream) -> np.ndarray:
+    """Count, for every direction in hs, the draws among num_a complex
+    Gaussian measurements whose cut value <a a^H xstar, h> exceeds
+    eta_inv / 2. All directions are scored on the same draws.
 
     The event depends on a only through its coordinates in span{xstar, h}.
     ctx.xstar has unit norm, so h = c xstar + p e with c = xstar^H h,
@@ -191,35 +192,48 @@ def measurement_cut_probability(ctx: GeometryContext, h, num_a: int, rng: RngStr
     u = a^H xstar and z = a^H e are i.i.d. CN(0, 1), and the cut value is
     Re(c) |u|^2 + p Re(conj(u) z). Each draw therefore costs four real
     normals whatever n is: with u = (g0 + i g1)/sqrt(2) and
-    z = (g2 + i g3)/sqrt(2), twice the cut value is
-    Re(c) (g0^2 + g1^2) + p (g0 g2 + g1 g3), compared with eta_inv.
+    z = (g2 + i g3)/sqrt(2), twice the cut value is Re(c) R + p Q with
+    R = g0^2 + g1^2 and Q = g0 g2 + g1 g3, compared with eta_inv. R and Q
+    do not depend on h, so they are formed once per block of draws.
     """
-    if num_a < 1:
-        raise ValueError("num_a must be >= 1")
     x = ctx.xstar
-    hv = as_signal(h, "h", x.shape[0])
-    c = np.vdot(x, hv)
-    re_c = float(c.real)
-    p = float(np.linalg.norm(hv - c * x))
+    coeffs = []
+    for h in hs:
+        c = np.vdot(x, h)
+        coeffs.append((float(c.real), float(np.linalg.norm(h - c * x))))
     g = rng.generator
-    hits = 0
+    hits = np.zeros(len(coeffs), dtype=np.int64)
     remaining = int(num_a)
     while remaining > 0:
         k = min(_CUT_CHUNK, remaining)
         g0, g1, g2, g3 = g.standard_normal((4, k))
-        # In place, g0 <- Re(c) (g0^2 + g1^2) + p (g0 g2 + g1 g3).
+        # In place, g2 <- Q and g0 <- R; g1 and g3 are then free as buffers.
         g2 *= g0
         g3 *= g1
         g2 += g3
-        g2 *= p
         g0 *= g0
         g1 *= g1
         g0 += g1
-        g0 *= re_c
-        g0 += g2
-        hits += int(np.count_nonzero(g0 > ctx.eta_inv))
+        for j, (re_c, p) in enumerate(coeffs):
+            np.multiply(g0, re_c, out=g1)
+            np.multiply(g2, p, out=g3)
+            g1 += g3
+            hits[j] += np.count_nonzero(g1 > ctx.eta_inv)
         remaining -= k
-    return hits / num_a
+    return hits
+
+
+def measurement_cut_probability(ctx: GeometryContext, h, num_a: int, rng: RngStream) -> float:
+    """Monte Carlo estimate of P(<a a^H xstar, h> > eta_inv / 2) over num_a
+    fresh complex Gaussian measurement draws a ~ CN(0, I_n).
+
+    Each draw costs four real normals whatever n is: the event depends on a
+    only through its coordinates in span{xstar, h} (see _cut_hits).
+    """
+    if num_a < 1:
+        raise ValueError("num_a must be >= 1")
+    hv = as_signal(h, "h", ctx.xstar.shape[0])
+    return int(_cut_hits(ctx, [hv], num_a, rng)[0]) / num_a
 
 
 def empirical_pmin(ctx: GeometryContext, num_h: int, num_a: int, rng: RngStream) -> float:
@@ -229,6 +243,15 @@ def empirical_pmin(ctx: GeometryContext, num_h: int, num_a: int, rng: RngStream)
     norm threshold eta_inv / t where the infimum is approached, and are kept
     only if they land in C'_delta intersect R_delta (rejection sampling).
     Requires eta_inv > 0, otherwise the threshold degenerates to 0.
+
+    All num_h directions are scored on one shared sample of num_a
+    measurements, as in the sample-complexity argument, where one set of
+    measurements must cut every direction at once and a uniform-deviation
+    (VC) bound controls all the empirical frequencies together. Each
+    direction's estimate is still Binomial(num_a, p_h) / num_a; only their
+    joint law changes. The minimum of unbiased estimates is biased low,
+    E[min_h p_hat_h] <= min_h p_h (Jensen), so comparing it with a lower
+    bound on p_min stays conservative.
     """
     if num_h < 1 or num_a < 1:
         raise ValueError("num_h and num_a must be >= 1")
@@ -255,7 +278,7 @@ def empirical_pmin(ctx: GeometryContext, num_h: int, num_a: int, rng: RngStream)
             f"rejection sampling accepted only {len(accepted)}/{num_h} directions "
             f"after {max_attempts} attempts"
         )
-    return min(measurement_cut_probability(ctx, h, num_a, rng) for h in accepted)
+    return int(_cut_hits(ctx, accepted, num_a, rng).min()) / num_a
 
 
 def sauer_bound(n: int, d: int) -> int:

@@ -119,7 +119,7 @@ def test_criterion_2_noise_scaling(tmp_path):
 
 
 def test_criterion_3_closed_form_grid():
-    verify_suite(3, "closed-forms", mc_draws=1_000_000)
+    verify_suite(3, "closed-forms")
 
 
 def test_criterion_4_lemma3_empirical_bound():

@@ -84,6 +84,22 @@ def test_rayleigh_normal_cdf_f0_identity_vs_monte_carlo():
         assert abs(f0 - emp) <= 4 * se
 
 
+# The closed-forms verify suite checks rayleigh_normal_cdf against its own
+# quadrature; this checks that quadrature against mpmath on the same integral,
+# including the thin layer near v = 0 that beta = +-0.1 puts in the integrand.
+@pytest.mark.parametrize("alpha, beta", [(-6.0, 0.1), (6.0, -0.1), (-6.0, -0.1), (6.0, 0.1),
+                                         (0.0, 0.1), (0.0, -0.1), (-2.0, 1.0), (0.5, -3.0)])
+def test_verify_quadrature_matches_mpmath(alpha, beta):
+    from phasemax.experiments import _rayleigh_normal_quadrature
+
+    with mpmath.workdps(30):
+        def integrand(v):
+            return mpmath.ncdf(alpha * v + beta / v) * v * mpmath.exp(-v * v / 2)
+
+        expected = float(mpmath.quad(integrand, [0, abs(beta), 1, 4, mpmath.inf]))
+    assert abs(_rayleigh_normal_quadrature(alpha, beta) - expected) <= 1e-13
+
+
 def test_rayleigh_normal_cdf_rejects_non_finite():
     with pytest.raises(ValueError):
         rayleigh_normal_cdf(math.nan, 0.0)
@@ -347,6 +363,21 @@ def test_cut_probability_imaginary_multiple_of_truth_is_zero():
     xs = unit_vector(8, 539)
     ctx = GeometryContext(xstar=xs, delta=0.9, t=1.0, eta_inv=1e-3)
     assert measurement_cut_probability(ctx, 5e-3j * xs, 100_000, RngStream(540)) == 0.0
+
+
+def test_cut_hits_shared_sample_matches_each_direction_alone():
+    # 300,000 draws span two blocks of _CUT_CHUNK.
+    from phasemax.theory import _cut_hits
+
+    stream = RngStream(541)
+    ctx = GeometryContext(xstar=unit_vector(8, 542), delta=0.9, t=1.0, eta_inv=1e-3)
+    hs = [cut_direction(kind, ctx.xstar, stream) for kind in ("parallel", "perp", "general")]
+    num_a = 300_000
+    shared = _cut_hits(ctx, hs, num_a, RngStream(543))
+    alone = [int(_cut_hits(ctx, [h], num_a, RngStream(543))[0]) for h in hs]
+    assert shared.tolist() == alone
+    assert [measurement_cut_probability(ctx, h, num_a, RngStream(543)) for h in hs] \
+        == [k / num_a for k in alone]
 
 
 def test_empirical_pmin_dominates_lemma_bound_small_scale():
