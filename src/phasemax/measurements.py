@@ -57,6 +57,12 @@ class MeasurementEnsemble:
         """||A|| in closed form, or None when it has to be estimated."""
         return None
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays that define the operator; the solver keeps its
+        extra working memory below this (0: none known)."""
+        return 0
+
 
 def _as_matrix(a, name: str) -> np.ndarray:
     """Coerce to a nonempty, finite, 2-D complex128 array."""
@@ -94,6 +100,10 @@ class DenseEnsemble(MeasurementEnsemble):
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         return self.rows.T @ z
 
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes
+
 
 class CodedDiffractionEnsemble(MeasurementEnsemble):
     """Masked-Fourier measurements a_i = f_k o phi_l for mask vectors phi_l.
@@ -130,6 +140,10 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
     def exact_norm(self) -> float:
         """A^H A = diag(sum_l |phi_l|^2), so ||A|| = sqrt(max_j sum_l |phi_l[j]|^2)."""
         return float(np.sqrt(np.max(np.sum(np.abs(self.masks) ** 2, axis=0))))
+
+    @property
+    def nbytes(self) -> int:
+        return self.masks.nbytes + self._masks_conj.nbytes
 
 
 # Largest magnitude whose square is a finite float64.

@@ -4,6 +4,7 @@ shrink is checked against, one-expression references for the CDP kernels,
 the full-dimensional cut-probability sampler, the solver loop with an exact
 stop check, and CSV comparison without the wall-clock column."""
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -153,7 +154,8 @@ def _polytope_box(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
 def solve_phasemax_reference(ens, obs, a0, cfg):
     """solve_phasemax with the stop test as a plain exact check: every time
     the relative change passes, the feasibility residual is computed with a
-    fresh forward. Same steps and arithmetic, so its Solution is the one
+    fresh forward. Same steps and arithmetic, and the same Anderson mixing
+    when the solver keeps a history, so its Solution is the one
     solve_phasemax must return bit for bit."""
     from phasemax import solver
     from phasemax.measurements import operator_norm
@@ -171,27 +173,61 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
     sigma_radii = sigma * radii
     tau_a0 = tau * a0
     rho = solver._RELAXATION
-    x = np.zeros(ens.n, dtype=np.complex128)
-    y = np.zeros(ens.m, dtype=np.complex128)
-    buf = np.empty(ens.m)
+    n, m = ens.n, ens.m
+    memory = solver._history_length(ens)
+    buf = np.empty(m)
     iters_used, converged, feas = cfg.max_iters, False, None
-    for k in range(cfg.max_iters):
-        x_half = x + tau_a0 - tau * ens.adjoint(y)
-        f = ens.forward(sigma * (2.0 * x_half - x))
-        f += y
-        solver._shrink_dual(f, sigma_radii, buf, rho)
-        y *= 1.0 - rho
-        y += f
-        x_new = x + rho * (x_half - x)
-        step = np.linalg.norm(x_new - x)
-        norm_new = np.linalg.norm(x_new)
-        rel_change = step / norm_new if norm_new > 0 else step
-        x = x_new
-        if rel_change <= cfg.tol_rel_change:
-            feas = solver.feasibility_residual(ens, obs, x)
-            if feas <= cfg.tol_feas:
-                iters_used, converged = k + 1, True
-                break
+    if memory:
+        # The points live in the mixer's rows. sigma A x, which the solver
+        # carries in them for its screen, is left at 0: it changes no other
+        # entry of the combination.
+        aa = solver._Anderson(n, m, memory, 1.0 / balance)
+        x, y, xy = aa.z[:n], aa.z[n:n + m], aa.z[:n + m]
+        y_floor = solver._DUAL_FLOOR * a0_norm / op_norm
+        for k in range(cfg.max_iters):
+            t, g = aa.t, aa.g
+            x_half = t[:n]
+            np.subtract(tau_a0, tau * ens.adjoint(y), out=x_half)
+            x_half += x
+            f = ens.forward(sigma * (2.0 * x_half - x))
+            f += y
+            solver._shrink_dual(f, sigma_radii, buf)
+            t[n:n + m] = f
+            g[:] = rho * (t[:n + m] - xy)
+            t[:n + m] = xy + g
+            x_new = t[:n]
+            step = math.sqrt(np.vdot(g[:n], g[:n]).real)
+            norm_new = math.sqrt(np.vdot(x_new, x_new).real)
+            rel_change = step / norm_new if norm_new > 0 else step
+            if rel_change <= cfg.tol_rel_change:
+                feas = solver.feasibility_residual(ens, obs, x_new)
+                if feas <= cfg.tol_feas:
+                    iters_used, converged = k + 1, True
+                    break
+            aa.advance()
+            if k % solver._FLUSH_EVERY == 0:
+                y[np.abs(y) < y_floor] = 0.0
+    else:
+        x = np.zeros(n, dtype=np.complex128)
+        y = np.zeros(m, dtype=np.complex128)
+        for k in range(cfg.max_iters):
+            x_half = x + tau_a0 - tau * ens.adjoint(y)
+            f = ens.forward(sigma * (2.0 * x_half - x))
+            f += y
+            solver._shrink_dual(f, sigma_radii, buf, rho)
+            y *= 1.0 - rho
+            y += f
+            x_new = x + rho * (x_half - x)
+            step = np.linalg.norm(x_new - x)
+            norm_new = np.linalg.norm(x_new)
+            rel_change = step / norm_new if norm_new > 0 else step
+            if rel_change <= cfg.tol_rel_change:
+                feas = solver.feasibility_residual(ens, obs, x_new)
+                if feas <= cfg.tol_feas:
+                    iters_used, converged = k + 1, True
+                    break
+            x = x_new
+    x = x_new.copy()
     if not converged:
         feas = solver.feasibility_residual(ens, obs, x)
     return solver.Solution(xhat=x, iters_used=iters_used, objective=real_inner(a0, x),

@@ -85,17 +85,19 @@ def cdp_run(cdp_image, tmp_path_factory):
 def test_criterion_1_phase_transition(transition_sweep):
     records, _ = transition_sweep
     medians = {ratio: med for ratio, med, _ in ratio_summary(records)}
-    ok_high = medians[10.0] <= 1e-3 and medians[12.0] <= 1e-3
+    ok_high = all(medians[r] <= 1e-9 for r in (8.0, 10.0, 12.0))
     ok_low = medians[2.0] >= 0.3
     passed = ok_high and ok_low
     report_line(1, passed,
-                f"median rel_error at M/N=10: {medians[10.0]:.2e}, "
-                f"at 12: {medians[12.0]:.2e} (need <= 1e-3); "
+                f"median rel_error at M/N=8: {medians[8.0]:.2e}, at 10: {medians[10.0]:.2e}, "
+                f"at 12: {medians[12.0]:.2e} (need <= 1e-9); "
                 f"at 2: {medians[2.0]:.2f} (need >= 0.3)")
     assert passed
     # Monotone medians across the transition, allowing one adjacent inversion.
+    # Medians at the 1e-12 floor are ordered by rounding, so an inversion
+    # between two medians that are both <= 1e-9 is not counted.
     meds = [medians[r] for r in (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)]
-    inversions = sum(1 for a, b in zip(meds, meds[1:]) if b > a)
+    inversions = sum(1 for a, b in zip(meds, meds[1:]) if b > max(a, 1e-9))
     assert inversions <= 1
 
 

@@ -165,6 +165,7 @@ def test_objective_dominance_over_feasible_truth():
 
 def test_anchor_phase_equivariance():
     ens, obs, xs = make_instance(410, n=10, m=100)
+    assert solver._history_length(ens) > 0
     a0 = xs / np.linalg.norm(xs)
     err1 = phase_align_error(solve_phasemax(ens, obs, a0).xhat, xs)
     err2 = phase_align_error(solve_phasemax(ens, obs, np.exp(0.71j) * a0).xhat, xs)
@@ -172,8 +173,11 @@ def test_anchor_phase_equivariance():
 
 
 def test_iterates_invariant_to_anchor_scale():
-    # The step balance divides by ||a0||, so scaling a0 only scales the dual.
+    # The step balance divides by ||a0||, so scaling a0 only scales the dual,
+    # and the metric of the Anderson least squares, |x|^2 / tau + |y|^2 / sigma,
+    # by a constant, which leaves its coefficients as they are.
     ens, obs, xs = make_instance(419)
+    assert solver._history_length(ens) > 0
     a0 = xs / np.linalg.norm(xs)
     ref = solve_phasemax(ens, obs, a0)
     for t in (0.2, 5.0):
@@ -225,12 +229,18 @@ class CountingEnsemble(MeasurementEnsemble):
     def adjoint(self, z):
         return self.ens.adjoint(z)
 
+    @property
+    def nbytes(self):
+        return self.ens.nbytes
 
-@pytest.mark.parametrize("noise, stop_at_cap", [
+
+REFERENCE_CASES = pytest.mark.parametrize("noise, stop_at_cap", [
     (None, False), (None, True), (NoiseModel.uniform(1e-2), False),
     (NoiseModel.uniform(1e-3), False),
 ], ids=["noiseless", "noiseless-stop-at-max-iters", "uniform", "uniform-screened"])
-def test_solver_matches_exact_check_reference(noise, stop_at_cap):
+
+
+def check_matches_exact_check_reference(noise, stop_at_cap):
     # The tracked A x only screens; every stop decision and the returned
     # residual come from an exact check, so the Solution is the reference's.
     ens, obs, xs = make_instance(430, noise=noise)
@@ -247,7 +257,20 @@ def test_solver_matches_exact_check_reference(noise, stop_at_cap):
     assert sol.converged is (noise is None)
 
 
-def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
+@REFERENCE_CASES
+def test_solver_matches_exact_check_reference(noise, stop_at_cap):
+    assert solver._history_length(make_instance(430)[0]) > 0
+    check_matches_exact_check_reference(noise, stop_at_cap)
+
+
+@REFERENCE_CASES
+def test_plain_loop_matches_exact_check_reference(noise, stop_at_cap, monkeypatch):
+    # Without a history, A x is seeded by the first exact check instead.
+    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
+    check_matches_exact_check_reference(noise, stop_at_cap)
+
+
+def check_stop_test_costs_no_forward_per_iteration(monkeypatch):
     # With uniform noise the relative change passes hundreds of iterations
     # before max_iters while the slabs stay violated by about eta_inv.
     ens, obs, xs = make_instance(430, noise=NoiseModel.uniform(1e-3))
@@ -268,17 +291,32 @@ def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
     checks.clear()
     sol = solve_phasemax(counted, obs, a0)
     assert not sol.converged
-    # Confirmations: the exact check when the relative change first passes,
-    # plus every feasibility_residual call (here only the returned residual).
+    # Confirmations: the exact check when the relative change first passes
+    # (plain loop only), plus every feasibility_residual call (here only the
+    # returned residual).
     assert len(checks) <= 2
     assert counted.forwards <= sol.iters_used + norm.forwards + 1 + len(checks)
 
 
-def test_tracked_forward_matches_a_fresh_one(monkeypatch):
+def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
+    assert solver._history_length(make_instance(430)[0]) > 0
+    check_stop_test_costs_no_forward_per_iteration(monkeypatch)
+
+
+def test_plain_loop_stop_test_costs_no_forward_per_iteration(monkeypatch):
+    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
+    check_stop_test_costs_no_forward_per_iteration(monkeypatch)
+
+
+def check_tracked_forward_matches_a_fresh_one(monkeypatch):
     # Every relative change passes and no exact check can, because b_0 = 0
-    # keeps each iterate infeasible. So A x is seeded from x_1, and the
-    # screen of iteration k sees the tracked A x_{k+1} for k = 1 .. 7.
+    # keeps each iterate infeasible. Without a history, A x is seeded from
+    # x_1, and the screen of iteration k sees the tracked A x_{k+1} for
+    # k = 1 .. 7. With one, sigma A x is carried from x_0 = 0 through the
+    # extrapolation, and the screen of iteration k sees A T(z_k)_x, the x
+    # that a solve capped at k + 1 iterations returns, for k = 0 .. 7.
     ens, obs, xs = make_instance(431)
+    memory = solver._history_length(ens)
     b = obs.b.copy()
     b[0] = 0.0
     obs = Observations(b=b)
@@ -287,7 +325,8 @@ def test_tracked_forward_matches_a_fresh_one(monkeypatch):
     def cfg(iters):
         return SolverConfig(max_iters=iters, tol_rel_change=1e300, tol_feas=1e-300)
 
-    fresh = [ens.forward(solve_phasemax(ens, obs, a0, cfg(k)).xhat) for k in range(2, 9)]
+    first = 2 if memory == 0 else 1
+    fresh = [ens.forward(solve_phasemax(ens, obs, a0, cfg(k)).xhat) for k in range(first, 9)]
     tracked = []
     exact = solver._max_violation
 
@@ -303,13 +342,24 @@ def test_tracked_forward_matches_a_fresh_one(monkeypatch):
         assert np.linalg.norm(ax - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_tracked_forward_matches_a_fresh_one(monkeypatch):
+    assert solver._history_length(make_instance(431)[0]) > 0
+    check_tracked_forward_matches_a_fresh_one(monkeypatch)
+
+
+def test_plain_loop_tracked_forward_matches_a_fresh_one(monkeypatch):
+    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
+    check_tracked_forward_matches_a_fresh_one(monkeypatch)
+
+
 def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
-    # With rho = 1 the iterates are those of the plain dual-first loop
-    # y <- shrink(y + sigma A xbar), x <- x + tau a0 - tau A^H y,
+    # With rho = 1 and no history the iterates are those of the plain
+    # dual-first loop y <- shrink(y + sigma A xbar), x <- x + tau a0 - tau A^H y,
     # xbar <- 2 x_new - x, up to rounding.
     ens, obs, xs = make_instance(432)
     a0 = xs / np.linalg.norm(xs)
     monkeypatch.setattr(solver, "_RELAXATION", 1.0)
+    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
     iters = 60
     sol = solve_phasemax(ens, obs, a0, SolverConfig(max_iters=iters, tol_rel_change=1e-300))
     radii = np.sqrt(obs.b)
@@ -325,23 +375,83 @@ def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
     assert np.linalg.norm(sol.xhat - x) <= 1e-12 * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("ratio, t", [(8.0, 0), (8.0, 1), (12.0, 0), (12.0, 1)])
-def test_relaxation_shortens_noiseless_iterations(ratio, t):
+HELD_OUT_TRIALS = pytest.mark.parametrize("ratio, t", [(8.0, 0), (8.0, 1), (12.0, 0), (12.0, 1)])
+
+
+def held_out_trial(ratio, t):
+    return _run_trial((128, ratio, int(100 * ratio) + t, t, 7, NoiseModel.none(), 50,
+                       SolverConfig()))
+
+
+@HELD_OUT_TRIALS
+def test_relaxation_shortens_noiseless_iterations(ratio, t, monkeypatch):
     # Held-out trials RngStream(7, 100 ratio + t) took 1244-1306 iterations
-    # without relaxation; at 1.7 they take 741-766.
-    record = _run_trial((128, ratio, int(100 * ratio) + t, t, 7, NoiseModel.none(), 50,
-                         SolverConfig()))
+    # without relaxation; at 1.7 they take 741-766 (without a history).
+    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
+    record = held_out_trial(ratio, t)
     assert record.converged
     assert record.iters <= 800
     assert record.rel_error <= 1e-6
 
 
+@HELD_OUT_TRIALS
+def test_anderson_halves_noiseless_iterations(ratio, t):
+    # The same trials take 273-353 iterations with a history of 10. Without
+    # the safeguard the iterates of trial (12, 0) overflow.
+    record = held_out_trial(ratio, t)
+    assert record.converged
+    assert record.iters <= 400
+    assert record.rel_error <= 1e-6
+
+
+def test_anderson_safeguard_keeps_noisy_trial_accurate():
+    # Noisy solves run to max_iters. The sweep trial ends at 4.3e-7 error,
+    # as without a history. The small instance ends at 1.0e-5; a safeguard
+    # that dropped only extrapolated points whose residual grew 1000-fold
+    # left it at 0.99 (and 49 of 480 such instances above 1e-2).
+    record = _run_trial((128, 12.0, 0, 0, 3, NoiseModel.uniform(1e-4), 50,
+                         SolverConfig(max_iters=800)))
+    assert record.rel_error <= 1e-6
+    ens, obs, xs = make_instance(478, n=32, m=256, noise=NoiseModel.uniform(1e-3))
+    assert solver._history_length(ens) > 0
+    sol = solve_phasemax(ens, obs, xs / np.linalg.norm(xs))
+    assert not sol.converged
+    assert phase_align_error(sol.xhat, xs) <= 1e-4
+
+
+def test_anderson_solves_an_affine_contraction():
+    # On T(z) = M z + c, type-II Anderson is GMRES on (I - M) z = c (Walker &
+    # Ni), so with a history longer than the real dimension of (x, y), 8, it
+    # reaches the fixed point in about that many steps; the plain iteration
+    # keeps 0.98^12 = 0.78 of its error. The residuals then fall
+    # monotonically, so the safeguard never fires. The payload, a linear
+    # map of x, stays that map of the mixed x.
+    n, m = 2, 2
+    g = RngStream(433).generator
+    q, _ = np.linalg.qr(g.standard_normal((8, 8)))
+    contraction = 0.98 * q
+    c = g.standard_normal(8)
+    payload = g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
+    aa = solver._Anderson(n, m, 10, 1.0)
+    for _ in range(12):
+        z = aa.z[:n + m].view(np.float64)
+        aa.t[:n + m].view(np.float64)[:] = contraction @ z + c
+        aa.t[n + m:] = payload @ aa.t[:n]
+        aa.g[:] = aa.t[:n + m] - aa.z[:n + m]
+        aa.advance()
+    fixed = np.linalg.solve(np.eye(8) - contraction, c)
+    assert np.linalg.norm(aa.z[:n + m].view(np.float64) - fixed) <= 1e-8 * np.linalg.norm(fixed)
+    assert np.allclose(aa.z[n + m:], payload @ aa.z[:n], rtol=0, atol=1e-12)
+
+
 def test_hard_sweep_trial_stays_accurate():
-    # Gauss-sweep call seed 3,000,010 at M/N = 8 runs to max_iters. Without
-    # relaxation it ends at 1.2e-7 error, and every fixed primal weight from
-    # 1.25 to 3 leaves it above 1e-6 (7.2e-5 at 2.5); at relaxation 1.7 it
-    # ends at 5.8e-11.
+    # Gauss-sweep call seed 3,000,010 at M/N = 8. Without relaxation it ends
+    # at 1.2e-7 error at max_iters, and every fixed primal weight from 1.25
+    # to 3 leaves it above 1e-6 (7.2e-5 at 2.5). At relaxation 1.7 it ran
+    # to max_iters, 2000, at 5.8e-11; with the Anderson history it converges
+    # in 1,581 iterations, at 7.2e-12.
     [record] = run_sweep(SweepConfig(n=128, ratios=(8.0,), trials=1, seed=3_000_010))
+    assert record.converged
     assert record.rel_error <= 1e-9
 
 
