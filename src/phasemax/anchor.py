@@ -29,16 +29,18 @@ def spectral_anchor(
     Sigma is applied matrix-free as v -> adjoint(b o forward(v)) / M with an l2
     normalization after every step, starting from a random complex vector. The
     returned Rayleigh quotient <v, Sigma v> is the top-eigenvalue estimate at
-    exit.
+    exit. Every step writes its forward into one m-vector (see
+    MeasurementEnsemble).
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     b = obs.b_for(ens)
     if not np.any(b > 0):
         raise ValueError("all-zero observations: Sigma has no principal direction")
+    buf = np.empty(ens.m, dtype=np.complex128)
 
     def apply_sigma(v):
-        w = ens.forward(v)
+        w = ens.forward(v, out=buf)
         w *= b
         return ens.adjoint(w) / ens.m
 

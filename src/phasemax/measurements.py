@@ -35,19 +35,26 @@ class MeasurementEnsemble:
     validated once, at the public entry point where they arrive (observe,
     solve_phasemax, feasibility_residual, ...).
 
-    Each call returns a fresh array that the caller owns and may overwrite
-    (the spectral anchor scales forward's result in place), and holds at
-    most one m-sized temporary, which becomes the result where it can. Two
-    m-sized buffers alive at once make the allocator return the freed pages
-    to the system after every call and fault them back in on the next one:
-    at n = 4096, m = 81,920 that was over 600 minor page faults a call and
-    more than half of each CDP kernel's time.
+    Each call returns a fresh array that the caller owns and may overwrite,
+    and holds at most one m-sized temporary, which becomes the result where
+    it can. Two m-sized buffers alive at once make the allocator return the
+    freed pages to the system after every call and fault them back in on
+    the next one: at n = 4096, m = 81,920 that was over 600 minor page
+    faults a call and more than half of each CDP kernel's time.
+
+    forward also takes a keyword-only out, a complex128 m-vector that must
+    not overlap x; the result is written into it and out is returned, with
+    the same bits as a call without it. The spectral anchor's power loop
+    passes one buffer to every step, so each step frees no m-sized array:
+    freeing two a step made glibc trim the heap and fault the pages back
+    in, 31,040 minor faults an anchor in the cdp-image benchmark process
+    against 320 with the buffer. The solver does not pass it.
     """
 
     n: int
     m: int
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
@@ -92,9 +99,9 @@ class DenseEnsemble(MeasurementEnsemble):
         rows = scale * (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n)))
         return cls(rows)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
         # conj(rows @ conj(x)) = rows.conj() @ x, without storing rows.conj().
-        out = self.rows @ x.conj()
+        out = np.matmul(self.rows, x.conj(), out=out)
         return np.conjugate(out, out=out)
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
@@ -128,9 +135,13 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         masks = np.stack([sample_rademacher(n, rng) for _ in range(num_masks)])
         return cls(masks)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        blocks = self.masks * x[None, :]
-        return np.fft.fft(blocks, axis=1, norm="ortho", out=blocks).ravel()
+    def forward(self, x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(self.m, dtype=np.complex128)
+        blocks = out.reshape(self.num_masks, self.n)
+        np.multiply(self.masks, x, out=blocks)
+        np.fft.fft(blocks, axis=1, norm="ortho", out=blocks)
+        return out
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         blocks = np.fft.ifft(z.reshape(self.num_masks, self.n), axis=1, norm="ortho")

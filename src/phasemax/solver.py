@@ -1,7 +1,8 @@
 """First-order solver for the anchored relaxation: maximize <a0, x> subject to
 |a_i^H x|^2 <= b_i, by primal-dual proximal splitting with balanced,
 over-relaxed steps, Anderson-accelerated where the history fits in the
-operator's own memory."""
+operator's own memory, started from the anchor rescaled to the norm that the
+data imply."""
 
 from __future__ import annotations
 
@@ -63,11 +64,12 @@ _AA_REGULARIZATION = 1e-10
 # (n = 128, M/N = 12) and would otherwise pay the Anderson bookkeeping on
 # every iteration for no gain in error.
 _AA_MAX_REJECTIONS = 32
-# The dual entries of inactive slabs decay geometrically towards 0. Left
-# alone they reach subnormal values, where arithmetic is many times slower
-# (an adjoint took 1.8 ms instead of 0.2 ms at m = 1536). So every
-# _FLUSH_EVERY steps the accelerated loop sets entries below
-# _DUAL_FLOOR * ||a0|| / ||A|| to 0; a dual optimum has ||y|| >= ||a0|| / ||A||.
+# The dual entries of inactive slabs decay geometrically towards 0 (by
+# rho - 1 = 0.7 a plain step). Left alone they reach subnormal values after
+# about 2,000 steps, where arithmetic is many times slower (an adjoint took
+# 1.8 ms instead of 0.2 ms at m = 1536). So every _FLUSH_EVERY steps both
+# loops set entries below _DUAL_FLOOR * ||a0|| / ||A|| to 0; a dual optimum
+# has ||y|| >= ||a0|| / ||A||.
 _DUAL_FLOOR = 1e-100
 _FLUSH_EVERY = 16
 _TINY = np.finfo(np.float64).tiny
@@ -127,6 +129,14 @@ def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, buf: np.ndarray,
     if scale != 1.0:
         buf *= scale
     y *= buf
+
+
+def _flush_dual(y: np.ndarray, y_floor: float, buf: np.ndarray, small: np.ndarray) -> None:
+    """Set the entries of y with modulus below y_floor to 0; buf and small are
+    float and bool scratch of y's length."""
+    np.abs(y, out=buf)
+    np.less(buf, y_floor, out=small)
+    y[small] = 0.0
 
 
 def feasibility_residual(ens: MeasurementEnsemble, obs: Observations, x) -> float:
@@ -257,9 +267,14 @@ def solve_phasemax(
     fixed multiple of c, now 1 (see its comment). tau * sigma * ||A||^2 =
     _STEP_SCALE^2 < 1 keeps the iteration stable for any c.
 
-    The solution is the fixed point of T. From z = 0 the solver extrapolates
-    each step by type-II Anderson acceleration over the last _AA_MEMORY
-    steps (see _Anderson). Its least squares measures the residual
+    The solution is the fixed point of T. The solver starts at y = 0 and
+    x0 = c a0, the anchor rescaled to the norm ||r|| / ||A|| that the data
+    imply: for noiseless data ||r|| = ||A x*|| <= ||A|| ||x*||, so that norm
+    bounds ||x*|| from below, and it equals ||x*|| when A^H A = ||A||^2 I, as
+    for unimodular CDP masks (A^H A = L I). x0 does not depend on the scale
+    of a0 and turns with its phase. From there the solver extrapolates each
+    step by type-II Anderson acceleration over the last _AA_MEMORY steps
+    (see _Anderson). Its least squares measures the residual
     T(z) - z in the metric ||x||^2 / tau + ||y||^2 / sigma, so the x
     iterates do not depend on the scale of a0 (a0 -> t a0 scales y and
     sigma by t, tau by 1 / t and the metric by t). Its safeguard drops an
@@ -270,7 +285,7 @@ def solve_phasemax(
     (_history_length): a dense operator of useful size keeps all of it, a
     CDP operator none, and with no history the solver iterates z <- T(z).
     c is 1 for unit a0 and x* under unimodular CDP masks, and w * c falls
-    back to 1 when b is all zero.
+    back to 1 (and x0 to 0) when b is all zero.
 
     Stops when the relative primal change ||T(z)_x - x|| / ||T(z)_x|| drops
     below tol_rel_change and the feasibility residual of T(z)_x below
@@ -279,9 +294,9 @@ def solve_phasemax(
     mean of A (2 x_half - x), which the step computes anyway, and A x, so
     T(z)_x has A x + (rho / 2) (A (2 x_half - x) - A x). Without a history,
     A x is computed exactly the first time the relative change passes and
-    tracked from then on. With one, sigma A x starts exact at x = 0 and is
-    carried through each extrapolation beside x, with a history of
-    sigma A of the steps' x parts. The tracked value only screens, with
+    tracked from then on. With one, sigma A x starts from one exact forward
+    of x0 and is carried through each extrapolation beside x, with a history
+    of sigma A of the steps' x parts. The tracked value only screens, with
     slack; each stop is confirmed with feasibility_residual, so the stop
     decisions are those of an exact check every time the relative change
     passes. Zero-radius disks (b_i = 0, e.g. after gaussian-noise clipping)
@@ -298,19 +313,20 @@ def solve_phasemax(
     op_norm = operator_norm(ens, _NORM_EST_ITERS, RngStream(_NORM_EST_SEED))
     if op_norm == 0:
         raise ValueError("measurement operator is identically zero")
-    balance = _PRIMAL_WEIGHT * np.linalg.norm(radii) / (op_norm * a0_norm)
+    start = np.linalg.norm(radii) / (op_norm * a0_norm)
+    balance = _PRIMAL_WEIGHT * start
     if not 0 < balance < np.inf:
-        balance = 1.0
+        balance, start = 1.0, 0.0
     tau = balance * _STEP_SCALE / op_norm
     sigma = _STEP_SCALE / (balance * op_norm)
-    steps = (tau * a0, tau, sigma, sigma * radii)
+    args = (ens, obs, b, start * a0, (tau * a0, tau, sigma, sigma * radii),
+            _DUAL_FLOOR * a0_norm / op_norm, cfg)
     memory = _history_length(ens)
     if memory:
         x, iters_used, converged, feas = _accelerated_loop(
-            ens, obs, b, steps, _Anderson(ens.n, ens.m, memory, 1.0 / balance),
-            _DUAL_FLOOR * a0_norm / op_norm, cfg)
+            *args, _Anderson(ens.n, ens.m, memory, 1.0 / balance))
     else:
-        x, iters_used, converged, feas = _relaxed_loop(ens, obs, b, steps, cfg)
+        x, iters_used, converged, feas = _relaxed_loop(*args)
     return Solution(
         xhat=x,
         iters_used=iters_used,
@@ -320,20 +336,30 @@ def solve_phasemax(
     )
 
 
-def _relaxed_loop(ens, obs, b, steps, cfg):
-    """The over-relaxed iteration from x = y = 0, with the lazy screen:
-    (x, iters_used, converged, feasibility residual of x)."""
+def _relaxed_loop(ens, obs, b, x, steps, y_floor, cfg):
+    """The over-relaxed iteration from (x, 0), updating x in place, with the
+    lazy screen: (x, iters_used, converged, feasibility residual of x).
+    Every _FLUSH_EVERY steps, dual entries below y_floor are set to 0."""
     tau_a0, tau, sigma, sigma_radii = steps
-    x = np.zeros(ens.n, dtype=np.complex128)
     y = np.zeros(ens.m, dtype=np.complex128)
+    xbar = np.empty(ens.n, dtype=np.complex128)
     buf = np.empty(ens.m)
+    small = np.empty(ens.m, dtype=bool)
     rho = _RELAXATION
     # sigma * A x, kept once the relative change has passed; None before that.
     sax = None
     screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
     for k in range(cfg.max_iters):
-        x_half = x + tau_a0 - tau * ens.adjoint(y)
-        f = ens.forward(sigma * (2.0 * x_half - x))
+        # x_half = x + tau a0 - tau A^H y and xbar = sigma (2 x_half - x),
+        # with the arithmetic of _accelerated_loop.
+        x_half = ens.adjoint(y)
+        x_half *= tau
+        np.subtract(tau_a0, x_half, out=x_half)
+        x_half += x
+        np.multiply(x_half, 2.0, out=xbar)
+        xbar -= x
+        xbar *= sigma
+        f = ens.forward(xbar)
         if sax is not None:
             # A x_half = (A (2 x_half - x) + A x) / 2, so the relaxed x below
             # has sigma A x = sax + (rho / 2) (f - sax), formed in place.
@@ -347,11 +373,16 @@ def _relaxed_loop(ens, obs, b, steps, cfg):
         # Not kept across adjoint: two live m-sized buffers fault pages back
         # in on every call (see MeasurementEnsemble).
         del f
-        x_new = x + rho * (x_half - x)
-        step = np.linalg.norm(x_new - x)
-        norm_new = np.linalg.norm(x_new)
+        if k % _FLUSH_EVERY == 0:
+            _flush_dual(y, y_floor, buf, small)
+        # The step g = rho (x_half - x), formed in x_half.
+        g = x_half
+        g -= x
+        g *= rho
+        x += g
+        step = math.sqrt(np.vdot(g, g).real)
+        norm_new = math.sqrt(np.vdot(x, x).real)
         rel_change = step / norm_new if norm_new > 0 else step
-        x = x_new
         if rel_change > cfg.tol_rel_change:
             continue
         if sax is None:
@@ -364,16 +395,21 @@ def _relaxed_loop(ens, obs, b, steps, cfg):
             continue
         if feas <= cfg.tol_feas:
             return x, k + 1, True, feas
+    # The final forward runs without the loop's m-sized buffers alive.
+    del y, buf, small, sax
     return x, cfg.max_iters, False, feasibility_residual(ens, obs, x)
 
 
-def _accelerated_loop(ens, obs, b, steps, aa: _Anderson, y_floor: float, cfg):
-    """The over-relaxed step T, Anderson-accelerated by aa, with sigma A x
-    carried from x = 0: (x, iters_used, converged, feas) as _relaxed_loop.
-    Every _FLUSH_EVERY steps, dual entries below y_floor are set to 0."""
+def _accelerated_loop(ens, obs, b, x0, steps, y_floor: float, cfg, aa: _Anderson):
+    """The over-relaxed step T from (x0, 0), Anderson-accelerated by aa, with
+    sigma A x carried from one exact forward of x0: (x, iters_used,
+    converged, feas) as _relaxed_loop. Every _FLUSH_EVERY steps, dual
+    entries below y_floor are set to 0."""
     tau_a0, tau, sigma, sigma_radii = steps
     n, m = ens.n, ens.m
     x, y, sax, xy = aa.z[:n], aa.z[n:n + m], aa.z[n + m:], aa.z[:n + m]
+    x[:] = x0
+    np.multiply(ens.forward(x0), sigma, out=sax)
     buf = np.empty(m)
     small = np.empty(m, dtype=bool)
     rho = _RELAXATION
@@ -409,8 +445,6 @@ def _accelerated_loop(ens, obs, b, steps, aa: _Anderson, y_floor: float, cfg):
                 return tx.copy(), k + 1, True, feas
         aa.advance()
         if k % _FLUSH_EVERY == 0:
-            np.abs(y, out=buf)
-            np.less(buf, y_floor, out=small)
-            y[small] = 0.0
+            _flush_dual(y, y_floor, buf, small)
     xhat = t[:n].copy()
     return xhat, cfg.max_iters, False, feasibility_residual(ens, obs, xhat)

@@ -1,8 +1,9 @@
 """Helpers shared by the test modules: an independent brute-force oracle for
 the relaxation in dimension n <= 3, the disk projection the solver's dual
 shrink is checked against, one-expression references for the CDP kernels,
-the full-dimensional cut-probability sampler, the solver loop with an exact
-stop check, and CSV comparison without the wall-clock column."""
+the full-dimensional cut-probability sampler, the spectral anchor's power
+iteration written plainly, the solver loop with an exact stop check, and CSV
+comparison without the wall-clock column."""
 
 import math
 from itertools import combinations, product
@@ -151,6 +152,23 @@ def _polytope_box(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.abs(inv) @ s[list(best_idx)]
 
 
+def spectral_anchor_reference(ens, obs, iters, rng):
+    """spectral_anchor's power iteration as plain expressions, each step with
+    a fresh forward: (a0, Rayleigh quotient), which spectral_anchor must
+    return bit for bit."""
+    from phasemax.numerics import real_inner, sample_complex_gaussian
+
+    def apply_sigma(v):
+        return ens.adjoint(obs.b * ens.forward(v)) / ens.m
+
+    v = sample_complex_gaussian(ens.n, rng)
+    v = v / np.linalg.norm(v)
+    for _ in range(iters):
+        w = apply_sigma(v)
+        v = w / np.linalg.norm(w)
+    return v, real_inner(v, apply_sigma(v))
+
+
 def solve_phasemax_reference(ens, obs, a0, cfg):
     """solve_phasemax with the stop test as a plain exact check: every time
     the relative change passes, the feasibility residual is computed with a
@@ -165,9 +183,12 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
     a0_norm = np.linalg.norm(a0)
     radii = np.sqrt(obs.b)
     op_norm = operator_norm(ens, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
-    balance = solver._PRIMAL_WEIGHT * np.linalg.norm(radii) / (op_norm * a0_norm)
+    # Both loops start at y = 0 and x0, the anchor rescaled to ||r|| / ||A||.
+    start = np.linalg.norm(radii) / (op_norm * a0_norm)
+    balance = solver._PRIMAL_WEIGHT * start
     if not 0 < balance < np.inf:
-        balance = 1.0
+        balance, start = 1.0, 0.0
+    x0 = start * a0
     tau = balance * solver._STEP_SCALE / op_norm
     sigma = solver._STEP_SCALE / (balance * op_norm)
     sigma_radii = sigma * radii
@@ -176,6 +197,7 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
     n, m = ens.n, ens.m
     memory = solver._history_length(ens)
     buf = np.empty(m)
+    y_floor = solver._DUAL_FLOOR * a0_norm / op_norm
     iters_used, converged, feas = cfg.max_iters, False, None
     if memory:
         # The points live in the mixer's rows. sigma A x, which the solver
@@ -183,7 +205,7 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
         # entry of the combination.
         aa = solver._Anderson(n, m, memory, 1.0 / balance)
         x, y, xy = aa.z[:n], aa.z[n:n + m], aa.z[:n + m]
-        y_floor = solver._DUAL_FLOOR * a0_norm / op_norm
+        x[:] = x0
         for k in range(cfg.max_iters):
             t, g = aa.t, aa.g
             x_half = t[:n]
@@ -208,18 +230,21 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
             if k % solver._FLUSH_EVERY == 0:
                 y[np.abs(y) < y_floor] = 0.0
     else:
-        x = np.zeros(n, dtype=np.complex128)
+        x = x0
         y = np.zeros(m, dtype=np.complex128)
         for k in range(cfg.max_iters):
-            x_half = x + tau_a0 - tau * ens.adjoint(y)
+            x_half = (tau_a0 - tau * ens.adjoint(y)) + x
             f = ens.forward(sigma * (2.0 * x_half - x))
             f += y
             solver._shrink_dual(f, sigma_radii, buf, rho)
             y *= 1.0 - rho
             y += f
-            x_new = x + rho * (x_half - x)
-            step = np.linalg.norm(x_new - x)
-            norm_new = np.linalg.norm(x_new)
+            if k % solver._FLUSH_EVERY == 0:
+                y[np.abs(y) < y_floor] = 0.0
+            g = rho * (x_half - x)
+            x_new = x + g
+            step = math.sqrt(np.vdot(g, g).real)
+            norm_new = math.sqrt(np.vdot(x_new, x_new).real)
             rel_change = step / norm_new if norm_new > 0 else step
             if rel_change <= cfg.tol_rel_change:
                 feas = solver.feasibility_residual(ens, obs, x_new)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phasemax import (
+    CodedDiffractionEnsemble,
     DenseEnsemble,
     NoiseModel,
     RngStream,
@@ -11,6 +12,7 @@ from phasemax import (
     spectral_anchor,
 )
 from phasemax.measurements import Observations
+from support import spectral_anchor_reference
 
 
 def test_spectral_anchor_rank_one():
@@ -38,6 +40,23 @@ def test_spectral_anchor_matches_dense_eigen_oracle():
     corr_eigen = anchor_correlation(top, xs)
     assert corr_power == pytest.approx(corr_eigen, abs=1e-6)
     assert report.rayleigh_quotient == pytest.approx(eigvals[-1], rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["dense", "cdp"])
+def test_spectral_anchor_matches_plain_power_iteration(kind):
+    # The anchor writes every step's forward into one buffer; that must not
+    # change a bit of the iteration.
+    rng = RngStream(314)
+    n = 64
+    if kind == "dense":
+        ens = DenseEnsemble.gaussian(n, 6 * n, rng)
+    else:
+        ens = CodedDiffractionEnsemble.rademacher(n, 6, rng)
+    obs = observe(ens, sample_complex_gaussian(n, rng), NoiseModel.none(), rng)
+    report = spectral_anchor(ens, obs, 30, RngStream(315))
+    a0, quotient = spectral_anchor_reference(ens, obs, 30, RngStream(315))
+    assert np.array_equal(report.a0, a0)
+    assert report.rayleigh_quotient == quotient
 
 
 def test_spectral_anchor_rayleigh_quotient_nondecreasing():

@@ -198,6 +198,22 @@ def test_cdp_demo_recovers_small_image(tmp_path):
     assert rel <= 1e-3
 
 
+@pytest.mark.parametrize("seed, error_at_250", [
+    (20260809, 1.092064021402523e-06), (5_000_000, 1.0973648567015662e-07),
+    (5_000_001, 1.1333460360028538e-06), (5_000_002, 4.5757024301100054e-07),
+], ids=["criterion-7", "call-5000000", "call-5000001", "call-5000002"])
+def test_cdp_demo_default_cap_keeps_the_250_iteration_error(seed, error_at_250, tmp_path):
+    # The demo at 250 iterations from x = 0 reached these errors on the
+    # acceptance instance and on cdp-image benchmark calls. Its cap is lower
+    # now because the warm-started solve gets there sooner; a cap must not
+    # buy time with a looser error.
+    img_path = tmp_path / "gradient64.pgm"
+    write_pgm(img_path, np.add.outer(np.linspace(5, 250, 64), np.linspace(0, 30, 64)))
+    report = run_cdp_demo(img_path, num_masks=20, seed=seed, out_prefix=str(tmp_path / "cdp"))
+    assert report.iters_used <= experiments.DEFAULT_CDP_CONFIG.max_iters < 250
+    assert report.rel_error <= error_at_250
+
+
 def test_cdp_demo_report_file_is_deterministic(tmp_path):
     img_path = tmp_path / "in.pgm"
     write_pgm(img_path, gradient_image(16, 16))

@@ -126,8 +126,8 @@ def test_dense_kernels_match_reference_expressions():
 
 @pytest.mark.parametrize("kind", ["dense", "cdp"])
 def test_kernel_results_belong_to_the_caller(kind):
-    # The spectral anchor scales forward's result in place; that must not
-    # reach the ensemble, another call's result or the kernel's input.
+    # A caller may overwrite a kernel's result in place; that must not reach
+    # the ensemble, another call's result or the kernel's input.
     rng = RngStream(226)
     if kind == "dense":
         ens = DenseEnsemble.gaussian(12, 48, rng)
@@ -144,6 +144,22 @@ def test_kernel_results_belong_to_the_caller(kind):
         assert np.array_equal(first, expected)
         assert np.array_equal(kernel(arg), expected)
         assert np.array_equal(arg, arg_before)
+
+
+@pytest.mark.parametrize("kind", ["dense", "cdp"])
+def test_forward_into_out_returns_out_with_the_same_bits(kind):
+    rng = RngStream(229)
+    if kind == "dense":
+        ens = DenseEnsemble.gaussian(12, 48, rng)
+    else:
+        ens = CodedDiffractionEnsemble.rademacher(12, 4, rng)
+    buf = np.empty(ens.m, dtype=complex)
+    for _ in range(3):
+        x = sample_complex_gaussian(ens.n, rng)
+        x_before = x.copy()
+        assert ens.forward(x, out=buf) is buf
+        assert np.array_equal(buf, ens.forward(x))
+        assert np.array_equal(x, x_before)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")

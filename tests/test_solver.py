@@ -216,17 +216,20 @@ def test_solver_determinism():
 
 
 class CountingEnsemble(MeasurementEnsemble):
-    """Wraps an ensemble and counts its forward calls."""
+    """Wraps an ensemble; counts its forward calls, and the subnormal entries
+    (0 < |z_i| < tiny) of the vectors its adjoint is given."""
 
     def __init__(self, ens):
         self.ens, self.n, self.m = ens, ens.n, ens.m
-        self.forwards = 0
+        self.forwards = self.subnormal_inputs = 0
 
     def forward(self, x):
         self.forwards += 1
         return self.ens.forward(x)
 
     def adjoint(self, z):
+        mod = np.abs(z)
+        self.subnormal_inputs += int(np.count_nonzero((mod > 0) & (mod < np.finfo(float).tiny)))
         return self.ens.adjoint(z)
 
     @property
@@ -312,8 +315,8 @@ def check_tracked_forward_matches_a_fresh_one(monkeypatch):
     # Every relative change passes and no exact check can, because b_0 = 0
     # keeps each iterate infeasible. Without a history, A x is seeded from
     # x_1, and the screen of iteration k sees the tracked A x_{k+1} for
-    # k = 1 .. 7. With one, sigma A x is carried from x_0 = 0 through the
-    # extrapolation, and the screen of iteration k sees A T(z_k)_x, the x
+    # k = 1 .. 7. With one, sigma A x is carried from an exact forward of x_0
+    # through the extrapolation, and the screen of iteration k sees A T(z_k)_x, the x
     # that a solve capped at k + 1 iterations returns, for k = 0 .. 7.
     ens, obs, xs = make_instance(431)
     memory = solver._history_length(ens)
@@ -352,10 +355,25 @@ def test_plain_loop_tracked_forward_matches_a_fresh_one(monkeypatch):
     check_tracked_forward_matches_a_fresh_one(monkeypatch)
 
 
+def test_plain_loop_flushes_subnormal_duals(monkeypatch):
+    # The duals of inactive slabs shrink by rho - 1 = 0.7 a step and would go
+    # subnormal after about 2,000 steps, where arithmetic is many times
+    # slower; a noisy solve runs to max_iters with many such slabs.
+    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
+    ens, obs, xs = make_instance(434, noise=NoiseModel.uniform(1e-2))
+    counted = CountingEnsemble(ens)
+    sol = solve_phasemax(counted, obs, xs / np.linalg.norm(xs), SolverConfig(max_iters=3000))
+    assert not sol.converged
+    assert counted.subnormal_inputs == 0
+
+
 def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
     # With rho = 1 and no history the iterates are those of the plain
     # dual-first loop y <- shrink(y + sigma A xbar), x <- x + tau a0 - tau A^H y,
-    # xbar <- 2 x_new - x, up to rounding.
+    # xbar <- 2 x_new - x, up to rounding. The solver starts at y = 0 and
+    # x0 = c a0; from x = x0 and xbar = 0 the loop's first dual step,
+    # shrink(0) = 0, leaves y at the solver's start, and its first primal step
+    # is the solver's.
     ens, obs, xs = make_instance(432)
     a0 = xs / np.linalg.norm(xs)
     monkeypatch.setattr(solver, "_RELAXATION", 1.0)
@@ -366,8 +384,8 @@ def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
     op_norm = operator_norm(ens, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
     c = np.linalg.norm(radii) / op_norm
     tau, sigma = c * solver._STEP_SCALE / op_norm, solver._STEP_SCALE / (c * op_norm)
-    x = np.zeros(ens.n, dtype=complex)
-    xbar, y = x.copy(), np.zeros(ens.m, dtype=complex)
+    x = c * a0
+    xbar, y = np.zeros(ens.n, dtype=complex), np.zeros(ens.m, dtype=complex)
     for _ in range(iters):
         y = shrink(y + sigma * ens.forward(xbar), sigma, radii)
         x_new = x + tau * a0 - tau * ens.adjoint(y)
@@ -386,7 +404,8 @@ def held_out_trial(ratio, t):
 @HELD_OUT_TRIALS
 def test_relaxation_shortens_noiseless_iterations(ratio, t, monkeypatch):
     # Held-out trials RngStream(7, 100 ratio + t) took 1244-1306 iterations
-    # without relaxation; at 1.7 they take 741-766 (without a history).
+    # without relaxation from x = 0; at 1.7 they take 646-748 (without a
+    # history) from the rescaled anchor.
     monkeypatch.setattr(solver, "_AA_MEMORY", 0)
     record = held_out_trial(ratio, t)
     assert record.converged
@@ -396,8 +415,8 @@ def test_relaxation_shortens_noiseless_iterations(ratio, t, monkeypatch):
 
 @HELD_OUT_TRIALS
 def test_anderson_halves_noiseless_iterations(ratio, t):
-    # The same trials take 273-353 iterations with a history of 10. Without
-    # the safeguard the iterates of trial (12, 0) overflow.
+    # The same trials take 266-313 iterations with a history of 10. Without
+    # the safeguard the iterates of trial (12, 0) overflowed (from x = 0).
     record = held_out_trial(ratio, t)
     assert record.converged
     assert record.iters <= 400
@@ -449,7 +468,7 @@ def test_hard_sweep_trial_stays_accurate():
     # at 1.2e-7 error at max_iters, and every fixed primal weight from 1.25
     # to 3 leaves it above 1e-6 (7.2e-5 at 2.5). At relaxation 1.7 it ran
     # to max_iters, 2000, at 5.8e-11; with the Anderson history it converges
-    # in 1,581 iterations, at 7.2e-12.
+    # in 1,550 iterations, at 6.9e-12.
     [record] = run_sweep(SweepConfig(n=128, ratios=(8.0,), trials=1, seed=3_000_010))
     assert record.converged
     assert record.rel_error <= 1e-9
