@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--noise", type=parse_noise, default=NoiseModel.none(),
                        help="none | uniform:<eta_inv> | gaussian:<snr_db>, where snr_db is "
                             "the target input SNR; the number is the CSV's noise_param")
-    sweep.add_argument("--anchor-iters", type=int, default=50)
+    sweep.add_argument("--anchor-iters", type=int, default=50,
+                       help="cap on the spectral anchor's Lanczos steps; it stops sooner "
+                            "once its top Ritz pair has converged")
     sweep.add_argument("--max-iters", type=int, default=None)
     sweep.add_argument("--tol", type=float, default=None,
                        help="sets both the relative-change and feasibility tolerances")
@@ -107,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     cdp = sub.add_parser("cdp", help="coded-diffraction recovery of a PGM image")
     cdp.add_argument("--image", required=True, help="input 8-bit binary PGM (P5)")
     cdp.add_argument("--masks", type=int, default=20, help="number of modulation patterns L")
-    cdp.add_argument("--anchor-iters", type=int, default=50)
+    cdp.add_argument("--anchor-iters", type=int, default=50,
+                     help="cap on the spectral anchor's Lanczos steps; it stops sooner "
+                          "once its top Ritz pair has converged")
     cdp.add_argument("--max-iters", type=int, default=None)
     cdp.add_argument("--tol", type=float, default=None)
     cdp.add_argument("--seed", type=int, default=0)

@@ -37,7 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration for a Gaussian measurement sweep across sampling ratios."""
+    """Configuration for a Gaussian measurement sweep across sampling ratios.
+
+    anchor_iters caps the Lanczos steps of each trial's spectral anchor,
+    which stops sooner once its top Ritz pair has converged."""
 
     n: int
     ratios: tuple
@@ -206,8 +209,9 @@ def run_cdp_demo(
     The image is flattened to a real non-negative signal and normalized to
     unit energy before measuring (solutions of the relaxation scale linearly
     with the data). The masks are Rademacher, so A^H A = L I and the solver
-    starts from the spectral anchor rescaled to exactly ||xstar||. cfg
-    defaults to DEFAULT_CDP_CONFIG, a fixed 175 iterations. The recovered
+    starts from the spectral anchor, built in at most anchor_iters Lanczos
+    steps, rescaled to exactly ||xstar||. cfg defaults to
+    DEFAULT_CDP_CONFIG, a fixed 175 iterations. The recovered
     estimate is phase-aligned, rescaled, and its real part written both as a
     clamped 8-bit PGM and as a raw float64 sidecar for bit-exact error
     computation. The written files depend only on the inputs and seed; wall

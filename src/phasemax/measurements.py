@@ -44,7 +44,7 @@ class MeasurementEnsemble:
 
     forward also takes a keyword-only out, a complex128 m-vector that must
     not overlap x; the result is written into it and out is returned, with
-    the same bits as a call without it. The spectral anchor's power loop
+    the same bits as a call without it. The spectral anchor's Lanczos loop
     passes one buffer to every step, so each step frees no m-sized array:
     freeing two a step made glibc trim the heap and fault the pages back
     in, 31,040 minor faults an anchor in the cdp-image benchmark process
@@ -96,7 +96,11 @@ class DenseEnsemble(MeasurementEnsemble):
             raise ValueError("n and m must be >= 1")
         g = rng.generator
         scale = np.sqrt(0.5)
-        rows = scale * (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n)))
+        # The same bits as scale * (re + 1j * im), without its three m x n
+        # complex temporaries.
+        rows = np.empty((m, n), dtype=np.complex128)
+        np.multiply(g.standard_normal((m, n)), scale, out=rows.real)
+        np.multiply(g.standard_normal((m, n)), scale, out=rows.imag)
         return cls(rows)
 
     def forward(self, x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -118,6 +122,14 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
     Block l of the forward map is the unitary DFT of phi_l o x; blocks are
     concatenated mask-major, so m = L*n exactly. Only the masks are stored and
     each application costs L FFTs.
+
+    The unitary scaling 1/sqrt(n) is applied to the n-vector, not to the m
+    outputs: forward scales x before the masks and runs the unnormalised
+    FFT, and adjoint runs the unnormalised inverse FFT and scales the summed
+    n-vector. That saves an m-sized scaling pass in each kernel. When sqrt(n)
+    is a power of two the scaling is exact, so the results are bit for bit
+    those of the DFT with norm="ortho" (tests/support.py's references);
+    otherwise they differ from them by rounding.
     """
 
     def __init__(self, masks):
@@ -126,6 +138,7 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         self._masks_conj = masks.conj()
         self.num_masks, self.n = masks.shape
         self.m = self.num_masks * self.n
+        self._unitary_scale = 1.0 / math.sqrt(self.n)
 
     @classmethod
     def rademacher(cls, n: int, num_masks: int, rng: RngStream) -> "CodedDiffractionEnsemble":
@@ -139,14 +152,16 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         if out is None:
             out = np.empty(self.m, dtype=np.complex128)
         blocks = out.reshape(self.num_masks, self.n)
-        np.multiply(self.masks, x, out=blocks)
-        np.fft.fft(blocks, axis=1, norm="ortho", out=blocks)
+        np.multiply(self.masks, x * self._unitary_scale, out=blocks)
+        np.fft.fft(blocks, axis=1, out=blocks)
         return out
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
-        blocks = np.fft.ifft(z.reshape(self.num_masks, self.n), axis=1, norm="ortho")
+        blocks = np.fft.ifft(z.reshape(self.num_masks, self.n), axis=1, norm="forward")
         blocks *= self._masks_conj
-        return blocks.sum(axis=0)
+        out = blocks.sum(axis=0)
+        out *= self._unitary_scale
+        return out
 
     def exact_norm(self) -> float:
         """A^H A = diag(sum_l |phi_l|^2), so ||A|| = sqrt(max_j sum_l |phi_l[j]|^2)."""

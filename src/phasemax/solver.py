@@ -112,18 +112,18 @@ class Solution:
     converged: bool
 
 
-def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, buf: np.ndarray,
-                 scale: float = 1.0) -> None:
+def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, floor: np.ndarray,
+                 buf: np.ndarray, scale: float = 1.0) -> None:
     """Overwrite y with scale * (y - sigma * P(y / sigma)), P projecting entry
-    i onto the disk |w| <= radii_i, given sigma_radii = sigma * radii.
+    i onto the disk |w| <= radii_i, given sigma_radii = sigma * radii and
+    floor = max(sigma_radii, tiny), which a solve forms once.
 
     By the Moreau identity this is a per-modulus soft threshold,
     y_i <- y_i * (1 - sigma r_i / max(|y_i|, sigma r_i, tiny)); the tiny floor
     keeps r_i = 0, y_i = 0 from giving 0/0. buf is float scratch of y's length.
     """
     np.abs(y, out=buf)
-    np.maximum(buf, sigma_radii, out=buf)
-    np.maximum(buf, _TINY, out=buf)
+    np.maximum(buf, floor, out=buf)
     np.divide(sigma_radii, buf, out=buf)
     np.subtract(1.0, buf, out=buf)
     if scale != 1.0:
@@ -319,7 +319,9 @@ def solve_phasemax(
         balance, start = 1.0, 0.0
     tau = balance * _STEP_SCALE / op_norm
     sigma = _STEP_SCALE / (balance * op_norm)
-    args = (ens, obs, b, start * a0, (tau * a0, tau, sigma, sigma * radii),
+    sigma_radii = sigma * radii
+    args = (ens, obs, b, start * a0,
+            (tau * a0, tau, sigma, sigma_radii, np.maximum(sigma_radii, _TINY)),
             _DUAL_FLOOR * a0_norm / op_norm, cfg)
     memory = _history_length(ens)
     if memory:
@@ -340,7 +342,7 @@ def _relaxed_loop(ens, obs, b, x, steps, y_floor, cfg):
     """The over-relaxed iteration from (x, 0), updating x in place, with the
     lazy screen: (x, iters_used, converged, feasibility residual of x).
     Every _FLUSH_EVERY steps, dual entries below y_floor are set to 0."""
-    tau_a0, tau, sigma, sigma_radii = steps
+    tau_a0, tau, sigma, sigma_radii, radii_floor = steps
     y = np.zeros(ens.m, dtype=np.complex128)
     xbar = np.empty(ens.n, dtype=np.complex128)
     buf = np.empty(ens.m)
@@ -367,7 +369,7 @@ def _relaxed_loop(ens, obs, b, x, steps, y_floor, cfg):
             sax += f
             sax *= 0.5 * rho
         f += y
-        _shrink_dual(f, sigma_radii, buf, rho)
+        _shrink_dual(f, sigma_radii, radii_floor, buf, rho)
         y *= 1.0 - rho
         y += f
         # Not kept across adjoint: two live m-sized buffers fault pages back
@@ -405,7 +407,7 @@ def _accelerated_loop(ens, obs, b, x0, steps, y_floor: float, cfg, aa: _Anderson
     sigma A x carried from one exact forward of x0: (x, iters_used,
     converged, feas) as _relaxed_loop. Every _FLUSH_EVERY steps, dual
     entries below y_floor are set to 0."""
-    tau_a0, tau, sigma, sigma_radii = steps
+    tau_a0, tau, sigma, sigma_radii, radii_floor = steps
     n, m = ens.n, ens.m
     x, y, sax, xy = aa.z[:n], aa.z[n:n + m], aa.z[n + m:], aa.z[:n + m]
     x[:] = x0
@@ -428,7 +430,7 @@ def _accelerated_loop(ens, obs, b, x0, steps, y_floor: float, cfg, aa: _Anderson
         tsa *= 0.5 * rho
         tsa += sax
         f += y
-        _shrink_dual(f, sigma_radii, buf)
+        _shrink_dual(f, sigma_radii, radii_floor, buf)
         t[n:n + m] = f
         del f
         np.subtract(t[:n + m], xy, out=g)

@@ -1,14 +1,17 @@
-"""Helpers shared by the test modules: an independent brute-force oracle for
-the relaxation in dimension n <= 3, the disk projection the solver's dual
-shrink is checked against, one-expression references for the CDP kernels,
-the full-dimensional cut-probability sampler, the spectral anchor's power
-iteration written plainly, the solver loop with an exact stop check, and CSV
-comparison without the wall-clock column."""
+"""Helpers shared by the test modules: an ensemble wrapper that counts kernel
+calls, an independent brute-force oracle for the relaxation in dimension
+n <= 3, the disk projection the solver's dual shrink is checked against,
+one-expression references for the CDP kernels, the full-dimensional
+cut-probability sampler, the spectral anchor's Lanczos iteration and the
+dense Gaussian sampler written plainly, the solver loop with an exact stop
+check, and CSV comparison without the wall-clock column."""
 
 import math
 from itertools import combinations, product
 
 import numpy as np
+
+from phasemax.measurements import MeasurementEnsemble
 
 
 def strip_runtime(csv_text):
@@ -16,6 +19,29 @@ def strip_runtime(csv_text):
     rows = [line.split(",") for line in csv_text.strip().splitlines()]
     idx = rows[0].index("runtime_ms")
     return [",".join(r[:idx] + r[idx + 1:]) for r in rows]
+
+
+class CountingEnsemble(MeasurementEnsemble):
+    """Wraps an ensemble; counts its forward and adjoint calls, and the
+    subnormal entries (0 < |z_i| < tiny) of the vectors its adjoint is given."""
+
+    def __init__(self, ens):
+        self.ens, self.n, self.m = ens, ens.n, ens.m
+        self.forwards = self.adjoints = self.subnormal_inputs = 0
+
+    def forward(self, x, *, out=None):
+        self.forwards += 1
+        return self.ens.forward(x, out=out)
+
+    def adjoint(self, z):
+        self.adjoints += 1
+        mod = np.abs(z)
+        self.subnormal_inputs += int(np.count_nonzero((mod > 0) & (mod < np.finfo(float).tiny)))
+        return self.ens.adjoint(z)
+
+    @property
+    def nbytes(self):
+        return self.ens.nbytes
 
 
 def disk_project_vector(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -153,20 +179,40 @@ def _polytope_box(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def spectral_anchor_reference(ens, obs, iters, rng):
-    """spectral_anchor's power iteration as plain expressions, each step with
-    a fresh forward: (a0, Rayleigh quotient), which spectral_anchor must
-    return bit for bit."""
+    """spectral_anchor's Lanczos iteration as plain expressions, each step with
+    a fresh forward and the basis kept as a list: (a0, Ritz value, steps),
+    which spectral_anchor must return bit for bit."""
+    from phasemax.anchor import _ANCHOR_RTOL
     from phasemax.numerics import real_inner, sample_complex_gaussian
 
-    def apply_sigma(v):
-        return ens.adjoint(obs.b * ens.forward(v)) / ens.m
-
     v = sample_complex_gaussian(ens.n, rng)
-    v = v / np.linalg.norm(v)
-    for _ in range(iters):
-        w = apply_sigma(v)
-        v = w / np.linalg.norm(w)
-    return v, real_inner(v, apply_sigma(v))
+    vectors = [v / np.linalg.norm(v)]
+    alpha, beta = [], []
+    cap = min(iters, ens.n)
+    for k in range(cap):
+        w = ens.adjoint(obs.b * ens.forward(vectors[k])) / ens.m
+        alpha.append(real_inner(vectors[k], w))
+        krylov = np.array(vectors)
+        for _ in range(2):
+            w = w - np.conj(krylov @ w.conj()) @ krylov
+        beta_k = float(np.linalg.norm(w))
+        t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        values, eigvecs = np.linalg.eigh(t)
+        theta, s = float(values[-1]), eigvecs[:, -1]
+        if s[0] < 0:
+            s = -s
+        if beta_k * abs(s[-1]) <= _ANCHOR_RTOL * abs(theta) or k + 1 == cap:
+            a0 = theta * (s @ krylov) + s[-1] * w
+            return a0 / np.linalg.norm(a0), theta, k + 1
+        beta.append(beta_k)
+        vectors.append(w / beta_k)
+
+
+def dense_gaussian_rows_reference(n, m, rng):
+    """DenseEnsemble.gaussian's rows as the one expression it used to be,
+    scale * (re + 1j * im), which builds three m x n complex temporaries."""
+    g = rng.generator
+    return np.sqrt(0.5) * (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n)))
 
 
 def solve_phasemax_reference(ens, obs, a0, cfg):
@@ -192,6 +238,7 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
     tau = balance * solver._STEP_SCALE / op_norm
     sigma = solver._STEP_SCALE / (balance * op_norm)
     sigma_radii = sigma * radii
+    radii_floor = np.maximum(sigma_radii, solver._TINY)
     tau_a0 = tau * a0
     rho = solver._RELAXATION
     n, m = ens.n, ens.m
@@ -213,7 +260,7 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
             x_half += x
             f = ens.forward(sigma * (2.0 * x_half - x))
             f += y
-            solver._shrink_dual(f, sigma_radii, buf)
+            solver._shrink_dual(f, sigma_radii, radii_floor, buf)
             t[n:n + m] = f
             g[:] = rho * (t[:n + m] - xy)
             t[:n + m] = xy + g
@@ -236,7 +283,7 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
             x_half = (tau_a0 - tau * ens.adjoint(y)) + x
             f = ens.forward(sigma * (2.0 * x_half - x))
             f += y
-            solver._shrink_dual(f, sigma_radii, buf, rho)
+            solver._shrink_dual(f, sigma_radii, radii_floor, buf, rho)
             y *= 1.0 - rho
             y += f
             if k % solver._FLUSH_EVERY == 0:

@@ -11,18 +11,95 @@ from phasemax import (
     sample_complex_gaussian,
     spectral_anchor,
 )
-from phasemax.measurements import Observations
-from support import spectral_anchor_reference
+from phasemax.measurements import MeasurementEnsemble, Observations
+from phasemax.numerics import phase_align_error
+from phasemax.pgm import read_pgm, write_pgm
+from support import CountingEnsemble, spectral_anchor_reference
+
+
+def dense_sigma(ens, obs):
+    """sum_i b_i a_i a_i^H / M as a matrix."""
+    return (ens.rows.T * obs.b) @ ens.rows.conj() / ens.m
 
 
 def test_spectral_anchor_rank_one():
+    # Sigma = a a^H (M = 1, b = 1) has a two-dimensional Krylov space: the
+    # third Lanczos vector would be rounding noise, and the anchor is the
+    # Ritz vector of the space found, not a division by a vanishing beta.
     rng = RngStream(301)
     row = sample_complex_gaussian(6, rng)
     ens = DenseEnsemble(row[None, :])
     obs = Observations(b=np.array([1.0]))
     report = spectral_anchor(ens, obs, 20, RngStream(302))
+    assert report.steps == 2
     assert np.linalg.norm(report.a0) == pytest.approx(1.0, abs=1e-12)
     assert anchor_correlation(report.a0, row) == pytest.approx(1.0, abs=1e-10)
+    assert report.rayleigh_quotient == pytest.approx(np.vdot(row, row).real, rel=1e-12)
+
+
+def test_spectral_anchor_breaks_down_on_a_scaled_identity():
+    # Sigma = I / n: every start vector is an eigenvector, so the first step
+    # breaks down and the anchor is the start vector.
+    n = 6
+    ens = DenseEnsemble(np.eye(n))
+    report = spectral_anchor(ens, Observations(b=np.ones(n)), 20, RngStream(317))
+    start = sample_complex_gaussian(n, RngStream(317))
+    assert report.steps == 1
+    assert report.rayleigh_quotient == pytest.approx(1.0 / n, rel=1e-12)
+    assert np.allclose(report.a0, start / np.linalg.norm(start), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("iters", [5, 6, 50])
+def test_spectral_anchor_cap_of_n_or_more(iters):
+    # n = 5: the Krylov space fills C^5 by step 5 at the latest.
+    rng = RngStream(318)
+    n = 5
+    ens = DenseEnsemble.gaussian(n, 40, rng)
+    obs = observe(ens, sample_complex_gaussian(n, rng), NoiseModel.none(), rng)
+    report = spectral_anchor(ens, obs, iters, RngStream(319))
+    eigvals, eigvecs = np.linalg.eigh(dense_sigma(ens, obs))
+    assert report.steps <= n
+    assert report.rayleigh_quotient == pytest.approx(eigvals[-1], rel=1e-10)
+    assert phase_align_error(report.a0, eigvecs[:, -1]) <= 1e-7
+
+
+class HermitianOperator(MeasurementEnsemble):
+    """Sigma = h for any Hermitian h, in the anchor's form
+    adjoint(b o forward(v)) / m with b = 1: forward is h, adjoint m I."""
+
+    def __init__(self, h):
+        self.h = h
+        self.n = self.m = h.shape[0]
+
+    def forward(self, x, *, out=None):
+        return np.matmul(self.h, x, out=out)
+
+    def adjoint(self, z):
+        return z * self.m
+
+
+def test_spectral_anchor_gives_the_largest_algebraic_eigenpair():
+    # The most negative eigenvalue, -3, is the largest in modulus, where the
+    # power method would go; Lanczos needs no shift to find the top one, 2.
+    rng = RngStream(320)
+    n = 40
+    q, _ = np.linalg.qr(sample_complex_gaussian(n * n, rng).reshape(n, n))
+    values = np.append(np.linspace(-3.0, 1.5, n - 1), 2.0)
+    h = (q * values) @ q.conj().T
+    h = (h + h.conj().T) / 2
+    report = spectral_anchor(HermitianOperator(h), Observations(b=np.ones(n)), 50,
+                             RngStream(321))
+    eigvals, eigvecs = np.linalg.eigh(h)
+    assert eigvals[-1] == pytest.approx(2.0, rel=1e-12)
+    assert report.rayleigh_quotient == pytest.approx(eigvals[-1], rel=1e-10)
+    assert phase_align_error(report.a0, eigvecs[:, -1]) <= 1e-6
+
+
+def test_spectral_anchor_rejects_degenerate_sigma():
+    # Positive b on zero rows: Sigma = 0 maps every start vector to zero.
+    ens = DenseEnsemble(np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        spectral_anchor(ens, Observations(b=np.ones(4)), 10, RngStream(322))
 
 
 def test_spectral_anchor_matches_dense_eigen_oracle():
@@ -33,19 +110,19 @@ def test_spectral_anchor_matches_dense_eigen_oracle():
     obs = observe(ens, xs, NoiseModel.none(), rng)
     report = spectral_anchor(ens, obs, 50, RngStream(304))
 
-    sigma = (ens.rows.T * obs.b) @ ens.rows.conj() / m  # sum_i b_i a_i a_i^H / M
-    eigvals, eigvecs = np.linalg.eigh(sigma)
+    eigvals, eigvecs = np.linalg.eigh(dense_sigma(ens, obs))
     top = eigvecs[:, -1]
-    corr_power = anchor_correlation(report.a0, xs)
+    corr_anchor = anchor_correlation(report.a0, xs)
     corr_eigen = anchor_correlation(top, xs)
-    assert corr_power == pytest.approx(corr_eigen, abs=1e-6)
+    assert corr_anchor == pytest.approx(corr_eigen, abs=1e-6)
     assert report.rayleigh_quotient == pytest.approx(eigvals[-1], rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["dense", "cdp"])
-def test_spectral_anchor_matches_plain_power_iteration(kind):
-    # The anchor writes every step's forward into one buffer; that must not
-    # change a bit of the iteration.
+def test_spectral_anchor_matches_plain_lanczos(kind):
+    # The anchor writes every step's forward into one buffer and grows its
+    # basis in place; that must not change a bit of the iteration, whether
+    # it stops on the residual (cap 30) or at the cap (5).
     rng = RngStream(314)
     n = 64
     if kind == "dense":
@@ -53,10 +130,45 @@ def test_spectral_anchor_matches_plain_power_iteration(kind):
     else:
         ens = CodedDiffractionEnsemble.rademacher(n, 6, rng)
     obs = observe(ens, sample_complex_gaussian(n, rng), NoiseModel.none(), rng)
-    report = spectral_anchor(ens, obs, 30, RngStream(315))
-    a0, quotient = spectral_anchor_reference(ens, obs, 30, RngStream(315))
-    assert np.array_equal(report.a0, a0)
-    assert report.rayleigh_quotient == quotient
+    for iters in (5, 30):
+        report = spectral_anchor(ens, obs, iters, RngStream(315))
+        a0, quotient, steps = spectral_anchor_reference(ens, obs, iters, RngStream(315))
+        assert np.array_equal(report.a0, a0)
+        assert report.rayleigh_quotient == quotient
+        assert report.steps == steps
+    assert steps < 30
+
+
+def test_spectral_anchor_no_further_than_power_steps_at_every_cap():
+    rng = RngStream(323)
+    n = 64
+    ens = DenseEnsemble.gaussian(n, 8 * n, rng)
+    obs = observe(ens, sample_complex_gaussian(n, rng), NoiseModel.none(), rng)
+    top = np.linalg.eigh(dense_sigma(ens, obs))[1][:, -1]
+    v = sample_complex_gaussian(n, RngStream(324))
+    v = v / np.linalg.norm(v)
+    for cap in range(1, 41):
+        w = ens.adjoint(obs.b * ens.forward(v)) / ens.m
+        v = w / np.linalg.norm(w)
+        anchor = spectral_anchor(ens, obs, cap, RngStream(324)).a0
+        power_distance = phase_align_error(v, top)
+        assert phase_align_error(anchor, top) <= power_distance * (1 + 1e-9) + 1e-15, cap
+
+
+def test_spectral_anchor_steps_on_the_cdp_demo(tmp_path):
+    # Criterion 7's instance, built as run_cdp_demo builds it. 50 power steps
+    # and a Rayleigh quotient made 51 applications of Sigma.
+    path = tmp_path / "gradient64.pgm"
+    write_pgm(path, np.add.outer(np.linspace(5, 250, 64), np.linspace(0, 30, 64)))
+    flat = read_pgm(path).astype(np.float64).ravel()
+    xstar = (flat / np.linalg.norm(flat)).astype(np.complex128)
+    stream = RngStream(20260809)
+    ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], 20, stream)
+    obs = observe(ens, xstar, NoiseModel.none(), stream)
+    counted = CountingEnsemble(ens)
+    report = spectral_anchor(counted, obs, 50, stream)
+    assert counted.forwards == counted.adjoints == report.steps
+    assert counted.forwards + counted.adjoints <= 2 * 24
 
 
 def test_spectral_anchor_rayleigh_quotient_nondecreasing():

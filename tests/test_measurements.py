@@ -15,7 +15,7 @@ from phasemax import (
     sample_complex_gaussian,
     sample_rademacher,
 )
-from support import cdp_adjoint_reference, cdp_forward_reference
+from support import cdp_adjoint_reference, cdp_forward_reference, dense_gaussian_rows_reference
 
 
 def dft_basis_vector(k, n):
@@ -112,6 +112,26 @@ def test_cdp_kernels_match_reference_expressions(mask_kind):
                 assert np.array_equal(got, ref)
             else:  # in-place products may round differently in the last bit
                 assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_cdp_kernels_match_reference_expressions_when_sqrt_n_is_not_a_power_of_two():
+    # The kernels scale by 1/sqrt(n) on the n-vector; at n = 48 that rounds
+    # differently from the references' norm="ortho" on the m-vector.
+    rng = RngStream(230)
+    ens = CodedDiffractionEnsemble.rademacher(48, 5, rng)
+    for _ in range(10):
+        x = sample_complex_gaussian(ens.n, rng)
+        z = sample_complex_gaussian(ens.m, rng)
+        for got, ref in ((ens.forward(x), cdp_forward_reference(ens.masks, x)),
+                         (ens.adjoint(z), cdp_adjoint_reference(ens.masks, z))):
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n, m, seed", [(128, 1024, 231), (128, 1536, 232), (7, 3, 233)])
+def test_dense_gaussian_rows_match_the_one_expression_sampler(n, m, seed):
+    rows = DenseEnsemble.gaussian(n, m, RngStream(seed)).rows
+    ref = dense_gaussian_rows_reference(n, m, RngStream(seed))
+    assert rows.tobytes() == ref.tobytes()  # the same bits, signed zeros included
 
 
 def test_dense_kernels_match_reference_expressions():

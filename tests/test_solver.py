@@ -19,14 +19,20 @@ from phasemax import (
 )
 from phasemax import solver
 from phasemax.experiments import _run_trial
-from phasemax.measurements import MeasurementEnsemble, Observations, operator_norm
+from phasemax.measurements import Observations, operator_norm
 from phasemax.solver import _shrink_dual
-from support import disk_project_vector, oracle_solve_small, solve_phasemax_reference
+from support import (
+    CountingEnsemble,
+    disk_project_vector,
+    oracle_solve_small,
+    solve_phasemax_reference,
+)
 
 
 def shrink(y, sigma, radii):
     out = np.array(y, dtype=complex)
-    _shrink_dual(out, sigma * np.asarray(radii, dtype=float), np.empty(out.shape[0]))
+    sigma_radii = sigma * np.asarray(radii, dtype=float)
+    _shrink_dual(out, sigma_radii, np.maximum(sigma_radii, solver._TINY), np.empty(out.shape[0]))
     return out
 
 
@@ -69,8 +75,9 @@ def test_shrink_dual_scale_multiplies_the_shrink():
     y = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     sigma_radii = 0.4 * np.abs(rng.standard_normal(50))
     plain, scaled = y.copy(), y.copy()
-    _shrink_dual(plain, sigma_radii, np.empty(50))
-    _shrink_dual(scaled, sigma_radii, np.empty(50), 1.7)
+    floor = np.maximum(sigma_radii, solver._TINY)
+    _shrink_dual(plain, sigma_radii, floor, np.empty(50))
+    _shrink_dual(scaled, sigma_radii, floor, np.empty(50), 1.7)
     assert np.max(np.abs(scaled - 1.7 * plain)) <= 1e-15 * np.max(np.abs(y))
 
 
@@ -213,28 +220,6 @@ def test_solver_determinism():
     assert s1.objective == s2.objective
     assert s1.feas_residual == s2.feas_residual
     assert s1.converged == s2.converged
-
-
-class CountingEnsemble(MeasurementEnsemble):
-    """Wraps an ensemble; counts its forward calls, and the subnormal entries
-    (0 < |z_i| < tiny) of the vectors its adjoint is given."""
-
-    def __init__(self, ens):
-        self.ens, self.n, self.m = ens, ens.n, ens.m
-        self.forwards = self.subnormal_inputs = 0
-
-    def forward(self, x):
-        self.forwards += 1
-        return self.ens.forward(x)
-
-    def adjoint(self, z):
-        mod = np.abs(z)
-        self.subnormal_inputs += int(np.count_nonzero((mod > 0) & (mod < np.finfo(float).tiny)))
-        return self.ens.adjoint(z)
-
-    @property
-    def nbytes(self):
-        return self.ens.nbytes
 
 
 REFERENCE_CASES = pytest.mark.parametrize("noise, stop_at_cap", [

@@ -54,6 +54,20 @@ def test_rayleigh_normal_cdf_vs_monte_carlo(alpha, beta):
     assert abs(p - emp) <= 4 * se
 
 
+def test_rayleigh_normal_cdf_matches_quadrature():
+    # F(alpha, beta) = P(alpha v + beta / v > g) against the quadrature of its
+    # defining integral, which test_verify_quadrature_matches_mpmath pins to
+    # mpmath, and F(alpha, 0) against its exact value (s + alpha) / (2s).
+    from phasemax.experiments import _rayleigh_normal_quadrature
+
+    for alpha, beta in [(0.0, -1.0), (1.0, 0.5), (-2.0, 0.0), (-0.5, 0.0), (0.5, 0.0), (2.0, 0.0)]:
+        value = rayleigh_normal_cdf(alpha, beta)
+        assert abs(value - _rayleigh_normal_quadrature(alpha, beta)) <= 1e-12
+        if beta == 0.0:
+            s = math.hypot(alpha, 1.0)
+            assert value == pytest.approx((s + alpha) / (2 * s), rel=1e-12)
+
+
 def test_rayleigh_normal_cdf_branch_continuity():
     for alpha in np.linspace(-10.0, 10.0, 401):
         left = rayleigh_normal_cdf(alpha, -1e-300)  # beta<0 branch at its limit

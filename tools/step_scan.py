@@ -16,14 +16,25 @@ gradient image with 20 masks (acceptance criterion 7 and the cdp-image
 benchmark), once per seed and per iteration cap in --at, and prints each
 instance's rel_error at each cap, at the solver's current constants.
 
+With --anchor it checks the spectral anchor instead of the solve: on each
+CDP demo instance of --cdp (none by default) and each held-out trial, built
+as run_cdp_demo and _run_trial build them, it prints the Lanczos steps that
+spectral_anchor takes at a cap of 50, the phase-aligned distance of its
+anchor to the top eigenvector of Sigma, and that distance for 50 power steps
+from the same start vector. The eigenvector comes from np.linalg.eigh of the
+dense Sigma for the trials, and from 200 Lanczos steps at no stop tolerance
+for the CDP instances.
+
     python3 tools/step_scan.py --weights 1 2.5 --relax 1 1.5 1.7 --n 128 --ratios 8 12 --trials 8
     python3 tools/step_scan.py --relax 1.7 --memory 0 3 5 8 10 12
     python3 tools/step_scan.py --cdp 20260809 5000000 5000001 --at 150 175 250
+    python3 tools/step_scan.py --anchor --cdp 20260809 1000000 1000001
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import statistics
 import sys
@@ -34,10 +45,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from phasemax import solver  # noqa: E402
+from phasemax import anchor, solver  # noqa: E402
 from phasemax.experiments import _run_trial, run_cdp_demo  # noqa: E402
-from phasemax.measurements import NoiseModel  # noqa: E402
-from phasemax.pgm import write_pgm  # noqa: E402
+from phasemax.measurements import (  # noqa: E402
+    CodedDiffractionEnsemble,
+    DenseEnsemble,
+    NoiseModel,
+    observe,
+)
+from phasemax.numerics import RngStream, phase_align_error, sample_complex_gaussian  # noqa: E402
+from phasemax.pgm import read_pgm, write_pgm  # noqa: E402
 
 
 def scan(weights, relaxations, memories, n: int, ratios, trials: int, seed: int) -> None:
@@ -64,13 +81,71 @@ def scan_cdp(seeds, caps) -> None:
     print(f"64x64 gradient image, L=20; rel_error at max_iters {list(caps)}")
     print(f"{'seed':>10} " + " ".join(f"{cap:>10d}" for cap in caps))
     with tempfile.TemporaryDirectory() as tmp:
-        image = Path(tmp) / "gradient64.pgm"
-        write_pgm(image, np.add.outer(np.linspace(5, 250, 64), np.linspace(0, 30, 64)))
+        image = gradient_image(tmp)
         for seed in seeds:
             errors = [run_cdp_demo(image, num_masks=20, cfg=solver.SolverConfig(max_iters=cap),
                                    seed=seed, out_prefix=str(Path(tmp) / "cdp")).rel_error
                       for cap in caps]
             print(f"{seed:10d} " + " ".join(f"{e:10.3e}" for e in errors), flush=True)
+
+
+def gradient_image(directory) -> Path:
+    """The 64 x 64 gradient image of the CDP demo, written as a PGM."""
+    image = Path(directory) / "gradient64.pgm"
+    write_pgm(image, np.add.outer(np.linspace(5, 250, 64), np.linspace(0, 30, 64)))
+    return image
+
+
+def power_steps(ens, obs, steps: int, start):
+    """steps power iterations on Sigma from start, normalised each step."""
+    v = start / np.linalg.norm(start)
+    for _ in range(steps):
+        w = ens.adjoint(obs.b * ens.forward(v)) / ens.m
+        v = w / np.linalg.norm(w)
+    return v
+
+
+def long_lanczos(ens, obs, steps: int, rng):
+    """The anchor after steps Lanczos steps with the stop tolerance at 0."""
+    saved = anchor._ANCHOR_RTOL
+    anchor._ANCHOR_RTOL = 0.0
+    try:
+        return anchor.spectral_anchor(ens, obs, steps, rng).a0
+    finally:
+        anchor._ANCHOR_RTOL = saved
+
+
+def anchor_instances(cdp_seeds, n: int, ratios, trials: int, seed: int):
+    """(name, ens, obs, stream at the anchor's draw, top eigenvector), one
+    instance at a time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        flat = read_pgm(gradient_image(tmp)).astype(np.float64).ravel()
+    xstar = (flat / np.linalg.norm(flat)).astype(np.complex128)
+    for cdp_seed in cdp_seeds:
+        stream = RngStream(cdp_seed)
+        ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], 20, stream)
+        obs = observe(ens, xstar, NoiseModel.none(), stream)
+        yield f"cdp {cdp_seed}", ens, obs, stream, long_lanczos(ens, obs, 200, RngStream(cdp_seed, 1))
+    for ratio in ratios:
+        for t in range(trials):
+            stream = RngStream(seed, int(round(100 * ratio)) + t)
+            m = int(round(ratio * n))
+            xs = sample_complex_gaussian(n, stream)
+            ens = DenseEnsemble.gaussian(n, m, stream)
+            obs = observe(ens, xs, NoiseModel.none(), stream)
+            sigma = (ens.rows.T * obs.b) @ ens.rows.conj() / m
+            yield f"n={n} M/N={ratio:g} t={t}", ens, obs, stream, np.linalg.eigh(sigma)[1][:, -1]
+
+
+def scan_anchor(cdp_seeds, n: int, ratios, trials: int, seed: int) -> None:
+    print(f"spectral anchor at a cap of 50 steps, _ANCHOR_RTOL={anchor._ANCHOR_RTOL:g}; "
+          "distances to the top eigenvector of Sigma")
+    print(f"{'instance':>22} {'steps':>6} {'lanczos':>10} {'power_50':>10}")
+    for name, ens, obs, stream, top in anchor_instances(cdp_seeds, n, ratios, trials, seed):
+        start = sample_complex_gaussian(ens.n, copy.deepcopy(stream))
+        report = anchor.spectral_anchor(ens, obs, 50, stream)
+        print(f"{name:>22} {report.steps:6d} {phase_align_error(report.a0, top):10.2e} "
+              f"{phase_align_error(power_steps(ens, obs, 50, start), top):10.2e}", flush=True)
 
 
 def main(argv=None) -> int:
@@ -87,7 +162,14 @@ def main(argv=None) -> int:
                         help="run the CDP demo at these seeds instead of the sweep trials")
     parser.add_argument("--at", type=int, nargs="+", default=[175], metavar="ITERS",
                         help="with --cdp: the iteration caps to report")
+    parser.add_argument("--anchor", action="store_true",
+                        help="check the spectral anchor on the --cdp instances and the trials")
     args = parser.parse_args(argv)
+    if args.anchor:
+        if args.n < 1 or args.trials < 0:
+            parser.error("--n must be >= 1 and --trials >= 0")
+        scan_anchor(args.cdp or [], args.n, args.ratios, args.trials, args.seed)
+        return 0
     if args.cdp is not None:
         if not all(cap >= 1 for cap in args.at):
             parser.error("--at must be >= 1")
