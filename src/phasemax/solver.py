@@ -1,8 +1,6 @@
 """First-order solver for the anchored relaxation: maximize <a0, x> subject to
-|a_i^H x|^2 <= b_i, by primal-dual proximal splitting with balanced,
-over-relaxed steps, Anderson-accelerated where the history fits in the
-operator's own memory, started from the anchor rescaled to the norm that the
-data imply."""
+|a_i^H x|^2 <= b_i, by over-relaxed primal-dual proximal splitting,
+Anderson-accelerated where the history fits in the operator's own memory."""
 
 from __future__ import annotations
 
@@ -25,21 +23,15 @@ __all__ = [
 # inputs and config always produce identical Solutions.
 _NORM_EST_SEED = 0x5EED
 _NORM_EST_ITERS = 30
-# Fraction of the step-size stability bound: tau = w c _STEP_SCALE / ||A|| and
-# sigma = _STEP_SCALE / (w c ||A||), so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1.
+# Fraction of the step-size stability bound: tau = c _STEP_SCALE / ||A|| and
+# sigma = _STEP_SCALE / (c ||A||), so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1.
 _STEP_SCALE = 0.95
-# Primal weight: the balance c below is multiplied by this constant. The ratio
-# tau / sigma sets the speed of the iteration (Applegate et al., PDLP,
-# arXiv:2106.04756); tools/step_scan.py measures the iterations each multiple
-# takes. Multiples above 1 halve the median iterations on noiseless trials,
-# but some hard trials then end less accurate at max_iters, so it stays 1.
-_PRIMAL_WEIGHT = 1.0
 # Over-relaxation: each primal-dual step is stretched by this factor,
 # (x, y) <- (x, y) + rho (T(x, y) - (x, y)) for the plain step T, which
 # converges for 0 < rho < 2 when tau * sigma * ||A||^2 <= 1 (Condat, JOTA
-# 2013; Chambolle & Pock, Math. Program. 2016). Unlike a larger primal
-# weight it shortens the slow tail of hard trials too; tools/step_scan.py
-# measures each value.
+# 2013; Chambolle & Pock, Math. Program. 2016). Unlike a larger ratio
+# tau / sigma (Applegate et al., PDLP, arXiv:2106.04756) it shortens the
+# slow tail of hard trials too; tools/step_scan.py measures each value.
 _RELAXATION = 1.7
 # The tracked sigma * A x differs from a fresh forward by rounding only, far
 # below the screen's slack: it passes residuals up to 2 tol_feas +
@@ -48,7 +40,7 @@ _RELAXATION = 1.7
 _SCREEN_RTOL = 1e-12
 # Anderson acceleration of the relaxed step (see _Anderson): the number of
 # past steps it combines, at most; _history_length caps it by the operator's
-# size, and a history of 0 runs the plain relaxed loop. tools/step_scan.py
+# size, and a history of 0 is the plain step z <- T(z). tools/step_scan.py
 # --memory measures each length; 3 gains nothing on dense sweep trials, and
 # 10 about halves their iterations.
 _AA_MEMORY = 10
@@ -67,8 +59,8 @@ _AA_MAX_REJECTIONS = 32
 # The dual entries of inactive slabs decay geometrically towards 0 (by
 # rho - 1 = 0.7 a plain step). Left alone they reach subnormal values after
 # about 2,000 steps, where arithmetic is many times slower (an adjoint took
-# 1.8 ms instead of 0.2 ms at m = 1536). So every _FLUSH_EVERY steps both
-# loops set entries below _DUAL_FLOOR * ||a0|| / ||A|| to 0; a dual optimum
+# 1.8 ms instead of 0.2 ms at m = 1536). So every _FLUSH_EVERY steps the
+# solver sets entries below _DUAL_FLOOR * ||a0|| / ||A|| to 0; a dual optimum
 # has ||y|| >= ||a0|| / ||A||.
 _DUAL_FLOOR = 1e-100
 _FLUSH_EVERY = 16
@@ -113,9 +105,9 @@ class Solution:
 
 
 def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, floor: np.ndarray,
-                 buf: np.ndarray, scale: float = 1.0) -> None:
-    """Overwrite y with scale * (y - sigma * P(y / sigma)), P projecting entry
-    i onto the disk |w| <= radii_i, given sigma_radii = sigma * radii and
+                 buf: np.ndarray) -> None:
+    """Overwrite y with y - sigma * P(y / sigma), P projecting entry i onto
+    the disk |w| <= radii_i, given sigma_radii = sigma * radii and
     floor = max(sigma_radii, tiny), which a solve forms once.
 
     By the Moreau identity this is a per-modulus soft threshold,
@@ -126,8 +118,6 @@ def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, floor: np.ndarray,
     np.maximum(buf, floor, out=buf)
     np.divide(sigma_radii, buf, out=buf)
     np.subtract(1.0, buf, out=buf)
-    if scale != 1.0:
-        buf *= scale
     y *= buf
 
 
@@ -160,8 +150,8 @@ def _history_length(ens: MeasurementEnsemble) -> int:
     takes no more bytes than the operator's own arrays. A slot holds a step
     difference with sigma A of its x part (n + 2m) and a residual difference
     (n + m), in complex128: 0.8 MB against 3.1 MB of rows at n = 128,
-    M/N = 12, and 0 slots for a 64 x 64, L = 20 CDP operator (4.1 MB a slot
-    against 2.6 MB of masks)."""
+    M/N = 12. A 64 x 64, L = 20 CDP operator gets 0 slots (4.1 MB a slot
+    against 2.6 MB of masks), so its solve takes plain steps, in place."""
     return min(_AA_MEMORY, ens.nbytes // (16 * (2 * (ens.n + ens.m) + ens.m)))
 
 
@@ -248,10 +238,10 @@ def solve_phasemax(
 ) -> Solution:
     """Solve max <a0, x> s.t. |a_i^H x|^2 <= b_i by primal-dual splitting.
 
-    The slab constraints are reformulated once as disk constraints
-    |(Ax)_i| <= r_i = sqrt(b_i). With primal step tau = w * c * _STEP_SCALE / ||A||,
-    dual step sigma = _STEP_SCALE / (w * c * ||A||) and relaxation
-    rho = _RELAXATION, one step z = (x, y) -> T(z) is
+    The slabs are disk constraints |(Ax)_i| <= r_i = sqrt(b_i). With the
+    balance c = ||r|| / (||A|| ||a0||), primal step tau = c * _STEP_SCALE / ||A||,
+    dual step sigma = _STEP_SCALE / (c * ||A||) and rho = _RELAXATION, one
+    step z = (x, y) -> T(z) is
 
         x_half <- x + tau * a0 - tau * A^H y
         v      <- y + sigma * A (2 x_half - x)
@@ -259,50 +249,28 @@ def solve_phasemax(
         T(z)   =  (x, y) + rho * ((x_half, v) - (x, y))
 
     The third line is the shrink v - sigma * P(v / sigma), P projecting entry
-    i onto |w| <= r_i, done in place; with rho = 1 the first three lines are
-    the Chambolle-Pock step. The balance c = ||r|| / (||A|| ||a0||)
-    bounds ||x*|| / ||a0|| from below for noiseless data (||A x*|| = ||r||),
-    so the primal step follows the scale of the signal rather than that of a0:
-    a large x* is not under-stepped. The primal weight w = _PRIMAL_WEIGHT is a
-    fixed multiple of c, now 1 (see its comment). tau * sigma * ||A||^2 =
-    _STEP_SCALE^2 < 1 keeps the iteration stable for any c.
+    i onto |w| <= r_i; with rho = 1 the first three lines are the
+    Chambolle-Pock step. tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1 keeps it
+    stable for any c. For noiseless data c bounds ||x*|| / ||a0|| from below
+    (||A x*|| = ||r||), so the primal step follows the scale of the signal
+    rather than that of a0.
 
-    The solution is the fixed point of T. The solver starts at y = 0 and
-    x0 = c a0, the anchor rescaled to the norm ||r|| / ||A|| that the data
-    imply: for noiseless data ||r|| = ||A x*|| <= ||A|| ||x*||, so that norm
-    bounds ||x*|| from below, and it equals ||x*|| when A^H A = ||A||^2 I, as
-    for unimodular CDP masks (A^H A = L I). x0 does not depend on the scale
-    of a0 and turns with its phase. From there the solver extrapolates each
-    step by type-II Anderson acceleration over the last _AA_MEMORY steps
-    (see _Anderson). Its least squares measures the residual
-    T(z) - z in the metric ||x||^2 / tau + ||y||^2 / sigma, so the x
-    iterates do not depend on the scale of a0 (a0 -> t a0 scales y and
-    sigma by t, tau by 1 / t and the metric by t). Its safeguard drops an
-    extrapolated point whose residual exceeds that of the point before for
-    the plain step from that point and clears the history; after
-    _AA_MAX_REJECTIONS drops it takes plain steps only. The history is
-    capped so that it takes no more memory than the operator's own arrays
-    (_history_length): a dense operator of useful size keeps all of it, a
-    CDP operator none, and with no history the solver iterates z <- T(z).
-    c is 1 for unit a0 and x* under unimodular CDP masks, and w * c falls
-    back to 1 (and x0 to 0) when b is all zero.
+    The solve starts at y = 0 and x0 = c a0, the anchor rescaled to the norm
+    ||r|| / ||A|| that the data imply; that is ||x*|| when A^H A = ||A||^2 I,
+    as for unimodular CDP masks. When b is all zero, c falls back to 1 and
+    x0 to 0. It then iterates z <- T(z), extrapolated by _Anderson over the
+    history that _history_length allows the operator; with none, T(z) is
+    written over z.
 
-    Stops when the relative primal change ||T(z)_x - x|| / ||T(z)_x|| drops
-    below tol_rel_change and the feasibility residual of T(z)_x below
-    tol_feas, returning T(z)_x, or at max_iters, returning the last T(z)_x.
-    The residual is screened without an operator call: A x_half is the
-    mean of A (2 x_half - x), which the step computes anyway, and A x, so
-    T(z)_x has A x + (rho / 2) (A (2 x_half - x) - A x). Without a history,
-    A x is computed exactly the first time the relative change passes and
-    tracked from then on. With one, sigma A x starts from one exact forward
-    of x0 and is carried through each extrapolation beside x, with a history
-    of sigma A of the steps' x parts. The tracked value only screens, with
-    slack; each stop is confirmed with feasibility_residual, so the stop
-    decisions are those of an exact check every time the relative change
-    passes. Zero-radius disks (b_i = 0, e.g. after gaussian-noise clipping)
-    are kept as constraints forcing (Ax)_i toward 0. The returned xhat is
-    feasible only to Solution.feas_residual and not projected onto the slabs
-    (see Solution for why).
+    It stops when the relative change ||T(z)_x - x|| / ||T(z)_x|| is at most
+    tol_rel_change and feasibility_residual of T(z)_x at most tol_feas,
+    returning T(z)_x, or at max_iters, returning the last T(z)_x. A tracked
+    sigma A x screens the residual without an operator call (see _iterate),
+    and feasibility_residual confirms every stop, so the stop decisions are
+    those of an exact check made whenever the relative change passes.
+    Zero-radius disks (b_i = 0, e.g. after gaussian-noise clipping) stay
+    constraints forcing (Ax)_i toward 0. xhat is feasible only to
+    Solution.feas_residual (see Solution).
     """
     a0 = as_signal(a0, "a0", ens.n)
     a0_norm = np.linalg.norm(a0)
@@ -313,22 +281,22 @@ def solve_phasemax(
     op_norm = operator_norm(ens, _NORM_EST_ITERS, RngStream(_NORM_EST_SEED))
     if op_norm == 0:
         raise ValueError("measurement operator is identically zero")
-    start = np.linalg.norm(radii) / (op_norm * a0_norm)
-    balance = _PRIMAL_WEIGHT * start
+    balance = start = np.linalg.norm(radii) / (op_norm * a0_norm)
     if not 0 < balance < np.inf:
         balance, start = 1.0, 0.0
     tau = balance * _STEP_SCALE / op_norm
     sigma = _STEP_SCALE / (balance * op_norm)
     sigma_radii = sigma * radii
-    args = (ens, obs, b, start * a0,
-            (tau * a0, tau, sigma, sigma_radii, np.maximum(sigma_radii, _TINY)),
-            _DUAL_FLOOR * a0_norm / op_norm, cfg)
     memory = _history_length(ens)
-    if memory:
-        x, iters_used, converged, feas = _accelerated_loop(
-            *args, _Anderson(ens.n, ens.m, memory, 1.0 / balance))
-    else:
-        x, iters_used, converged, feas = _relaxed_loop(*args)
+    x, iters_used, feas = _iterate(
+        ens, obs, b, start * a0,
+        (tau * a0, tau, sigma, sigma_radii, np.maximum(sigma_radii, _TINY)),
+        _DUAL_FLOOR * a0_norm / op_norm, cfg,
+        _Anderson(ens.n, ens.m, memory, 1.0 / balance) if memory else None)
+    converged = feas is not None
+    if not converged:
+        # Computed after _iterate has returned its m-sized buffers.
+        feas = feasibility_residual(ens, obs, x)
     return Solution(
         xhat=x,
         iters_used=iters_used,
@@ -338,22 +306,36 @@ def solve_phasemax(
     )
 
 
-def _relaxed_loop(ens, obs, b, x, steps, y_floor, cfg):
-    """The over-relaxed iteration from (x, 0), updating x in place, with the
-    lazy screen: (x, iters_used, converged, feasibility residual of x).
-    Every _FLUSH_EVERY steps, dual entries below y_floor are set to 0."""
+def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, aa):
+    """Iterate T from z = (x, 0): without aa, T(z) is written over z; with
+    it, T(z) and the step g go into aa's rows and aa.advance() moves z.
+    Returns (x, iters_used, feasibility residual of x), the residual None
+    when the solve ran to max_iters. Every _FLUSH_EVERY steps, dual entries
+    below y_floor are set to 0.
+
+    The stop test's screen tracks sax = sigma A x: A x_half is the mean of
+    A (2 x_half - x), which the step computes, and A x, so the relaxed x has
+    sigma A x = sax + (rho / 2) (sigma A (2 x_half - x) - sax). With aa, sax
+    starts from one exact forward of x and rides in aa's rows beside x;
+    without, the first exact check seeds it, so a solve whose relative
+    change never passes keeps no sax.
+    """
     tau_a0, tau, sigma, sigma_radii, radii_floor = steps
-    y = np.zeros(ens.m, dtype=np.complex128)
-    xbar = np.empty(ens.n, dtype=np.complex128)
-    buf = np.empty(ens.m)
-    small = np.empty(ens.m, dtype=bool)
+    n, m = ens.n, ens.m
+    if aa is None:
+        y, sax = np.zeros(m, dtype=np.complex128), None
+    else:
+        aa.z[:n] = x
+        x, y, sax = aa.z[:n], aa.z[n:n + m], aa.z[n + m:]
+        np.multiply(ens.forward(x), sigma, out=sax)
+    xbar = np.empty(n, dtype=np.complex128)
+    buf = np.empty(m)
+    small = np.empty(m, dtype=bool)
     rho = _RELAXATION
-    # sigma * A x, kept once the relative change has passed; None before that.
-    sax = None
     screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
     for k in range(cfg.max_iters):
-        # x_half = x + tau a0 - tau A^H y and xbar = sigma (2 x_half - x),
-        # with the arithmetic of _accelerated_loop.
+        tx, ty, tsa = (x, y, sax) if aa is None else (aa.t[:n], aa.t[n:n + m], aa.t[n + m:])
+        # x_half = x + tau a0 - tau A^H y and xbar = sigma (2 x_half - x).
         x_half = ens.adjoint(y)
         x_half *= tau
         np.subtract(tau_a0, x_half, out=x_half)
@@ -363,90 +345,40 @@ def _relaxed_loop(ens, obs, b, x, steps, y_floor, cfg):
         xbar *= sigma
         f = ens.forward(xbar)
         if sax is not None:
-            # A x_half = (A (2 x_half - x) + A x) / 2, so the relaxed x below
-            # has sigma A x = sax + (rho / 2) (f - sax), formed in place.
-            sax *= 2.0 / rho - 1.0
-            sax += f
-            sax *= 0.5 * rho
-        f += y
-        _shrink_dual(f, sigma_radii, radii_floor, buf, rho)
-        y *= 1.0 - rho
-        y += f
-        # Not kept across adjoint: two live m-sized buffers fault pages back
-        # in on every call (see MeasurementEnsemble).
-        del f
-        if k % _FLUSH_EVERY == 0:
-            _flush_dual(y, y_floor, buf, small)
-        # The step g = rho (x_half - x), formed in x_half.
-        g = x_half
-        g -= x
-        g *= rho
-        x += g
-        step = math.sqrt(np.vdot(g, g).real)
-        norm_new = math.sqrt(np.vdot(x, x).real)
-        rel_change = step / norm_new if norm_new > 0 else step
-        if rel_change > cfg.tol_rel_change:
-            continue
-        if sax is None:
-            sax = ens.forward(x)
-            feas = _max_violation(sax, b)
-            sax *= sigma
-        elif _max_violation(sax, b, sigma, buf) <= screen_tol:
-            feas = feasibility_residual(ens, obs, x)
-        else:
-            continue
-        if feas <= cfg.tol_feas:
-            return x, k + 1, True, feas
-    # The final forward runs without the loop's m-sized buffers alive.
-    del y, buf, small, sax
-    return x, cfg.max_iters, False, feasibility_residual(ens, obs, x)
-
-
-def _accelerated_loop(ens, obs, b, x0, steps, y_floor: float, cfg, aa: _Anderson):
-    """The over-relaxed step T from (x0, 0), Anderson-accelerated by aa, with
-    sigma A x carried from one exact forward of x0: (x, iters_used,
-    converged, feas) as _relaxed_loop. Every _FLUSH_EVERY steps, dual
-    entries below y_floor are set to 0."""
-    tau_a0, tau, sigma, sigma_radii, radii_floor = steps
-    n, m = ens.n, ens.m
-    x, y, sax, xy = aa.z[:n], aa.z[n:n + m], aa.z[n + m:], aa.z[:n + m]
-    x[:] = x0
-    np.multiply(ens.forward(x0), sigma, out=sax)
-    buf = np.empty(m)
-    small = np.empty(m, dtype=bool)
-    rho = _RELAXATION
-    screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
-    for k in range(cfg.max_iters):
-        # T(z) = z + g with g = rho * ((x_half, v) - z); (x_half, v) goes in
-        # the row of T first.
-        t, g = aa.t, aa.g
-        tx, tsa = t[:n], t[n + m:]
-        x_half = tx
-        np.subtract(tau_a0, tau * ens.adjoint(y), out=x_half)
-        x_half += x
-        f = ens.forward(sigma * (2.0 * x_half - x))
-        # sigma A T(z)_x = sax + (rho / 2) (f - sax), as in _relaxed_loop.
-        np.subtract(f, sax, out=tsa)
-        tsa *= 0.5 * rho
-        tsa += sax
+            np.multiply(sax, 2.0 / rho - 1.0, out=tsa)
+            tsa += f
+            tsa *= 0.5 * rho
         f += y
         _shrink_dual(f, sigma_radii, radii_floor, buf)
-        t[n:n + m] = f
-        del f
-        np.subtract(t[:n + m], xy, out=g)
-        g *= rho
-        np.add(xy, g, out=t[:n + m])
-        gx = g[:n]
+        # The step g = rho ((x_half, v) - (x, y)), formed in x_half and f.
+        gx, gy = x_half, f
+        gy -= y
+        gy *= rho
+        np.add(y, gy, out=ty)
+        gx -= x
+        gx *= rho
+        np.add(x, gx, out=tx)
+        if aa is not None:
+            aa.g[:n], aa.g[n:] = gx, gy
+        # Not kept across adjoint: two live m-sized buffers fault pages back
+        # in on every call (see MeasurementEnsemble).
+        del f, gy
         step = math.sqrt(np.vdot(gx, gx).real)
         norm_new = math.sqrt(np.vdot(tx, tx).real)
         rel_change = step / norm_new if norm_new > 0 else step
-        if (rel_change <= cfg.tol_rel_change
-                and _max_violation(tsa, b, sigma, buf) <= screen_tol):
-            feas = feasibility_residual(ens, obs, tx)
+        if rel_change <= cfg.tol_rel_change:
+            if sax is None:
+                sax = ens.forward(tx)
+                feas = _max_violation(sax, b)
+                sax *= sigma
+            elif _max_violation(tsa, b, sigma, buf) <= screen_tol:
+                feas = feasibility_residual(ens, obs, tx)
+            else:
+                feas = math.inf
             if feas <= cfg.tol_feas:
-                return tx.copy(), k + 1, True, feas
-        aa.advance()
+                return tx.copy(), k + 1, feas
+        if aa is not None:
+            aa.advance()
         if k % _FLUSH_EVERY == 0:
             _flush_dual(y, y_floor, buf, small)
-    xhat = t[:n].copy()
-    return xhat, cfg.max_iters, False, feasibility_residual(ens, obs, xhat)
+    return tx.copy(), cfg.max_iters, None

@@ -229,12 +229,10 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
     a0_norm = np.linalg.norm(a0)
     radii = np.sqrt(obs.b)
     op_norm = operator_norm(ens, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
-    # Both loops start at y = 0 and x0, the anchor rescaled to ||r|| / ||A||.
-    start = np.linalg.norm(radii) / (op_norm * a0_norm)
-    balance = solver._PRIMAL_WEIGHT * start
+    # The solve starts at y = 0 and x0, the anchor rescaled to ||r|| / ||A||.
+    balance = start = np.linalg.norm(radii) / (op_norm * a0_norm)
     if not 0 < balance < np.inf:
         balance, start = 1.0, 0.0
-    x0 = start * a0
     tau = balance * solver._STEP_SCALE / op_norm
     sigma = solver._STEP_SCALE / (balance * op_norm)
     sigma_radii = sigma * radii
@@ -243,63 +241,37 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
     rho = solver._RELAXATION
     n, m = ens.n, ens.m
     memory = solver._history_length(ens)
+    # sigma A x, which the solver carries in the mixer's rows for its screen,
+    # is left at 0: it changes no other entry of the combination.
+    aa = solver._Anderson(n, m, memory, 1.0 / balance) if memory else None
     buf = np.empty(m)
     y_floor = solver._DUAL_FLOOR * a0_norm / op_norm
+    z = np.concatenate([start * a0, np.zeros(m, dtype=np.complex128)])
     iters_used, converged, feas = cfg.max_iters, False, None
-    if memory:
-        # The points live in the mixer's rows. sigma A x, which the solver
-        # carries in them for its screen, is left at 0: it changes no other
-        # entry of the combination.
-        aa = solver._Anderson(n, m, memory, 1.0 / balance)
-        x, y, xy = aa.z[:n], aa.z[n:n + m], aa.z[:n + m]
-        x[:] = x0
-        for k in range(cfg.max_iters):
-            t, g = aa.t, aa.g
-            x_half = t[:n]
-            np.subtract(tau_a0, tau * ens.adjoint(y), out=x_half)
-            x_half += x
-            f = ens.forward(sigma * (2.0 * x_half - x))
-            f += y
-            solver._shrink_dual(f, sigma_radii, radii_floor, buf)
-            t[n:n + m] = f
-            g[:] = rho * (t[:n + m] - xy)
-            t[:n + m] = xy + g
-            x_new = t[:n]
-            step = math.sqrt(np.vdot(g[:n], g[:n]).real)
-            norm_new = math.sqrt(np.vdot(x_new, x_new).real)
-            rel_change = step / norm_new if norm_new > 0 else step
-            if rel_change <= cfg.tol_rel_change:
-                feas = solver.feasibility_residual(ens, obs, x_new)
-                if feas <= cfg.tol_feas:
-                    iters_used, converged = k + 1, True
-                    break
+    for k in range(cfg.max_iters):
+        x, y = z[:n], z[n:]
+        x_half = (tau_a0 - tau * ens.adjoint(y)) + x
+        v = ens.forward(sigma * (2.0 * x_half - x)) + y
+        solver._shrink_dual(v, sigma_radii, radii_floor, buf)
+        g = rho * (np.concatenate([x_half, v]) - z)
+        t = z + g
+        step = math.sqrt(np.vdot(g[:n], g[:n]).real)
+        norm_new = math.sqrt(np.vdot(t[:n], t[:n]).real)
+        rel_change = step / norm_new if norm_new > 0 else step
+        if rel_change <= cfg.tol_rel_change:
+            feas = solver.feasibility_residual(ens, obs, t[:n])
+            if feas <= cfg.tol_feas:
+                iters_used, converged = k + 1, True
+                break
+        if aa is None:
+            z = t
+        else:
+            aa.t[:n + m], aa.g[:] = t, g
             aa.advance()
-            if k % solver._FLUSH_EVERY == 0:
-                y[np.abs(y) < y_floor] = 0.0
-    else:
-        x = x0
-        y = np.zeros(m, dtype=np.complex128)
-        for k in range(cfg.max_iters):
-            x_half = (tau_a0 - tau * ens.adjoint(y)) + x
-            f = ens.forward(sigma * (2.0 * x_half - x))
-            f += y
-            solver._shrink_dual(f, sigma_radii, radii_floor, buf, rho)
-            y *= 1.0 - rho
-            y += f
-            if k % solver._FLUSH_EVERY == 0:
-                y[np.abs(y) < y_floor] = 0.0
-            g = rho * (x_half - x)
-            x_new = x + g
-            step = math.sqrt(np.vdot(g, g).real)
-            norm_new = math.sqrt(np.vdot(x_new, x_new).real)
-            rel_change = step / norm_new if norm_new > 0 else step
-            if rel_change <= cfg.tol_rel_change:
-                feas = solver.feasibility_residual(ens, obs, x_new)
-                if feas <= cfg.tol_feas:
-                    iters_used, converged = k + 1, True
-                    break
-            x = x_new
-    x = x_new.copy()
+            z = aa.z[:n + m].copy()
+        if k % solver._FLUSH_EVERY == 0:
+            z[n:][np.abs(z[n:]) < y_floor] = 0.0
+    x = t[:n].copy()
     if not converged:
         feas = solver.feasibility_residual(ens, obs, x)
     return solver.Solution(xhat=x, iters_used=iters_used, objective=real_inner(a0, x),

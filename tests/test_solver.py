@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phasemax import (
+    CodedDiffractionEnsemble,
     DenseEnsemble,
     GeometryContext,
     NoiseModel,
@@ -68,17 +71,6 @@ def test_shrink_dual_matches_moreau_oracle():
         assert np.allclose(np.abs(out), np.maximum(np.abs(y) - sigma * r, 0.0),
                            rtol=0, atol=1e-14 * max(1.0, sigma))
         assert out[0] == y[0] and out[1] == 0.0 and out[2] == 0.0
-
-
-def test_shrink_dual_scale_multiplies_the_shrink():
-    rng = RngStream(402).generator
-    y = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-    sigma_radii = 0.4 * np.abs(rng.standard_normal(50))
-    plain, scaled = y.copy(), y.copy()
-    floor = np.maximum(sigma_radii, solver._TINY)
-    _shrink_dual(plain, sigma_radii, floor, np.empty(50))
-    _shrink_dual(scaled, sigma_radii, floor, np.empty(50), 1.7)
-    assert np.max(np.abs(scaled - 1.7 * plain)) <= 1e-15 * np.max(np.abs(y))
 
 
 def make_instance(seed, n=8, m=64, noise=None):
@@ -222,16 +214,28 @@ def test_solver_determinism():
     assert s1.converged == s2.converged
 
 
-REFERENCE_CASES = pytest.mark.parametrize("noise, stop_at_cap", [
-    (None, False), (None, True), (NoiseModel.uniform(1e-2), False),
-    (NoiseModel.uniform(1e-3), False),
-], ids=["noiseless", "noiseless-stop-at-max-iters", "uniform", "uniform-screened"])
+def use_history(monkeypatch, history, ens):
+    """Cap the Anderson history at history (0: plain steps z <- T(z)) and
+    check that solves on ens keep one exactly when history > 0."""
+    monkeypatch.setattr(solver, "_AA_MEMORY", history)
+    assert (solver._history_length(ens) > 0) is (history > 0)
 
 
-def check_matches_exact_check_reference(noise, stop_at_cap):
+HISTORIES = pytest.mark.parametrize("history", [0, solver._AA_MEMORY], ids=["history-0", "default"])
+REFERENCE_CASES = [
+    ("noiseless", None, False), ("noiseless-stop-at-max-iters", None, True),
+    ("uniform", NoiseModel.uniform(1e-2), False), ("uniform-screened", NoiseModel.uniform(1e-3), False),
+]
+
+
+@pytest.mark.parametrize("noise, stop_at_cap, history", [
+    pytest.param(noise, stop_at_cap, history, id=name if history else f"history-0-{name}")
+    for history in (0, solver._AA_MEMORY) for name, noise, stop_at_cap in REFERENCE_CASES])
+def test_solver_matches_exact_check_reference(noise, stop_at_cap, history, monkeypatch):
     # The tracked A x only screens; every stop decision and the returned
     # residual come from an exact check, so the Solution is the reference's.
     ens, obs, xs = make_instance(430, noise=noise)
+    use_history(monkeypatch, history, ens)
     a0 = xs / np.linalg.norm(xs)
     cfg = SolverConfig()
     if stop_at_cap:
@@ -245,23 +249,12 @@ def check_matches_exact_check_reference(noise, stop_at_cap):
     assert sol.converged is (noise is None)
 
 
-@REFERENCE_CASES
-def test_solver_matches_exact_check_reference(noise, stop_at_cap):
-    assert solver._history_length(make_instance(430)[0]) > 0
-    check_matches_exact_check_reference(noise, stop_at_cap)
-
-
-@REFERENCE_CASES
-def test_plain_loop_matches_exact_check_reference(noise, stop_at_cap, monkeypatch):
-    # Without a history, A x is seeded by the first exact check instead.
-    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
-    check_matches_exact_check_reference(noise, stop_at_cap)
-
-
-def check_stop_test_costs_no_forward_per_iteration(monkeypatch):
+@HISTORIES
+def test_stop_test_costs_no_forward_per_iteration(history, monkeypatch):
     # With uniform noise the relative change passes hundreds of iterations
     # before max_iters while the slabs stay violated by about eta_inv.
     ens, obs, xs = make_instance(430, noise=NoiseModel.uniform(1e-3))
+    use_history(monkeypatch, history, ens)
     a0 = xs / np.linalg.norm(xs)
     checks = []
     exact = solver.feasibility_residual
@@ -280,23 +273,14 @@ def check_stop_test_costs_no_forward_per_iteration(monkeypatch):
     sol = solve_phasemax(counted, obs, a0)
     assert not sol.converged
     # Confirmations: the exact check when the relative change first passes
-    # (plain loop only), plus every feasibility_residual call (here only the
+    # (history 0 only), plus every feasibility_residual call (here only the
     # returned residual).
     assert len(checks) <= 2
     assert counted.forwards <= sol.iters_used + norm.forwards + 1 + len(checks)
 
 
-def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
-    assert solver._history_length(make_instance(430)[0]) > 0
-    check_stop_test_costs_no_forward_per_iteration(monkeypatch)
-
-
-def test_plain_loop_stop_test_costs_no_forward_per_iteration(monkeypatch):
-    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
-    check_stop_test_costs_no_forward_per_iteration(monkeypatch)
-
-
-def check_tracked_forward_matches_a_fresh_one(monkeypatch):
+@HISTORIES
+def test_tracked_forward_matches_a_fresh_one(history, monkeypatch):
     # Every relative change passes and no exact check can, because b_0 = 0
     # keeps each iterate infeasible. Without a history, A x is seeded from
     # x_1, and the screen of iteration k sees the tracked A x_{k+1} for
@@ -304,7 +288,7 @@ def check_tracked_forward_matches_a_fresh_one(monkeypatch):
     # through the extrapolation, and the screen of iteration k sees A T(z_k)_x, the x
     # that a solve capped at k + 1 iterations returns, for k = 0 .. 7.
     ens, obs, xs = make_instance(431)
-    memory = solver._history_length(ens)
+    use_history(monkeypatch, history, ens)
     b = obs.b.copy()
     b[0] = 0.0
     obs = Observations(b=b)
@@ -313,7 +297,7 @@ def check_tracked_forward_matches_a_fresh_one(monkeypatch):
     def cfg(iters):
         return SolverConfig(max_iters=iters, tol_rel_change=1e300, tol_feas=1e-300)
 
-    first = 2 if memory == 0 else 1
+    first = 2 if history == 0 else 1
     fresh = [ens.forward(solve_phasemax(ens, obs, a0, cfg(k)).xhat) for k in range(first, 9)]
     tracked = []
     exact = solver._max_violation
@@ -330,20 +314,35 @@ def check_tracked_forward_matches_a_fresh_one(monkeypatch):
         assert np.linalg.norm(ax - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_tracked_forward_matches_a_fresh_one(monkeypatch):
-    assert solver._history_length(make_instance(431)[0]) > 0
-    check_tracked_forward_matches_a_fresh_one(monkeypatch)
-
-
-def test_plain_loop_tracked_forward_matches_a_fresh_one(monkeypatch):
-    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
-    check_tracked_forward_matches_a_fresh_one(monkeypatch)
+@pytest.mark.parametrize("tol_rel_change, bound", [(1e-9, 5.0), (1e300, 6.0)],
+                         ids=["unseeded", "seeded"])
+def test_cdp_solve_without_history_keeps_its_memory(tol_rel_change, bound):
+    # A CDP operator gets no history. Its solve holds y, the shrink's scratch,
+    # each step's m-sized temporaries and, once a relative change has passed
+    # (seeded), the tracked sigma A x: peaks of 4.77 and 5.79 complex
+    # m-vectors. A loop that kept a row of T(z) and carried sigma A x from
+    # the start peaked at 6.83.
+    stream = RngStream(435)
+    xs = sample_complex_gaussian(1024, stream)
+    ens = CodedDiffractionEnsemble.rademacher(1024, 20, stream)
+    obs = observe(ens, xs, NoiseModel.none(), stream)
+    a0 = xs + 0.5 * sample_complex_gaussian(1024, stream)
+    assert solver._history_length(ens) == 0
+    cfg = SolverConfig(max_iters=60, tol_rel_change=tol_rel_change, tol_feas=1e-300)
+    tracemalloc.start()
+    try:
+        sol = solve_phasemax(ens, obs, a0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.iters_used == 60
+    assert peak <= bound * 16 * ens.m
 
 
 def test_plain_loop_flushes_subnormal_duals(monkeypatch):
-    # The duals of inactive slabs shrink by rho - 1 = 0.7 a step and would go
-    # subnormal after about 2,000 steps, where arithmetic is many times
-    # slower; a noisy solve runs to max_iters with many such slabs.
+    # Without a history the duals of inactive slabs shrink by rho - 1 = 0.7 a
+    # step and would go subnormal after about 2,000 steps, where arithmetic is
+    # many times slower; a noisy solve runs to max_iters with many such slabs.
     monkeypatch.setattr(solver, "_AA_MEMORY", 0)
     ens, obs, xs = make_instance(434, noise=NoiseModel.uniform(1e-2))
     counted = CountingEnsemble(ens)

@@ -1,9 +1,11 @@
-"""Count lines and code lines of every .py file under a directory.
+"""Count lines and code lines of every .py file under each directory given,
+by default the repository's src and tests.
 
 A code line is a line that is not blank, not a comment and not part of a
 docstring (the leading string of a module, class or function body).
 
-    python3 tools/src_lines.py src
+    python3 tools/src_lines.py
+    python3 tools/src_lines.py tools perfbench
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def docstring_lines(tree: ast.AST) -> set:
@@ -43,17 +47,20 @@ def count(source: str) -> tuple:
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: src_lines.py DIRECTORY", file=sys.stderr)
-        return 2
-    root = Path(argv[1])
-    total_lines = total_code = 0
-    for path in sorted(root.rglob("*.py")):
-        n_lines, n_code = count(path.read_text())
-        total_lines += n_lines
-        total_code += n_code
-        print(f"{n_lines:6d} {n_code:6d}  {path.relative_to(root)}")
-    print(f"{total_lines:6d} {total_code:6d}  total (lines, code lines)")
+    roots = [Path(arg) for arg in argv[1:]] or [REPO / "src", REPO / "tests"]
+    for root in roots:
+        if not root.is_dir():
+            print(f"src_lines.py: {root} is not a directory", file=sys.stderr)
+            return 2
+    for root in roots:
+        print(root)
+        total_lines = total_code = 0
+        for path in sorted(root.rglob("*.py")):
+            n_lines, n_code = count(path.read_text())
+            total_lines += n_lines
+            total_code += n_code
+            print(f"{n_lines:6d} {n_code:6d}  {path.relative_to(root)}")
+        print(f"{total_lines:6d} {total_code:6d}  total (lines, code lines)")
     return 0
 
 

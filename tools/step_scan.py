@@ -1,9 +1,8 @@
-"""Solve held-out noiseless sweep trials at several primal weights (the
-multiple of the balance c in solver._PRIMAL_WEIGHT), relaxations
-(solver._RELAXATION) and Anderson history lengths (solver._AA_MEMORY; 0 runs
-the plain relaxed loop) and print, per combination, the median and largest
-iteration count, the trials that ran to max_iters and the worst recovered
-error.
+"""Solve held-out noiseless sweep trials at several relaxations
+(solver._RELAXATION) and Anderson history lengths (solver._AA_MEMORY; 0
+takes plain steps z <- T(z)) and print, per combination, the median and
+largest iteration count, the trials that ran to max_iters and the worst
+recovered error.
 
 Trial t at ratio M/N is built by the sweep's own _run_trial, but on stream
 ids of this tool's choosing, RngStream(seed, 100 * M/N + t), not the ids
@@ -25,7 +24,7 @@ from the same start vector. The eigenvector comes from np.linalg.eigh of the
 dense Sigma for the trials, and from 200 Lanczos steps at no stop tolerance
 for the CDP instances.
 
-    python3 tools/step_scan.py --weights 1 2.5 --relax 1 1.5 1.7 --n 128 --ratios 8 12 --trials 8
+    python3 tools/step_scan.py --relax 1 1.5 1.7 --n 128 --ratios 8 12 --trials 8
     python3 tools/step_scan.py --relax 1.7 --memory 0 3 5 8 10 12
     python3 tools/step_scan.py --cdp 20260809 5000000 5000001 --at 150 175 250
     python3 tools/step_scan.py --anchor --cdp 20260809 1000000 1000001
@@ -57,24 +56,24 @@ from phasemax.numerics import RngStream, phase_align_error, sample_complex_gauss
 from phasemax.pgm import read_pgm, write_pgm  # noqa: E402
 
 
-def scan(weights, relaxations, memories, n: int, ratios, trials: int, seed: int) -> None:
+def scan(relaxations, memories, n: int, ratios, trials: int, seed: int) -> None:
     cfg = solver.SolverConfig()
     tasks = [(n, ratio, int(round(100 * ratio)) + t, t, seed, NoiseModel.none(), 50, cfg)
              for ratio in ratios for t in range(trials)]
-    saved = solver._PRIMAL_WEIGHT, solver._RELAXATION, solver._AA_MEMORY
+    saved = solver._RELAXATION, solver._AA_MEMORY
     print(f"n={n} ratios={list(ratios)} trials={trials} seed={seed} max_iters={cfg.max_iters}")
-    print(f"{'weight':>7} {'relax':>6} {'memory':>7} {'iters_p50':>10} {'iters_max':>10} "
+    print(f"{'relax':>6} {'memory':>7} {'iters_p50':>10} {'iters_max':>10} "
           f"{'unconverged':>12} {'worst_err':>10}")
     try:
-        for w, rho, memory in itertools.product(weights, relaxations, memories):
-            solver._PRIMAL_WEIGHT, solver._RELAXATION, solver._AA_MEMORY = w, rho, memory
+        for rho, memory in itertools.product(relaxations, memories):
+            solver._RELAXATION, solver._AA_MEMORY = rho, memory
             records = [_run_trial(task) for task in tasks]
             iters = [r.iters for r in records]
-            print(f"{w:7g} {rho:6g} {memory:7d} {statistics.median(iters):10g} {max(iters):10d} "
+            print(f"{rho:6g} {memory:7d} {statistics.median(iters):10g} {max(iters):10d} "
                   f"{sum(not r.converged for r in records):12d} "
                   f"{max(r.rel_error for r in records):10.2e}", flush=True)
     finally:
-        solver._PRIMAL_WEIGHT, solver._RELAXATION, solver._AA_MEMORY = saved
+        solver._RELAXATION, solver._AA_MEMORY = saved
 
 
 def scan_cdp(seeds, caps) -> None:
@@ -150,10 +149,9 @@ def scan_anchor(cdp_seeds, n: int, ratios, trials: int, seed: int) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--weights", type=float, nargs="+", default=[1.0])
     parser.add_argument("--relax", type=float, nargs="+", default=[1.0, 1.5, 1.7, 1.8])
     parser.add_argument("--memory", type=int, nargs="+", default=[solver._AA_MEMORY],
-                        help="Anderson history lengths, capped as in the solver; 0 runs the plain loop")
+                        help="Anderson history lengths, capped as in the solver; 0 takes plain steps")
     parser.add_argument("--n", type=int, default=128)
     parser.add_argument("--ratios", type=float, nargs="+", default=[8.0, 12.0])
     parser.add_argument("--trials", type=int, default=8, help="trials t = 0 .. trials-1 a ratio")
@@ -175,13 +173,13 @@ def main(argv=None) -> int:
             parser.error("--at must be >= 1")
         scan_cdp(args.cdp, args.at)
         return 0
-    if not all(w > 0 for w in args.weights) or args.n < 1 or args.trials < 1:
-        parser.error("--weights must be > 0, --n and --trials >= 1")
+    if args.n < 1 or args.trials < 1:
+        parser.error("--n and --trials must be >= 1")
     if not all(0 < rho < 2 for rho in args.relax):
         parser.error("--relax must lie in (0, 2)")
     if not all(memory >= 0 for memory in args.memory):
         parser.error("--memory must be >= 0")
-    scan(args.weights, args.relax, args.memory, args.n, args.ratios, args.trials, args.seed)
+    scan(args.relax, args.memory, args.n, args.ratios, args.trials, args.seed)
     return 0
 
 
