@@ -83,6 +83,7 @@ class TrialRecord:
     iters: int
     converged: bool
     runtime_ms: float
+    stop_reason: str
 
 
 CSV_HEADER = [f.name for f in fields(TrialRecord)]
@@ -113,6 +114,7 @@ def _run_trial(task) -> TrialRecord:
         iters=sol.iters_used,
         converged=sol.converged,
         runtime_ms=runtime_ms,
+        stop_reason=sol.stop_reason,
     )
 
 
@@ -257,6 +259,7 @@ def run_cdp_demo(
         f"rel_error={rel_error!r}",
         f"iters_used={sol.iters_used}",
         f"converged={sol.converged}",
+        f"stop_reason={sol.stop_reason}",
         f"objective={sol.objective!r}",
     ]
     Path(report_path).write_text("\n".join(lines) + "\n")

@@ -64,6 +64,17 @@ class MeasurementEnsemble:
         """||A|| in closed form, or None when it has to be estimated."""
         return None
 
+    def lifted_gram(self, z: np.ndarray) -> Optional[np.ndarray]:
+        """The real 2n x 2n matrix C C^T, or None when the ensemble does not
+        form it, as here; the solver asks only ensembles that override this
+        (solver._can_polish). Column i of C is a_i z_i for z = A x, as a real
+        2n-vector in the layout of a complex128 vector viewed as float64,
+        (Re, Im) of each entry in turn: C u = A^H(z o u) for real u, and
+        C^T w = Re(conj(z) o A w). It is the Gauss-Newton normal matrix of
+        |Ax|^2 = b at x, up to a factor 4, and the solver's optimality
+        certificate solves with it (solver._certificate)."""
+        return None
+
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays that define the operator; the solver keeps its
@@ -79,6 +90,13 @@ def _as_matrix(a, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contain non-finite entries")
     return arr
+
+
+# Rows a block of DenseEnsemble.lifted_gram. At n = 128, M/N = 12 (one BLAS
+# thread, 2-vCPU Xeon) blocks of 128, 256 and 512 rows took 5.2, 4.2 and
+# 2.9 ms a Gram, and one block of all rows 2.6 ms, with an m x n complex
+# temporary (3.1 MB) instead of 1 MB; forming H and S took 8.2 ms.
+_GRAM_BLOCK = 512
 
 
 class DenseEnsemble(MeasurementEnsemble):
@@ -110,6 +128,19 @@ class DenseEnsemble(MeasurementEnsemble):
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         return self.rows.T @ z
+
+    def lifted_gram(self, z: np.ndarray) -> np.ndarray:
+        """Sum over blocks of _GRAM_BLOCK rows of L^T L, where row i of L is
+        a_i z_i viewed as float64. That is (1/2) [[Re(H + S), Im(S - H)],
+        [Im(H + S), Re(H - S)]] for H = sum_i |z_i|^2 a_i a_i^H and
+        S = sum_i z_i^2 a_i a_i^T, with entries interleaved, in half the
+        flops of forming H and S and one block at a time."""
+        gram = np.zeros((2 * self.n, 2 * self.n))
+        for start in range(0, self.m, _GRAM_BLOCK):
+            lifted = (self.rows[start:start + _GRAM_BLOCK]
+                      * z[start:start + _GRAM_BLOCK, None]).view(np.float64)
+            gram += lifted.T @ lifted
+        return gram
 
     @property
     def nbytes(self) -> int:

@@ -1,9 +1,12 @@
 """First-order solver for the anchored relaxation: maximize <a0, x> subject to
 |a_i^H x|^2 <= b_i, by over-relaxed primal-dual proximal splitting,
-Anderson-accelerated where the history fits in the operator's own memory."""
+Anderson-accelerated where the history fits in the operator's own memory,
+and ended by a certified Gauss-Newton crossover where the lifted Gram matrix
+does."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +68,42 @@ _AA_MAX_REJECTIONS = 32
 _DUAL_FLOOR = 1e-100
 _FLUSH_EVERY = 16
 _TINY = np.finfo(np.float64).tiny
+# Crossover (see _polish): the one checkpoint, in iterations. On 180
+# gauss-sweep trials (call seeds s * 10^6 + k, s = 1..3, k < 30; one BLAS
+# thread, 2-vCPU Xeon) 50 iterations left the iterate close enough that
+# Gauss-Newton reached x* on all, and 178 were certified; a trial (anchor
+# and solve) took a median 63.2 ms against 103.7 ms without the stage.
+# There is no retry: noisy b has no exact solution, so Gauss-Newton stalls
+# at every checkpoint, and of the 32 held-out trials at M/N = 4-12
+# (tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8) only one,
+# M/N = 6 t = 2, stalled at 50 and was certified at a later one (200, where
+# the loop alone stops at 537).
+_POLISH_FIRST = 50
+# Gauss-Newton stops at ||(|Ax|^2 - b)|| <= _GN_RTOL ||b||, after
+# _GN_MAX_STEPS steps, or when the residual fails to halve on two steps in a
+# row (a stall). Each step solves the normal equations by at most
+# _GN_CG_STEPS conjugate-gradient steps. On the trials above it took 6-10
+# steps; stopping the CG earlier, at a residual of 1e-2 or of sqrt(||r|| /
+# ||b||) times the start, took as many kernel calls in all. At M/N = 4 the
+# normal equations are ill-conditioned, the residual falls only about 3.5-fold
+# a step, and the step cap ends the attempt: 265 kernel calls, against about
+# 4,000 for the 2000 iterations that follow. On noisy data (uniform:1e-4 and
+# 1e-2, M/N = 12) it stalls after 89-111.
+_GN_RTOL = 1e-14
+_GN_MAX_STEPS = 12
+_GN_CG_STEPS = 10
+# Douglas-Rachford steps of the certificate search. Certified held-out trials
+# took 8-58 (23-58 at M/N = 8, 8-13 at M/N = 12). A search that finds
+# nothing runs all of them, 600 kernel calls; with Gauss-Newton's 265 that
+# made the three noiseless trials at n = 128, M/N = 6 where Gauss-Newton
+# reaches x* but the relaxation is not tight (RngStream(7, 600 + t),
+# t = 1, 4, 6; 2000 iterations) take 341-353 ms a solve against 292-318 ms
+# without the stage (best of 5), 7-16% more.
+_CERT_STEPS = 300
+# A certificate mu must leave ||A^H(mu o A xhat) - a0|| <= _CERT_RTOL ||a0||,
+# checked with a fresh adjoint; 24 certified gauss-sweep trials read 5e-16 to
+# 9e-16.
+_CERT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,19 +128,34 @@ class Solution:
     objective is <a0, xhat> (real inner product); feas_residual is the largest
     constraint violation max_i (|a_i^H xhat|^2 - b_i)_+.
 
-    xhat is the final iterate as is: it is feasible only to feas_residual
-    (at most tol_feas when converged), i.e. exactly feasible for the widened
-    slabs |a_i^H x|^2 <= b_i + feas_residual. It is not projected onto the
-    feasible set: radial scaling onto the slabs collapses to x = 0 whenever
-    some b_i = 0 (gaussian-noise clipping) and costs accuracy when min b_i is
-    tiny, so exact feasibility is not promised in floating point.
+    stop_reason says why the solve stopped:
+    - "optimal": the primal-dual stop test passed (see solve_phasemax);
+    - "certified": the crossover (see _polish) found a point with a KKT
+      certificate: mu >= 0 with A^H(mu o A xhat) = a0 to _CERT_RTOL. That
+      proves xhat maximizes <a0, x> over the slabs through it,
+      |a_i^H x|^2 <= |a_i^H xhat|^2, which Gauss-Newton put within
+      _GN_RTOL ||b|| of b;
+    - "max_iters": neither happened within cfg.max_iters.
+    converged is True for the first two.
+
+    xhat is feasible only to feas_residual (at most tol_feas when
+    converged), i.e. exactly feasible for the widened slabs
+    |a_i^H x|^2 <= b_i + feas_residual; that holds for a certified xhat too.
+    It is not projected onto the feasible set: radial scaling onto the slabs
+    collapses to x = 0 whenever some b_i = 0 (gaussian-noise clipping) and
+    costs accuracy when min b_i is tiny, so exact feasibility is not promised
+    in floating point.
     """
 
     xhat: np.ndarray
     iters_used: int
     objective: float
     feas_residual: float
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iters"
 
 
 def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, floor: np.ndarray,
@@ -153,6 +207,127 @@ def _history_length(ens: MeasurementEnsemble) -> int:
     M/N = 12. A 64 x 64, L = 20 CDP operator gets 0 slots (4.1 MB a slot
     against 2.6 MB of masks), so its solve takes plain steps, in place."""
     return min(_AA_MEMORY, ens.nbytes // (16 * (2 * (ens.n + ens.m) + ens.m)))
+
+
+def _can_polish(ens: MeasurementEnsemble) -> bool:
+    """Whether ens forms the lifted Gram matrix (its lifted_gram is not the
+    base class's) and the matrix with its eigenvectors, 2 (2n)^2 floats, fits
+    in the operator's own bytes, as the Anderson history must: 1.0 MB
+    against 2.1 MB of rows at n = 128, M/N = 8 (dense ensembles with
+    M/N >= 4 pass). CDP operators do not form it."""
+    forms_gram = ens.lifted_gram.__func__ is not MeasurementEnsemble.lifted_gram
+    return forms_gram and 64 * ens.n * ens.n <= ens.nbytes
+
+
+def _normal_solve(ens: MeasurementEnsemble, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """At most _GN_CG_STEPS conjugate-gradient steps from 0 on C C^T h = rhs
+    (C as in lifted_gram, z = A x), in the real inner product Re <u, v> on
+    C^n: C C^T h = A^H(z o Re(conj(z) o A h)), one forward and one adjoint.
+    Stops early at a zero residual or a curvature <= 0."""
+    h = np.zeros_like(rhs)
+    res, direction = rhs.copy(), rhs.copy()
+    rr = np.vdot(res, res).real
+    for _ in range(_GN_CG_STEPS):
+        q = ens.adjoint(z * (np.conj(z) * ens.forward(direction)).real)
+        curvature = np.vdot(direction, q).real
+        if not (rr > 0 and curvature > 0):
+            break
+        alpha = rr / curvature
+        h += alpha * direction
+        res -= alpha * q
+        rr, rr_old = np.vdot(res, res).real, rr
+        direction *= rr / rr_old
+        direction += res
+    return h
+
+
+def _gauss_newton(ens: MeasurementEnsemble, b: np.ndarray, x: np.ndarray):
+    """Gauss-Newton on |Ax|^2 = b from x, matrix-free: each step solves
+    C C^T h = -C r / 2 for r = |Ax|^2 - b by _normal_solve. Returns the point
+    once ||r|| <= _GN_RTOL ||b||, or None on a stall or after _GN_MAX_STEPS
+    steps. x itself is not written."""
+    target = _GN_RTOL * np.linalg.norm(b)
+    z = ens.forward(x)
+    r = np.abs(z) ** 2 - b
+    res = np.linalg.norm(r)
+    stalls = 0
+    for _ in range(_GN_MAX_STEPS):
+        if res <= target:
+            return x
+        x = x + _normal_solve(ens, z, -0.5 * ens.adjoint(z * r))
+        z = ens.forward(x)
+        r = np.abs(z) ** 2 - b
+        res, res_old = np.linalg.norm(r), res
+        stalls = stalls + 1 if not res <= 0.5 * res_old else 0
+        if stalls == 2:
+            return None
+    return x if res <= target else None
+
+
+def _certificate(ens: MeasurementEnsemble, z: np.ndarray, a0: np.ndarray, gram: np.ndarray):
+    """Search for mu >= 0 with C mu = A^H(z o mu) = a0 (z = A x, C and its
+    Gram matrix G = C C^T as in lifted_gram) by Douglas-Rachford between the
+    affine set {C mu = a0} and the orthant. Returns (mu, steps), mu None when
+    _CERT_STEPS steps find none.
+
+    The projection onto the affine set is P(u) = u - C^T G^+ (C u - a0), one
+    adjoint and one forward, with the pseudo-inverse G^+ from one eigh: G is
+    singular at least along the phase direction i x, as C^T (i x) =
+    Re(i |z|^2) = 0, and has rank n only for real data. Eigenvalues up to
+    2n eps times the largest count as 0 (numpy's matrix_rank rule). P is
+    affine, so P(2 max(u, 0) - u) = 2 P(max(u, 0)) - P(u), and each step
+    needs only P(max(u, 0)); the search stops once that point is >= 0, and
+    keeps it if a fresh adjoint confirms C mu = a0 to _CERT_RTOL.
+    """
+    values, vectors = np.linalg.eigh(gram)
+    keep = values > values[-1] * 2 * ens.n * np.finfo(np.float64).eps
+    values, vectors = values[keep], vectors[:, keep]
+
+    def project(u):
+        w = vectors @ ((vectors.T @ (ens.adjoint(z * u) - a0).view(np.float64)) / values)
+        return u - (np.conj(z) * ens.forward(w.view(np.complex128))).real
+
+    u = p_u = project(np.zeros(ens.m))
+    for step in range(1, _CERT_STEPS + 1):
+        mu = np.maximum(u, 0.0)
+        p_mu = project(mu)
+        if np.min(p_mu) >= 0.0:
+            kkt = np.linalg.norm(ens.adjoint(z * p_mu) - a0)
+            return (p_mu if kkt <= _CERT_RTOL * np.linalg.norm(a0) else None), step
+        u += 2.0 * p_mu - p_u - mu
+        p_u = p_mu
+    return None, _CERT_STEPS
+
+
+def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: float,
+            x: np.ndarray):
+    """Crossover from the primal-dual iterate x to a certified vertex, as LP
+    and QP solvers end a first-order solve (OSQP's solution polishing,
+    Stellato et al., arXiv:1711.08013). With noiseless data every slab is
+    tight at x*, so the guess is the whole active set: from x, a
+    matrix-free Gauss-Newton (Gao & Xu, IEEE Trans. Signal Process. 2017)
+    solves |Ax|^2 = b; the point is phase-aligned to a0 and checked for
+    feasibility to tol_feas, and kept only with a KKT certificate: mu >= 0
+    with A^H(mu o A x) = a0, which by convexity makes x the maximizer of
+    <a0, x> over the slabs through it (see _certificate). Returns (xhat,
+    feasibility residual) when certified, else None.
+
+    The solver calls it once, at iteration _POLISH_FIRST; it reads x and
+    writes no loop state, so a solve it does not end is the solve without
+    it.
+    """
+    solved = _gauss_newton(ens, b, x)
+    if solved is None:
+        return None
+    overlap = np.vdot(solved, a0)
+    if overlap == 0:  # x = 0, e.g. for b = 0, has no phase to align
+        return None
+    x = solved * (overlap / abs(overlap))
+    z = ens.forward(x)
+    feas = _max_violation(z, b)  # feasibility_residual of x
+    if feas > tol_feas or _certificate(ens, z, a0, ens.lifted_gram(z))[0] is None:
+        return None
+    return x, feas
 
 
 class _Anderson:
@@ -264,10 +439,20 @@ def solve_phasemax(
 
     It stops when the relative change ||T(z)_x - x|| / ||T(z)_x|| is at most
     tol_rel_change and feasibility_residual of T(z)_x at most tol_feas,
-    returning T(z)_x, or at max_iters, returning the last T(z)_x. A tracked
-    sigma A x screens the residual without an operator call (see _iterate),
-    and feasibility_residual confirms every stop, so the stop decisions are
-    those of an exact check made whenever the relative change passes.
+    returning T(z)_x (stop_reason "optimal"), or at max_iters, returning the
+    last T(z)_x ("max_iters"). A tracked sigma A x screens the residual
+    without an operator call (see _iterate), and feasibility_residual
+    confirms every stop, so the stop decisions are those of an exact check
+    made whenever the relative change passes.
+
+    When the operator can hold the lifted Gram matrix (_can_polish: dense
+    ensembles with M/N >= 4, not CDP), the crossover _polish runs once,
+    from T(z)_x after _POLISH_FIRST steps: Gauss-Newton on |Ax|^2 = b, then a
+    search for a KKT certificate. A certified point ends the solve
+    ("certified"; see Solution for what that proves). Otherwise the loop
+    goes on from the state it left, so the Solution is the one the loop
+    alone returns.
+
     Zero-radius disks (b_i = 0, e.g. after gaussian-noise clipping) stay
     constraints forcing (Ax)_i toward 0. xhat is feasible only to
     Solution.feas_residual (see Solution).
@@ -288,13 +473,13 @@ def solve_phasemax(
     sigma = _STEP_SCALE / (balance * op_norm)
     sigma_radii = sigma * radii
     memory = _history_length(ens)
-    x, iters_used, feas = _iterate(
+    x, iters_used, feas, stop_reason = _iterate(
         ens, obs, b, start * a0,
         (tau * a0, tau, sigma, sigma_radii, np.maximum(sigma_radii, _TINY)),
         _DUAL_FLOOR * a0_norm / op_norm, cfg,
-        _Anderson(ens.n, ens.m, memory, 1.0 / balance) if memory else None)
-    converged = feas is not None
-    if not converged:
+        _Anderson(ens.n, ens.m, memory, 1.0 / balance) if memory else None,
+        functools.partial(_polish, ens, b, a0, cfg.tol_feas) if _can_polish(ens) else None)
+    if feas is None:
         # Computed after _iterate has returned its m-sized buffers.
         feas = feasibility_residual(ens, obs, x)
     return Solution(
@@ -302,16 +487,17 @@ def solve_phasemax(
         iters_used=iters_used,
         objective=real_inner(a0, x),
         feas_residual=feas,
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 
-def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, aa):
+def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, aa, polish):
     """Iterate T from z = (x, 0): without aa, T(z) is written over z; with
     it, T(z) and the step g go into aa's rows and aa.advance() moves z.
-    Returns (x, iters_used, feasibility residual of x), the residual None
-    when the solve ran to max_iters. Every _FLUSH_EVERY steps, dual entries
-    below y_floor are set to 0.
+    Returns (x, iters_used, feasibility residual of x, stop reason), the
+    residual None when the solve ran to max_iters. Every _FLUSH_EVERY steps,
+    dual entries below y_floor are set to 0. When the count of steps reaches
+    _POLISH_FIRST, polish (if given) reads T(z)_x and may end the solve.
 
     The stop test's screen tracks sax = sigma A x: A x_half is the mean of
     A (2 x_half - x), which the step computes, and A x, so the relaxed x has
@@ -376,9 +562,14 @@ def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, aa):
             else:
                 feas = math.inf
             if feas <= cfg.tol_feas:
-                return tx.copy(), k + 1, feas
+                return tx.copy(), k + 1, feas, "optimal"
+        if polish is not None and k + 1 == _POLISH_FIRST:
+            polished = polish(tx)
+            if polished is not None:
+                xhat, feas = polished
+                return xhat, k + 1, feas, "certified"
         if aa is not None:
             aa.advance()
         if k % _FLUSH_EVERY == 0:
             _flush_dual(y, y_floor, buf, small)
-    return tx.copy(), cfg.max_iters, None
+    return tx.copy(), cfg.max_iters, None, "max_iters"

@@ -4,7 +4,8 @@ n <= 3, the disk projection the solver's dual shrink is checked against,
 one-expression references for the CDP kernels, the full-dimensional
 cut-probability sampler, the spectral anchor's Lanczos iteration and the
 dense Gaussian sampler written plainly, the solver loop with an exact stop
-check, and CSV comparison without the wall-clock column."""
+check, a Lawson-Hanson NNLS for KKT certificates, and CSV comparison without
+the wall-clock column."""
 
 import math
 from itertools import combinations, product
@@ -22,12 +23,15 @@ def strip_runtime(csv_text):
 
 
 class CountingEnsemble(MeasurementEnsemble):
-    """Wraps an ensemble; counts its forward and adjoint calls, and the
-    subnormal entries (0 < |z_i| < tiny) of the vectors its adjoint is given."""
+    """Wraps an ensemble; counts its forward and adjoint calls, and, unless
+    subnormals=False, the subnormal entries (0 < |z_i| < tiny) of the vectors
+    its adjoint is given. It hands on the wrapped ensemble's own lifted_gram,
+    so the solver polishes the wrapper exactly when it polishes ens."""
 
-    def __init__(self, ens):
-        self.ens, self.n, self.m = ens, ens.n, ens.m
+    def __init__(self, ens, subnormals=True):
+        self.ens, self.n, self.m, self.subnormals = ens, ens.n, ens.m, subnormals
         self.forwards = self.adjoints = self.subnormal_inputs = 0
+        self.lifted_gram = ens.lifted_gram
 
     def forward(self, x, *, out=None):
         self.forwards += 1
@@ -35,8 +39,9 @@ class CountingEnsemble(MeasurementEnsemble):
 
     def adjoint(self, z):
         self.adjoints += 1
-        mod = np.abs(z)
-        self.subnormal_inputs += int(np.count_nonzero((mod > 0) & (mod < np.finfo(float).tiny)))
+        if self.subnormals:
+            mod = np.abs(z)
+            self.subnormal_inputs += int(np.count_nonzero((mod > 0) & (mod < np.finfo(float).tiny)))
         return self.ens.adjoint(z)
 
     @property
@@ -215,12 +220,13 @@ def dense_gaussian_rows_reference(n, m, rng):
     return np.sqrt(0.5) * (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n)))
 
 
-def solve_phasemax_reference(ens, obs, a0, cfg):
+def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
     """solve_phasemax with the stop test as a plain exact check: every time
     the relative change passes, the feasibility residual is computed with a
-    fresh forward. Same steps and arithmetic, and the same Anderson mixing
-    when the solver keeps a history, so its Solution is the one
-    solve_phasemax must return bit for bit."""
+    fresh forward. Same steps and arithmetic, the same Anderson mixing when
+    the solver keeps a history, and the solver's own polish stage at the
+    same iteration, so its Solution is the one solve_phasemax must return
+    bit for bit. With polish=False it is the loop alone."""
     from phasemax import solver
     from phasemax.measurements import operator_norm
     from phasemax.numerics import RngStream, real_inner
@@ -247,7 +253,8 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
     buf = np.empty(m)
     y_floor = solver._DUAL_FLOOR * a0_norm / op_norm
     z = np.concatenate([start * a0, np.zeros(m, dtype=np.complex128)])
-    iters_used, converged, feas = cfg.max_iters, False, None
+    polish = polish and solver._can_polish(ens)
+    iters_used, stop_reason, feas, certified = cfg.max_iters, "max_iters", None, None
     for k in range(cfg.max_iters):
         x, y = z[:n], z[n:]
         x_half = (tau_a0 - tau * ens.adjoint(y)) + x
@@ -261,7 +268,12 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
         if rel_change <= cfg.tol_rel_change:
             feas = solver.feasibility_residual(ens, obs, t[:n])
             if feas <= cfg.tol_feas:
-                iters_used, converged = k + 1, True
+                iters_used, stop_reason = k + 1, "optimal"
+                break
+        if polish and k + 1 == solver._POLISH_FIRST:
+            certified = solver._polish(ens, obs.b, a0, cfg.tol_feas, t[:n])
+            if certified is not None:
+                iters_used, stop_reason = k + 1, "certified"
                 break
         if aa is None:
             z = t
@@ -271,8 +283,47 @@ def solve_phasemax_reference(ens, obs, a0, cfg):
             z = aa.z[:n + m].copy()
         if k % solver._FLUSH_EVERY == 0:
             z[n:][np.abs(z[n:]) < y_floor] = 0.0
-    x = t[:n].copy()
-    if not converged:
+    x, feas = certified if certified is not None else (t[:n].copy(), feas)
+    if stop_reason == "max_iters":
         feas = solver.feasibility_residual(ens, obs, x)
     return solver.Solution(xhat=x, iters_used=iters_used, objective=real_inner(a0, x),
-                           feas_residual=feas, converged=converged)
+                           feas_residual=feas, stop_reason=stop_reason)
+
+
+def lift(w):
+    """A complex vector as the real one (Re w_0, Im w_0, Re w_1, ...)."""
+    return np.stack([w.real, w.imag], axis=-1).ravel()
+
+
+def lifted_columns(rows, x):
+    """The real 2n x m matrix C whose column i is lift(a_i (a_i^H x)),
+    a_i = rows[i]: A^H(mu o A x) = a0 reads C mu = lift(a0)."""
+    return np.column_stack([lift(row * np.vdot(row, x)) for row in rows])
+
+
+def nnls(matrix, target):
+    """Lawson-Hanson non-negative least squares, min ||matrix @ mu - target||
+    over mu >= 0, written plainly: each outer pass frees the bound variable
+    with the largest gradient, and the inner loop steps back towards the
+    previous point until the free least-squares solution is positive."""
+    cols = matrix.shape[1]
+    tol = 10 * np.finfo(float).eps * np.linalg.norm(matrix, 1) * max(matrix.shape)
+    mu = np.zeros(cols)
+    free = np.zeros(cols, dtype=bool)
+    for _ in range(3 * cols):
+        grad = matrix.T @ (target - matrix @ mu)
+        if free.all() or np.max(grad[~free]) <= tol:
+            break
+        free[np.flatnonzero(~free)[np.argmax(grad[~free])]] = True
+        while True:
+            trial = np.zeros(cols)
+            trial[free] = np.linalg.lstsq(matrix[:, free], target, rcond=None)[0]
+            if np.all(trial[free] > 0):
+                mu = trial
+                break
+            blocked = free & (trial <= 0)
+            alpha = np.min(mu[blocked] / (mu[blocked] - trial[blocked]))
+            mu = mu + alpha * (trial - mu)
+            free &= mu > tol
+            mu[~free] = 0.0
+    return mu

@@ -60,6 +60,7 @@ def test_sweep_trial_converges_before_max_iters():
     assert record.converged
     assert record.iters < SolverConfig().max_iters
     assert record.rel_error <= 1e-6
+    assert record.stop_reason == "certified"
 
 
 def test_sweep_failure_region():
@@ -82,6 +83,7 @@ def test_sweep_csv_deterministic(tmp_path):
     rows = text1.strip().splitlines()
     assert rows[0] == ",".join(CSV_HEADER)
     assert len(rows) == 1 + 2 * 3
+    assert all(row.split(",")[-1] in ("optimal", "certified", "max_iters") for row in rows[1:])
 
 
 def test_sweep_matches_across_worker_counts():
@@ -223,6 +225,7 @@ def test_cdp_demo_report_file_is_deterministic(tmp_path):
     r2 = run_cdp_demo(img_path, num_masks=6, cfg=cfg, seed=4,
                       out_prefix=str(tmp_path / "b"))
     assert (tmp_path / "a_report.txt").read_text() == (tmp_path / "b_report.txt").read_text()
+    assert "stop_reason=max_iters" in (tmp_path / "a_report.txt").read_text().splitlines()
     assert (tmp_path / "a_recovered.pgm").read_bytes() == (tmp_path / "b_recovered.pgm").read_bytes()
     assert (tmp_path / "a_recovered.f64").read_bytes() == (tmp_path / "b_recovered.f64").read_bytes()
     assert r1.rel_error == r2.rel_error

@@ -15,7 +15,12 @@ from phasemax import (
     sample_complex_gaussian,
     sample_rademacher,
 )
-from support import cdp_adjoint_reference, cdp_forward_reference, dense_gaussian_rows_reference
+from support import (
+    cdp_adjoint_reference,
+    cdp_forward_reference,
+    dense_gaussian_rows_reference,
+    lifted_columns,
+)
 
 
 def dft_basis_vector(k, n):
@@ -201,6 +206,18 @@ def test_cdp_kernels_do_not_page_fault():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     one_m_vector = 16 * ens.m // resource.getpagesize()  # 320 pages of 4 KiB
     assert faults < one_m_vector
+
+
+def test_lifted_gram_matches_explicit_columns():
+    # 600 rows: a whole block and a partial one.
+    stream = RngStream(214)
+    ens = DenseEnsemble.gaussian(5, 600, stream)
+    x = sample_complex_gaussian(5, stream)
+    cols = lifted_columns(ens.rows, x)
+    gram = ens.lifted_gram(ens.forward(x))
+    assert np.allclose(gram, cols @ cols.T, rtol=0, atol=1e-12 * np.max(np.abs(gram)))
+    cdp = CodedDiffractionEnsemble.rademacher(16, 4, stream)
+    assert cdp.lifted_gram(cdp.forward(x[:1].repeat(16))) is None
 
 
 def test_cdp_requires_m_equals_l_times_n():

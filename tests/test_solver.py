@@ -27,6 +27,9 @@ from phasemax.solver import _shrink_dual
 from support import (
     CountingEnsemble,
     disk_project_vector,
+    lift,
+    lifted_columns,
+    nnls,
     oracle_solve_small,
     solve_phasemax_reference,
 )
@@ -214,6 +217,24 @@ def test_solver_determinism():
     assert s1.converged == s2.converged
 
 
+def no_polish(monkeypatch):
+    """Leave the polish stage out of solves, for tests of the loop itself."""
+    monkeypatch.setattr(solver, "_can_polish", lambda ens: False)
+
+
+def test_polish_only_where_the_gram_is_formed():
+    # This CDP operator's masks take as many bytes as a Gram matrix would,
+    # but it forms none, bare or wrapped; dense M/N = 4 passes the size
+    # test and M/N = 2 does not.
+    stream = RngStream(442)
+    cdp = CodedDiffractionEnsemble.rademacher(4, 8, stream)
+    assert 64 * cdp.n ** 2 <= cdp.nbytes
+    assert not solver._can_polish(cdp) and not solver._can_polish(CountingEnsemble(cdp))
+    dense = DenseEnsemble.gaussian(8, 32, stream)
+    assert solver._can_polish(dense) and solver._can_polish(CountingEnsemble(dense))
+    assert not solver._can_polish(DenseEnsemble.gaussian(8, 16, stream))
+
+
 def use_history(monkeypatch, history, ens):
     """Cap the Anderson history at history (0: plain steps z <- T(z)) and
     check that solves on ens keep one exactly when history > 0."""
@@ -228,25 +249,34 @@ REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("noise, stop_at_cap, history", [
-    pytest.param(noise, stop_at_cap, history, id=name if history else f"history-0-{name}")
-    for history in (0, solver._AA_MEMORY) for name, noise, stop_at_cap in REFERENCE_CASES])
-def test_solver_matches_exact_check_reference(noise, stop_at_cap, history, monkeypatch):
+@pytest.mark.parametrize("noise, stop_at_cap, history, polish", [
+    pytest.param(noise, stop_at_cap, history, polish,
+                 id=("polish-" if polish else "") + (name if history else f"history-0-{name}"))
+    for polish in (False, True) for history in (0, solver._AA_MEMORY)
+    for name, noise, stop_at_cap in REFERENCE_CASES])
+def test_solver_matches_exact_check_reference(noise, stop_at_cap, history, polish, monkeypatch):
     # The tracked A x only screens; every stop decision and the returned
     # residual come from an exact check, so the Solution is the reference's.
+    # Without the polish stage the noiseless cases stop "optimal" after
+    # 116-172 iterations. With it, the reference runs the solver's stage at
+    # the same iteration: the noiseless cases are certified at 50, and the
+    # noisy ones stall there and run on, through the screened stop test.
     ens, obs, xs = make_instance(430, noise=noise)
     use_history(monkeypatch, history, ens)
+    if not polish:
+        no_polish(monkeypatch)
     a0 = xs / np.linalg.norm(xs)
     cfg = SolverConfig()
     if stop_at_cap:
         # The stop falls on the last iteration, with no next forward to screen it.
-        cfg = SolverConfig(max_iters=solve_phasemax_reference(ens, obs, a0, cfg).iters_used)
+        cfg = SolverConfig(max_iters=solve_phasemax_reference(ens, obs, a0, cfg, polish).iters_used)
     sol = solve_phasemax(ens, obs, a0, cfg)
-    ref = solve_phasemax_reference(ens, obs, a0, cfg)
+    ref = solve_phasemax_reference(ens, obs, a0, cfg, polish)
     assert np.array_equal(sol.xhat, ref.xhat)
-    assert (sol.iters_used, sol.objective, sol.feas_residual, sol.converged) == (
-        ref.iters_used, ref.objective, ref.feas_residual, ref.converged)
-    assert sol.converged is (noise is None)
+    assert (sol.iters_used, sol.objective, sol.feas_residual, sol.stop_reason) == (
+        ref.iters_used, ref.objective, ref.feas_residual, ref.stop_reason)
+    noiseless_stop = "certified" if polish else "optimal"
+    assert sol.stop_reason == (noiseless_stop if noise is None else "max_iters")
 
 
 @HISTORIES
@@ -269,14 +299,29 @@ def test_stop_test_costs_no_forward_per_iteration(history, monkeypatch):
     norm = CountingEnsemble(ens)
     operator_norm(norm, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
     counted = CountingEnsemble(ens)
+    # The polish stage's forwards are counted apart: it runs once, at
+    # _POLISH_FIRST, not every iteration (here Gauss-Newton stalls).
+    polish_forwards = []
+    polish = solver._polish
+
+    def counting_polish(*args):
+        before = counted.forwards
+        try:
+            return polish(*args)
+        finally:
+            polish_forwards.append(counted.forwards - before)
+
+    monkeypatch.setattr(solver, "_polish", counting_polish)
     checks.clear()
     sol = solve_phasemax(counted, obs, a0)
     assert not sol.converged
+    assert len(polish_forwards) == 1
     # Confirmations: the exact check when the relative change first passes
     # (history 0 only), plus every feasibility_residual call (here only the
     # returned residual).
     assert len(checks) <= 2
-    assert counted.forwards <= sol.iters_used + norm.forwards + 1 + len(checks)
+    loop_forwards = counted.forwards - sum(polish_forwards)
+    assert loop_forwards <= sol.iters_used + norm.forwards + 1 + len(checks)
 
 
 @HISTORIES
@@ -362,6 +407,7 @@ def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
     a0 = xs / np.linalg.norm(xs)
     monkeypatch.setattr(solver, "_RELAXATION", 1.0)
     monkeypatch.setattr(solver, "_AA_MEMORY", 0)
+    no_polish(monkeypatch)
     iters = 60
     sol = solve_phasemax(ens, obs, a0, SolverConfig(max_iters=iters, tol_rel_change=1e-300))
     radii = np.sqrt(obs.b)
@@ -389,8 +435,10 @@ def held_out_trial(ratio, t):
 def test_relaxation_shortens_noiseless_iterations(ratio, t, monkeypatch):
     # Held-out trials RngStream(7, 100 ratio + t) took 1244-1306 iterations
     # without relaxation from x = 0; at 1.7 they take 646-748 (without a
-    # history) from the rescaled anchor.
+    # history) from the rescaled anchor. The polish stage would certify them
+    # at 50 (test_held_out_trials_are_certified).
     monkeypatch.setattr(solver, "_AA_MEMORY", 0)
+    no_polish(monkeypatch)
     record = held_out_trial(ratio, t)
     assert record.converged
     assert record.iters <= 800
@@ -398,13 +446,24 @@ def test_relaxation_shortens_noiseless_iterations(ratio, t, monkeypatch):
 
 
 @HELD_OUT_TRIALS
-def test_anderson_halves_noiseless_iterations(ratio, t):
+def test_anderson_halves_noiseless_iterations(ratio, t, monkeypatch):
     # The same trials take 266-313 iterations with a history of 10. Without
     # the safeguard the iterates of trial (12, 0) overflowed (from x = 0).
+    no_polish(monkeypatch)
     record = held_out_trial(ratio, t)
     assert record.converged
     assert record.iters <= 400
     assert record.rel_error <= 1e-6
+
+
+@HELD_OUT_TRIALS
+def test_held_out_trials_are_certified(ratio, t):
+    # The polish stage ends the same trials at the first checkpoint, with an
+    # error the loop reaches only after 266-313 iterations (7e-13 - 4e-12).
+    record = held_out_trial(ratio, t)
+    assert record.stop_reason == "certified"
+    assert record.iters == solver._POLISH_FIRST
+    assert record.rel_error <= 1e-13
 
 
 def test_anderson_safeguard_keeps_noisy_trial_accurate():
@@ -456,6 +515,69 @@ def test_hard_sweep_trial_stays_accurate():
     [record] = run_sweep(SweepConfig(n=128, ratios=(8.0,), trials=1, seed=3_000_010))
     assert record.converged
     assert record.rel_error <= 1e-9
+
+
+def noiseless_anchored(stream, n, m, spread):
+    """A noiseless dense instance and an anchor xs / ||xs|| + spread g / sqrt(n),
+    g complex Gaussian: the larger spread, the more often the relaxation is
+    not tight."""
+    xs = sample_complex_gaussian(n, stream)
+    ens = DenseEnsemble.gaussian(n, m, stream)
+    obs = observe(ens, xs, NoiseModel.none(), stream)
+    a0 = xs / np.linalg.norm(xs) + spread * sample_complex_gaussian(n, stream) / np.sqrt(n)
+    return ens, obs, xs, a0
+
+
+def test_certified_solutions_pass_the_nnls_oracle():
+    # The certificate search is Douglas-Rachford; the oracle is Lawson-Hanson
+    # on the same condition, A^H(mu o A xhat) = a0 with mu >= 0, built from
+    # the rows by plain expressions. 17 of the 24 are certified; the anchors
+    # are poor enough that the relaxation is not tight on some of the others,
+    # where a search that accepted mu of any sign certified all 24 and the
+    # oracle rejected 7.
+    cfg = SolverConfig()
+    certified = 0
+    for seed in range(24):
+        ens, obs, xs, a0 = noiseless_anchored(RngStream(441, seed), 12, 96, 1.0)
+        sol = solve_phasemax(ens, obs, a0, cfg)
+        if sol.stop_reason != "certified":
+            continue
+        certified += 1
+        mu = nnls(lifted_columns(ens.rows, sol.xhat), lift(a0))
+        kkt = np.linalg.norm(ens.adjoint(mu * ens.forward(sol.xhat)) - a0)
+        assert np.all(mu >= 0) and kkt <= 1e-8 * np.linalg.norm(a0)
+        assert sol.feas_residual <= cfg.tol_feas
+        assert sol.feas_residual == feasibility_residual(ens, obs, sol.xhat)
+        assert sol.iters_used == solver._POLISH_FIRST
+        assert phase_align_error(sol.xhat, xs) <= 1e-12
+    assert certified >= 15
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 5])
+def test_uncertified_solve_is_the_loop_without_polish(seed, monkeypatch):
+    # Where the relaxation is not tight, Gauss-Newton still reaches x*, but
+    # no certificate exists (the NNLS oracle leaves a residual at x*), the
+    # search runs all its steps, and the solve goes on as if it had not run.
+    ens, obs, xs, a0 = noiseless_anchored(RngStream(440, seed), 6, 36, 1.0)
+    xs_aligned = xs * np.exp(1j * np.angle(np.vdot(xs, a0)))
+    mu = nnls(lifted_columns(ens.rows, xs_aligned), lift(a0))
+    assert np.linalg.norm(ens.adjoint(mu * ens.forward(xs_aligned)) - a0) > 1e-3 * np.linalg.norm(a0)
+    searches = []
+    search = solver._certificate
+
+    def recording(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(solver, "_certificate", recording)
+    cfg = SolverConfig(max_iters=150)
+    sol = solve_phasemax(ens, obs, a0, cfg)
+    assert [(found is None, steps) for found, steps in searches] == [(True, solver._CERT_STEPS)]
+    ref = solve_phasemax_reference(ens, obs, a0, cfg, polish=False)
+    assert sol.stop_reason == ref.stop_reason == "max_iters"
+    assert np.array_equal(sol.xhat, ref.xhat)
+    assert (sol.iters_used, sol.objective, sol.feas_residual) == (
+        ref.iters_used, ref.objective, ref.feas_residual)
 
 
 def test_feasibility_residual_truth_is_feasible_under_nonneg_noise():

@@ -24,10 +24,20 @@ from the same start vector. The eigenvector comes from np.linalg.eigh of the
 dense Sigma for the trials, and from 200 Lanczos steps at no stop tolerance
 for the CDP instances.
 
+With --polish it checks the solver's crossover instead (solver._polish):
+on each held-out trial, solved from the spectral anchor as _run_trial
+solves it, it prints the stop reason and iterations, the kernel calls of
+Gauss-Newton, the Douglas-Rachford steps of the certificate search (- when
+none ran), the solve's wall time and the recovered error. --noise runs the
+trials on noisy data, where Gauss-Newton stalls. The kernel calls are
+counted by the tests' CountingEnsemble (tests/support.py).
+
     python3 tools/step_scan.py --relax 1 1.5 1.7 --n 128 --ratios 8 12 --trials 8
     python3 tools/step_scan.py --relax 1.7 --memory 0 3 5 8 10 12
     python3 tools/step_scan.py --cdp 20260809 5000000 5000001 --at 150 175 250
     python3 tools/step_scan.py --anchor --cdp 20260809 1000000 1000001
+    python3 tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8
+    python3 tools/step_scan.py --polish --ratios 12 --trials 4 --noise uniform:1e-4
 """
 
 from __future__ import annotations
@@ -38,13 +48,16 @@ import itertools
 import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from phasemax import anchor, solver  # noqa: E402
+from phasemax.cli import parse_noise  # noqa: E402
 from phasemax.experiments import _run_trial, run_cdp_demo  # noqa: E402
 from phasemax.measurements import (  # noqa: E402
     CodedDiffractionEnsemble,
@@ -54,6 +67,7 @@ from phasemax.measurements import (  # noqa: E402
 )
 from phasemax.numerics import RngStream, phase_align_error, sample_complex_gaussian  # noqa: E402
 from phasemax.pgm import read_pgm, write_pgm  # noqa: E402
+from support import CountingEnsemble  # noqa: E402
 
 
 def scan(relaxations, memories, n: int, ratios, trials: int, seed: int) -> None:
@@ -125,15 +139,57 @@ def anchor_instances(cdp_seeds, n: int, ratios, trials: int, seed: int):
         ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], 20, stream)
         obs = observe(ens, xstar, NoiseModel.none(), stream)
         yield f"cdp {cdp_seed}", ens, obs, stream, long_lanczos(ens, obs, 200, RngStream(cdp_seed, 1))
+    for name, ens, obs, _, stream in held_out_trials(n, ratios, trials, seed, NoiseModel.none()):
+        sigma = (ens.rows.T * obs.b) @ ens.rows.conj() / ens.m
+        yield name, ens, obs, stream, np.linalg.eigh(sigma)[1][:, -1]
+
+
+def held_out_trials(n: int, ratios, trials: int, seed: int, noise):
+    """(name, ens, obs, xstar, stream at the anchor's draw) of each held-out
+    trial, built as _run_trial builds it."""
     for ratio in ratios:
         for t in range(trials):
             stream = RngStream(seed, int(round(100 * ratio)) + t)
-            m = int(round(ratio * n))
             xs = sample_complex_gaussian(n, stream)
-            ens = DenseEnsemble.gaussian(n, m, stream)
-            obs = observe(ens, xs, NoiseModel.none(), stream)
-            sigma = (ens.rows.T * obs.b) @ ens.rows.conj() / m
-            yield f"n={n} M/N={ratio:g} t={t}", ens, obs, stream, np.linalg.eigh(sigma)[1][:, -1]
+            ens = DenseEnsemble.gaussian(n, int(round(ratio * n)), stream)
+            obs = observe(ens, xs, noise, stream)
+            yield f"n={n} M/N={ratio:g} t={t}", ens, obs, xs, stream
+
+
+def scan_polish(n: int, ratios, trials: int, seed: int, noise) -> None:
+    print(f"crossover at checkpoint {solver._POLISH_FIRST}, noise {noise.kind}:{noise.param:g}; "
+          f"Douglas-Rachford cap {solver._CERT_STEPS}")
+    print(f"{'trial':>18} {'stop_reason':>12} {'iters':>6} {'gn_calls':>9} {'dr_steps':>9} "
+          f"{'solve_ms':>9} {'error':>10}")
+    gauss_newton, certificate = solver._gauss_newton, solver._certificate
+    try:
+        for name, ens, obs, xs, stream in held_out_trials(n, ratios, trials, seed, noise):
+            a0 = anchor.spectral_anchor(ens, obs, 50, stream).a0
+            # No per-call subnormal check, so the wall time is the solve's.
+            counted = CountingEnsemble(ens, subnormals=False)
+            gn_calls, dr_steps = [], []
+
+            def counting_gauss_newton(*args):
+                before = counted.forwards + counted.adjoints
+                try:
+                    return gauss_newton(*args)
+                finally:
+                    gn_calls.append(counted.forwards + counted.adjoints - before)
+
+            def recording_certificate(*args):
+                found = certificate(*args)
+                dr_steps.append(found[1])
+                return found
+
+            solver._gauss_newton, solver._certificate = counting_gauss_newton, recording_certificate
+            t0 = time.perf_counter()
+            sol = solver.solve_phasemax(counted, obs, a0)
+            solve_ms = (time.perf_counter() - t0) * 1e3
+            print(f"{name:>18} {sol.stop_reason:>12} {sol.iters_used:6d} {sum(gn_calls):9d} "
+                  f"{(str(dr_steps[0]) if dr_steps else '-'):>9} {solve_ms:9.1f} "
+                  f"{phase_align_error(sol.xhat, xs):10.2e}", flush=True)
+    finally:
+        solver._gauss_newton, solver._certificate = gauss_newton, certificate
 
 
 def scan_anchor(cdp_seeds, n: int, ratios, trials: int, seed: int) -> None:
@@ -162,7 +218,16 @@ def main(argv=None) -> int:
                         help="with --cdp: the iteration caps to report")
     parser.add_argument("--anchor", action="store_true",
                         help="check the spectral anchor on the --cdp instances and the trials")
+    parser.add_argument("--polish", action="store_true",
+                        help="check the solver's crossover on the trials")
+    parser.add_argument("--noise", type=parse_noise, default=NoiseModel.none(),
+                        help="with --polish: none, uniform:<eta_inv> or gaussian:<snr_db>")
     args = parser.parse_args(argv)
+    if args.polish:
+        if args.n < 1 or args.trials < 1:
+            parser.error("--n and --trials must be >= 1")
+        scan_polish(args.n, args.ratios, args.trials, args.seed, args.noise)
+        return 0
     if args.anchor:
         if args.n < 1 or args.trials < 0:
             parser.error("--n must be >= 1 and --trials >= 0")
