@@ -41,10 +41,12 @@ def read_pgm(path) -> np.ndarray:
             raise ValueError(f"invalid PGM dimensions {width}x{height}")
         if not 0 < maxval < 256:
             raise ValueError(f"only 8-bit PGM supported, got maxval {maxval}")
-        data = fh.read(width * height)
-        if len(data) != width * height:
+        # What the file holds, not what the header declares: a header that
+        # declares more pixels than the file holds must not size the read.
+        data = fh.read()
+        if len(data) < width * height:
             raise ValueError("truncated PGM pixel data")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy()
+    return np.frombuffer(data, dtype=np.uint8, count=width * height).reshape(height, width).copy()
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -1,8 +1,7 @@
 """First-order solver for the anchored relaxation: maximize <a0, x> subject to
-|a_i^H x|^2 <= b_i, by over-relaxed primal-dual proximal splitting,
-Anderson-accelerated where the history fits in the operator's own memory,
-and ended by a certified Gauss-Newton crossover where the lifted Gram matrix
-does."""
+|a_i^H x|^2 <= b_i, by over-relaxed primal-dual proximal splitting, ended
+by a certified Gauss-Newton crossover where the lifted Gram matrix fits in
+the operator's own memory."""
 
 from __future__ import annotations
 
@@ -41,26 +40,8 @@ _RELAXATION = 1.7
 # _SCREEN_RTOL * max b, so it does not reject an iterate the exact check
 # would accept.
 _SCREEN_RTOL = 1e-12
-# Anderson acceleration of the relaxed step (see _Anderson): the number of
-# past steps it combines, at most; _history_length caps it by the operator's
-# size, and a history of 0 is the plain step z <- T(z). tools/step_scan.py
-# --memory measures each length; 3 gains nothing on dense sweep trials, and
-# 10 about halves their iterations.
-_AA_MEMORY = 10
-# Tikhonov weight of the least squares, relative to each new column's own
-# squared norm: it bounds the Gram matrix's condition number when steps
-# become collinear. 1e-14 and 1e-6 moved the median iterations of sweep
-# trials by at most 7%.
-_AA_REGULARIZATION = 1e-10
-# After this many safeguard rejections a solve stops extrapolating and takes
-# plain steps: the history is not helping. The 239 gauss-sweep trials that
-# converge among call seeds s * 10^6 + k (s = 1..4, k < 30) see at most 14;
-# noisy trials, which run to max_iters, reach 32 within 330-580 iterations
-# (n = 128, M/N = 12) and would otherwise pay the Anderson bookkeeping on
-# every iteration for no gain in error.
-_AA_MAX_REJECTIONS = 32
 # The dual entries of inactive slabs decay geometrically towards 0 (by
-# rho - 1 = 0.7 a plain step). Left alone they reach subnormal values after
+# rho - 1 = 0.7 a step). Left alone they reach subnormal values after
 # about 2,000 steps, where arithmetic is many times slower (an adjoint took
 # 1.8 ms instead of 0.2 ms at m = 1536). So every _FLUSH_EVERY steps the
 # solver sets entries below _DUAL_FLOOR * ||a0|| / ||A|| to 0; a dual optimum
@@ -71,13 +52,12 @@ _TINY = np.finfo(np.float64).tiny
 # Crossover (see _polish): the one checkpoint, in iterations. On 180
 # gauss-sweep trials (call seeds s * 10^6 + k, s = 1..3, k < 30; one BLAS
 # thread, 2-vCPU Xeon) 50 iterations left the iterate close enough that
-# Gauss-Newton reached x* on all, and 178 were certified; a trial (anchor
-# and solve) took a median 63.2 ms against 103.7 ms without the stage.
-# There is no retry: noisy b has no exact solution, so Gauss-Newton stalls
-# at every checkpoint, and of the 32 held-out trials at M/N = 4-12
-# (tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8) only one,
-# M/N = 6 t = 2, stalled at 50 and was certified at a later one (200, where
-# the loop alone stops at 537).
+# Gauss-Newton reached x* on all, and 178 were certified. There is no
+# retry: noisy b has no exact solution, so Gauss-Newton stalls at every
+# checkpoint. Of the 32 held-out trials at M/N = 4-12 (tools/step_scan.py
+# --polish --ratios 4 6 8 12 --trials 8), all 16 at M/N = 8 and 12 and
+# M/N = 6 t = 2 were certified at 50; the other 15 end at max_iters, at
+# errors of 0.02-0.59.
 _POLISH_FIRST = 50
 # Gauss-Newton stops at ||(|Ax|^2 - b)|| <= _GN_RTOL ||b||, after
 # _GN_MAX_STEPS steps, or when the residual fails to halve on two steps in a
@@ -93,12 +73,13 @@ _GN_RTOL = 1e-14
 _GN_MAX_STEPS = 12
 _GN_CG_STEPS = 10
 # Douglas-Rachford steps of the certificate search. Certified held-out trials
-# took 8-58 (23-58 at M/N = 8, 8-13 at M/N = 12). A search that finds
-# nothing runs all of them, 600 kernel calls; with Gauss-Newton's 265 that
-# made the three noiseless trials at n = 128, M/N = 6 where Gauss-Newton
-# reaches x* but the relaxation is not tight (RngStream(7, 600 + t),
-# t = 1, 4, 6; 2000 iterations) take 341-353 ms a solve against 292-318 ms
-# without the stage (best of 5), 7-16% more.
+# took 8-128 (23-58 at M/N = 8, 8-13 at M/N = 12, 128 at M/N = 6). A search
+# that finds nothing runs all of them, 600 kernel calls; with Gauss-Newton's
+# 265 that made the four noiseless trials at n = 128, M/N = 6 where
+# Gauss-Newton reaches x* but the relaxation is not tight (RngStream(7,
+# 600 + t), t = 0, 1, 4, 6; 2000 iterations) take 272-382 ms a solve against
+# 226-325 ms without the stage (best of 5; one BLAS thread, 2-vCPU Xeon),
+# 3-31% more.
 _CERT_STEPS = 300
 # A certificate mu must leave ||A^H(mu o A xhat) - a0|| <= _CERT_RTOL ||a0||,
 # checked with a fresh adjoint; 24 certified gauss-sweep trials read 5e-16 to
@@ -199,22 +180,12 @@ def _max_violation(ax: np.ndarray, b: np.ndarray, scale: float = 1.0, out=None) 
     return float(max(np.max(viol, initial=0.0), 0.0))
 
 
-def _history_length(ens: MeasurementEnsemble) -> int:
-    """Anderson history length for ens: _AA_MEMORY, cut so that the history
-    takes no more bytes than the operator's own arrays. A slot holds a step
-    difference with sigma A of its x part (n + 2m) and a residual difference
-    (n + m), in complex128: 0.8 MB against 3.1 MB of rows at n = 128,
-    M/N = 12. A 64 x 64, L = 20 CDP operator gets 0 slots (4.1 MB a slot
-    against 2.6 MB of masks), so its solve takes plain steps, in place."""
-    return min(_AA_MEMORY, ens.nbytes // (16 * (2 * (ens.n + ens.m) + ens.m)))
-
-
 def _can_polish(ens: MeasurementEnsemble) -> bool:
     """Whether ens forms the lifted Gram matrix (its lifted_gram is not the
     base class's) and the matrix with its eigenvectors, 2 (2n)^2 floats, fits
-    in the operator's own bytes, as the Anderson history must: 1.0 MB
-    against 2.1 MB of rows at n = 128, M/N = 8 (dense ensembles with
-    M/N >= 4 pass). CDP operators do not form it."""
+    in the operator's own bytes: 1.0 MB against 2.1 MB of rows at n = 128,
+    M/N = 8 (dense ensembles with M/N >= 4 pass). CDP operators do not form
+    it."""
     forms_gram = ens.lifted_gram.__func__ is not MeasurementEnsemble.lifted_gram
     return forms_gram and 64 * ens.n * ens.n <= ens.nbytes
 
@@ -330,84 +301,6 @@ def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: f
     return x, feas
 
 
-class _Anderson:
-    """Type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011)
-    of a fixed-point map z -> T(z), on points z = (x, y, p) of length n + 2m
-    whose payload p (sigma A x) is carried along but is not part of the
-    residual.
-
-    Each step the caller writes T(z) into the row t and the residual
-    g = T(z) - z, x and y parts only (length n + m), into the row g; then
-    advance() moves z. With the differences dG and dT of the last memory
-    residuals and T values, gamma minimizes |g - dG gamma| in the metric
-    x_weight^2 |x|^2 + |y|^2 (regularized normal equations), and the next
-    point is T(z) - dT gamma, an affine combination of past T values, so a
-    payload linear in x stays that function of x. Safeguard (after Zhang,
-    O'Donoghue & Boyd, arXiv:1808.03971): an extrapolated point whose
-    residual is larger than that of the point before it is replaced by the
-    plain step T of that point, and the history is cleared; after
-    _AA_MAX_REJECTIONS of these every step is plain.
-    """
-
-    def __init__(self, n: int, m: int, memory: int, x_weight: float):
-        width, size = n + 2 * m, n + m
-        # One block: rows dT of the ring, T of this step and the last, and z;
-        # then rows dG of the ring and g of this step and the last, so that a
-        # new difference and this step's g form one strided matrix.
-        block = np.zeros(width * (memory + 3) + size * (memory + 2), dtype=np.complex128)
-        t_rows = block[:width * (memory + 3)].reshape(memory + 3, width)
-        g_rows = block[width * (memory + 3):].reshape(memory + 2, size)
-        self.z = t_rows[memory + 2]
-        self._t_rows, self._g_rows = t_rows.view(np.float64), g_rows.view(np.float64)
-        self._views = [(t_rows[memory + i], g_rows[memory + i]) for i in (0, 1)]
-        self._gram = np.zeros((memory, memory))
-        self._n, self._memory, self._x_weight = n, memory, x_weight
-        self._cur = 0
-        self._used = self._slot = 0
-        self._res = 0.0
-        self._have_prev = self._mixed = False
-        self._rejections = 0
-        self.t, self.g = self._views[0]
-
-    def advance(self) -> None:
-        memory, cur = self._memory, self._cur
-        self._cur = prev = cur ^ 1
-        self.t, self.g = self._views[prev]
-        t_rows, g_rows = self._t_rows, self._g_rows
-        t, t_prev, z = t_rows[memory + cur], t_rows[memory + prev], t_rows[memory + 2]
-        if self._rejections == _AA_MAX_REJECTIONS:
-            z[:] = t
-            return
-        g = g_rows[memory + cur]
-        g[:2 * self._n] *= self._x_weight
-        res = g @ g
-        if self._mixed and res > self._res:
-            z[:] = t_prev
-            self._used = self._slot = 0
-            self._have_prev = self._mixed = False
-            self._rejections += 1
-            return
-        have_prev, self._have_prev, self._res = self._have_prev, True, res
-        if not have_prev:
-            z[:] = t
-            return
-        s = self._slot
-        np.subtract(t, t_prev, out=t_rows[s])
-        np.subtract(g, g_rows[memory + prev], out=g_rows[s])
-        self._used = used = min(self._used + 1, memory)
-        self._slot = (s + 1) % memory
-        # Column 0: the new Gram row; column 1: the right-hand side dG^T g.
-        both = g_rows[:used] @ g_rows[s:memory + cur + 1:memory + cur - s].T
-        gram = self._gram
-        gram[s, :used] = both[:, 0]
-        gram[:used, s] = both[:, 0]
-        gram[s, s] = gram[s, s] * (1.0 + _AA_REGULARIZATION) + _TINY
-        gamma = np.linalg.solve(gram[:used, :used], both[:, 1])
-        np.dot(gamma, t_rows[:used], out=z)
-        np.subtract(t, z, out=z)
-        self._mixed = True
-
-
 def solve_phasemax(
     ens: MeasurementEnsemble, obs: Observations, a0, cfg: SolverConfig = SolverConfig()
 ) -> Solution:
@@ -433,9 +326,7 @@ def solve_phasemax(
     The solve starts at y = 0 and x0 = c a0, the anchor rescaled to the norm
     ||r|| / ||A|| that the data imply; that is ||x*|| when A^H A = ||A||^2 I,
     as for unimodular CDP masks. When b is all zero, c falls back to 1 and
-    x0 to 0. It then iterates z <- T(z), extrapolated by _Anderson over the
-    history that _history_length allows the operator; with none, T(z) is
-    written over z.
+    x0 to 0. It then iterates z <- T(z), writing T(z) over z.
 
     It stops when the relative change ||T(z)_x - x|| / ||T(z)_x|| is at most
     tol_rel_change and feasibility_residual of T(z)_x at most tol_feas,
@@ -472,12 +363,10 @@ def solve_phasemax(
     tau = balance * _STEP_SCALE / op_norm
     sigma = _STEP_SCALE / (balance * op_norm)
     sigma_radii = sigma * radii
-    memory = _history_length(ens)
     x, iters_used, feas, stop_reason = _iterate(
         ens, obs, b, start * a0,
         (tau * a0, tau, sigma, sigma_radii, np.maximum(sigma_radii, _TINY)),
         _DUAL_FLOOR * a0_norm / op_norm, cfg,
-        _Anderson(ens.n, ens.m, memory, 1.0 / balance) if memory else None,
         functools.partial(_polish, ens, b, a0, cfg.tol_feas) if _can_polish(ens) else None)
     if feas is None:
         # Computed after _iterate has returned its m-sized buffers.
@@ -491,36 +380,29 @@ def solve_phasemax(
     )
 
 
-def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, aa, polish):
-    """Iterate T from z = (x, 0): without aa, T(z) is written over z; with
-    it, T(z) and the step g go into aa's rows and aa.advance() moves z.
-    Returns (x, iters_used, feasibility residual of x, stop reason), the
-    residual None when the solve ran to max_iters. Every _FLUSH_EVERY steps,
-    dual entries below y_floor are set to 0. When the count of steps reaches
-    _POLISH_FIRST, polish (if given) reads T(z)_x and may end the solve.
+def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, polish):
+    """Iterate T from z = (x, 0), writing T(z) over z; x is the caller's
+    array and is written in place. Returns (x, iters_used, feasibility
+    residual of x, stop reason), the residual None when the solve ran to
+    max_iters. Every _FLUSH_EVERY steps, dual entries below y_floor are set
+    to 0. When the count of steps reaches _POLISH_FIRST, polish (if given)
+    reads T(z)_x and may end the solve.
 
     The stop test's screen tracks sax = sigma A x: A x_half is the mean of
     A (2 x_half - x), which the step computes, and A x, so the relaxed x has
-    sigma A x = sax + (rho / 2) (sigma A (2 x_half - x) - sax). With aa, sax
-    starts from one exact forward of x and rides in aa's rows beside x;
-    without, the first exact check seeds it, so a solve whose relative
-    change never passes keeps no sax.
+    sigma A x = sax + (rho / 2) (sigma A (2 x_half - x) - sax). The first
+    exact check seeds it, so a solve whose relative change never passes
+    keeps no sax.
     """
     tau_a0, tau, sigma, sigma_radii, radii_floor = steps
-    n, m = ens.n, ens.m
-    if aa is None:
-        y, sax = np.zeros(m, dtype=np.complex128), None
-    else:
-        aa.z[:n] = x
-        x, y, sax = aa.z[:n], aa.z[n:n + m], aa.z[n + m:]
-        np.multiply(ens.forward(x), sigma, out=sax)
-    xbar = np.empty(n, dtype=np.complex128)
+    m = ens.m
+    y, sax = np.zeros(m, dtype=np.complex128), None
+    xbar = np.empty(ens.n, dtype=np.complex128)
     buf = np.empty(m)
     small = np.empty(m, dtype=bool)
     rho = _RELAXATION
     screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
     for k in range(cfg.max_iters):
-        tx, ty, tsa = (x, y, sax) if aa is None else (aa.t[:n], aa.t[n:n + m], aa.t[n + m:])
         # x_half = x + tau a0 - tau A^H y and xbar = sigma (2 x_half - x).
         x_half = ens.adjoint(y)
         x_half *= tau
@@ -531,45 +413,41 @@ def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, aa, polish):
         xbar *= sigma
         f = ens.forward(xbar)
         if sax is not None:
-            np.multiply(sax, 2.0 / rho - 1.0, out=tsa)
-            tsa += f
-            tsa *= 0.5 * rho
+            sax *= 2.0 / rho - 1.0
+            sax += f
+            sax *= 0.5 * rho
         f += y
         _shrink_dual(f, sigma_radii, radii_floor, buf)
         # The step g = rho ((x_half, v) - (x, y)), formed in x_half and f.
         gx, gy = x_half, f
         gy -= y
         gy *= rho
-        np.add(y, gy, out=ty)
+        y += gy
         gx -= x
         gx *= rho
-        np.add(x, gx, out=tx)
-        if aa is not None:
-            aa.g[:n], aa.g[n:] = gx, gy
+        x += gx
         # Not kept across adjoint: two live m-sized buffers fault pages back
         # in on every call (see MeasurementEnsemble).
         del f, gy
         step = math.sqrt(np.vdot(gx, gx).real)
-        norm_new = math.sqrt(np.vdot(tx, tx).real)
+        norm_new = math.sqrt(np.vdot(x, x).real)
         rel_change = step / norm_new if norm_new > 0 else step
         if rel_change <= cfg.tol_rel_change:
             if sax is None:
-                sax = ens.forward(tx)
+                sax = ens.forward(x)
                 feas = _max_violation(sax, b)
                 sax *= sigma
-            elif _max_violation(tsa, b, sigma, buf) <= screen_tol:
-                feas = feasibility_residual(ens, obs, tx)
+            elif _max_violation(sax, b, sigma, buf) <= screen_tol:
+                feas = feasibility_residual(ens, obs, x)
             else:
                 feas = math.inf
             if feas <= cfg.tol_feas:
-                return tx.copy(), k + 1, feas, "optimal"
+                return x, k + 1, feas, "optimal"
         if polish is not None and k + 1 == _POLISH_FIRST:
-            polished = polish(tx)
+            polished = polish(x)
             if polished is not None:
                 xhat, feas = polished
                 return xhat, k + 1, feas, "certified"
-        if aa is not None:
-            aa.advance()
         if k % _FLUSH_EVERY == 0:
             _flush_dual(y, y_floor, buf, small)
-    return tx.copy(), cfg.max_iters, None, "max_iters"
+    return x, cfg.max_iters, None, "max_iters"

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .measurements import MeasurementEnsemble
-from .numerics import RngStream, as_signal, real_inner
+from .numerics import RngStream, as_signal, real_inner, sample_complex_gaussian
 
 __all__ = [
     "GeometryContext",
@@ -259,14 +259,12 @@ def empirical_pmin(ctx: GeometryContext, num_h: int, num_a: int, rng: RngStream)
         raise ValueError("empirical_pmin requires eta_inv > 0")
     target_norm = (1.0 + 1e-6) * ctx.eta_inv / ctx.t
     n = ctx.xstar.shape[0]
-    g = rng.generator
-    scale = np.sqrt(0.5)
     accepted = []
     attempts = 0
     max_attempts = 1000 * num_h
     while len(accepted) < num_h and attempts < max_attempts:
         attempts += 1
-        h = scale * (g.standard_normal(n) + 1j * g.standard_normal(n))
+        h = sample_complex_gaussian(n, rng)
         norm = np.linalg.norm(h)
         if norm == 0:
             continue

@@ -223,10 +223,9 @@ def dense_gaussian_rows_reference(n, m, rng):
 def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
     """solve_phasemax with the stop test as a plain exact check: every time
     the relative change passes, the feasibility residual is computed with a
-    fresh forward. Same steps and arithmetic, the same Anderson mixing when
-    the solver keeps a history, and the solver's own polish stage at the
-    same iteration, so its Solution is the one solve_phasemax must return
-    bit for bit. With polish=False it is the loop alone."""
+    fresh forward. Same steps and arithmetic, and the solver's own polish
+    stage at the same iteration, so its Solution is the one solve_phasemax
+    must return bit for bit. With polish=False it is the loop alone."""
     from phasemax import solver
     from phasemax.measurements import operator_norm
     from phasemax.numerics import RngStream, real_inner
@@ -246,10 +245,6 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
     tau_a0 = tau * a0
     rho = solver._RELAXATION
     n, m = ens.n, ens.m
-    memory = solver._history_length(ens)
-    # sigma A x, which the solver carries in the mixer's rows for its screen,
-    # is left at 0: it changes no other entry of the combination.
-    aa = solver._Anderson(n, m, memory, 1.0 / balance) if memory else None
     buf = np.empty(m)
     y_floor = solver._DUAL_FLOOR * a0_norm / op_norm
     z = np.concatenate([start * a0, np.zeros(m, dtype=np.complex128)])
@@ -275,12 +270,7 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
             if certified is not None:
                 iters_used, stop_reason = k + 1, "certified"
                 break
-        if aa is None:
-            z = t
-        else:
-            aa.t[:n + m], aa.g[:] = t, g
-            aa.advance()
-            z = aa.z[:n + m].copy()
+        z = t
         if k % solver._FLUSH_EVERY == 0:
             z[n:][np.abs(z[n:]) < y_floor] = 0.0
     x, feas = certified if certified is not None else (t[:n].copy(), feas)

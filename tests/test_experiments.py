@@ -40,6 +40,13 @@ def test_pgm_reads_comments_and_rejects_bad_magic(tmp_path):
     bad.write_bytes(b"P2\n1 1\n255\n0")
     with pytest.raises(ValueError):
         read_pgm(bad)
+    # A header that declares more pixels than the file holds is refused
+    # before the pixels are read, not by allocating them.
+    huge = tmp_path / "huge.pgm"
+    huge.write_bytes(b"P5\n1000000 1000000\n255\nabc")
+    with pytest.raises(ValueError, match="truncated PGM pixel data"):
+        read_pgm(huge)
+    assert main(["cdp", "--image", str(huge), "--out-prefix", str(tmp_path / "out")]) == 2
 
 
 # ---------------------------------------------------------------------- sweep

@@ -167,7 +167,6 @@ def test_objective_dominance_over_feasible_truth():
 
 def test_anchor_phase_equivariance():
     ens, obs, xs = make_instance(410, n=10, m=100)
-    assert solver._history_length(ens) > 0
     a0 = xs / np.linalg.norm(xs)
     err1 = phase_align_error(solve_phasemax(ens, obs, a0).xhat, xs)
     err2 = phase_align_error(solve_phasemax(ens, obs, np.exp(0.71j) * a0).xhat, xs)
@@ -175,11 +174,9 @@ def test_anchor_phase_equivariance():
 
 
 def test_iterates_invariant_to_anchor_scale():
-    # The step balance divides by ||a0||, so scaling a0 only scales the dual,
-    # and the metric of the Anderson least squares, |x|^2 / tau + |y|^2 / sigma,
-    # by a constant, which leaves its coefficients as they are.
+    # The step balance divides by ||a0||, so scaling a0 leaves x0 and tau a0
+    # as they are and only scales sigma and the dual.
     ens, obs, xs = make_instance(419)
-    assert solver._history_length(ens) > 0
     a0 = xs / np.linalg.norm(xs)
     ref = solve_phasemax(ens, obs, a0)
     for t in (0.2, 5.0):
@@ -235,34 +232,23 @@ def test_polish_only_where_the_gram_is_formed():
     assert not solver._can_polish(DenseEnsemble.gaussian(8, 16, stream))
 
 
-def use_history(monkeypatch, history, ens):
-    """Cap the Anderson history at history (0: plain steps z <- T(z)) and
-    check that solves on ens keep one exactly when history > 0."""
-    monkeypatch.setattr(solver, "_AA_MEMORY", history)
-    assert (solver._history_length(ens) > 0) is (history > 0)
-
-
-HISTORIES = pytest.mark.parametrize("history", [0, solver._AA_MEMORY], ids=["history-0", "default"])
 REFERENCE_CASES = [
     ("noiseless", None, False), ("noiseless-stop-at-max-iters", None, True),
     ("uniform", NoiseModel.uniform(1e-2), False), ("uniform-screened", NoiseModel.uniform(1e-3), False),
 ]
 
 
-@pytest.mark.parametrize("noise, stop_at_cap, history, polish", [
-    pytest.param(noise, stop_at_cap, history, polish,
-                 id=("polish-" if polish else "") + (name if history else f"history-0-{name}"))
-    for polish in (False, True) for history in (0, solver._AA_MEMORY)
-    for name, noise, stop_at_cap in REFERENCE_CASES])
-def test_solver_matches_exact_check_reference(noise, stop_at_cap, history, polish, monkeypatch):
+@pytest.mark.parametrize("noise, stop_at_cap, polish", [
+    pytest.param(noise, stop_at_cap, polish, id=("polish-" if polish else "") + name)
+    for polish in (False, True) for name, noise, stop_at_cap in REFERENCE_CASES])
+def test_solver_matches_exact_check_reference(noise, stop_at_cap, polish, monkeypatch):
     # The tracked A x only screens; every stop decision and the returned
     # residual come from an exact check, so the Solution is the reference's.
-    # Without the polish stage the noiseless cases stop "optimal" after
-    # 116-172 iterations. With it, the reference runs the solver's stage at
+    # Without the polish stage the noiseless cases stop "optimal" after 268
+    # iterations. With it, the reference runs the solver's stage at
     # the same iteration: the noiseless cases are certified at 50, and the
     # noisy ones stall there and run on, through the screened stop test.
     ens, obs, xs = make_instance(430, noise=noise)
-    use_history(monkeypatch, history, ens)
     if not polish:
         no_polish(monkeypatch)
     a0 = xs / np.linalg.norm(xs)
@@ -279,12 +265,10 @@ def test_solver_matches_exact_check_reference(noise, stop_at_cap, history, polis
     assert sol.stop_reason == (noiseless_stop if noise is None else "max_iters")
 
 
-@HISTORIES
-def test_stop_test_costs_no_forward_per_iteration(history, monkeypatch):
+def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
     # With uniform noise the relative change passes hundreds of iterations
     # before max_iters while the slabs stay violated by about eta_inv.
     ens, obs, xs = make_instance(430, noise=NoiseModel.uniform(1e-3))
-    use_history(monkeypatch, history, ens)
     a0 = xs / np.linalg.norm(xs)
     checks = []
     exact = solver.feasibility_residual
@@ -316,24 +300,19 @@ def test_stop_test_costs_no_forward_per_iteration(history, monkeypatch):
     sol = solve_phasemax(counted, obs, a0)
     assert not sol.converged
     assert len(polish_forwards) == 1
-    # Confirmations: the exact check when the relative change first passes
-    # (history 0 only), plus every feasibility_residual call (here only the
-    # returned residual).
+    # Confirmations: the exact check when the relative change first passes,
+    # plus every feasibility_residual call (here only the returned residual).
     assert len(checks) <= 2
     loop_forwards = counted.forwards - sum(polish_forwards)
     assert loop_forwards <= sol.iters_used + norm.forwards + 1 + len(checks)
 
 
-@HISTORIES
-def test_tracked_forward_matches_a_fresh_one(history, monkeypatch):
+def test_tracked_forward_matches_a_fresh_one(monkeypatch):
     # Every relative change passes and no exact check can, because b_0 = 0
-    # keeps each iterate infeasible. Without a history, A x is seeded from
-    # x_1, and the screen of iteration k sees the tracked A x_{k+1} for
-    # k = 1 .. 7. With one, sigma A x is carried from an exact forward of x_0
-    # through the extrapolation, and the screen of iteration k sees A T(z_k)_x, the x
-    # that a solve capped at k + 1 iterations returns, for k = 0 .. 7.
+    # keeps each iterate infeasible. A x is seeded from x_1, and the screen
+    # of iteration k sees the tracked A x_{k+1}, the A x of the x that a
+    # solve capped at k + 1 iterations returns, for k = 1 .. 7.
     ens, obs, xs = make_instance(431)
-    use_history(monkeypatch, history, ens)
     b = obs.b.copy()
     b[0] = 0.0
     obs = Observations(b=b)
@@ -342,8 +321,7 @@ def test_tracked_forward_matches_a_fresh_one(history, monkeypatch):
     def cfg(iters):
         return SolverConfig(max_iters=iters, tol_rel_change=1e300, tol_feas=1e-300)
 
-    first = 2 if history == 0 else 1
-    fresh = [ens.forward(solve_phasemax(ens, obs, a0, cfg(k)).xhat) for k in range(first, 9)]
+    fresh = [ens.forward(solve_phasemax(ens, obs, a0, cfg(k)).xhat) for k in range(2, 9)]
     tracked = []
     exact = solver._max_violation
 
@@ -359,36 +337,42 @@ def test_tracked_forward_matches_a_fresh_one(history, monkeypatch):
         assert np.linalg.norm(ax - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("tol_rel_change, bound", [(1e-9, 5.0), (1e300, 6.0)],
-                         ids=["unseeded", "seeded"])
-def test_cdp_solve_without_history_keeps_its_memory(tol_rel_change, bound):
-    # A CDP operator gets no history. Its solve holds y, the shrink's scratch,
-    # each step's m-sized temporaries and, once a relative change has passed
-    # (seeded), the tracked sigma A x: peaks of 4.77 and 5.79 complex
-    # m-vectors. A loop that kept a row of T(z) and carried sigma A x from
-    # the start peaked at 6.83.
+@pytest.mark.parametrize("operator, tol_rel_change, bound", [
+    ("cdp", 1e-9, 5.0), ("cdp", 1e300, 6.0), ("dense", 1e-9, 6.0), ("dense", 1e300, 7.0)],
+    ids=["cdp-unseeded", "cdp-seeded", "dense-unseeded", "dense-seeded"])
+def test_solve_keeps_its_memory(operator, tol_rel_change, bound):
+    # A solve holds y, the shrink's scratch, each step's m-sized temporaries
+    # and, once a relative change has passed (seeded), the tracked sigma A x:
+    # on CDP, peaks of 4.77 and 5.79 complex m-vectors. A loop that kept a
+    # row of T(z) and carried sigma A x from the start peaked at 6.83. The
+    # dense solve (n = 128, M/N = 12) stops before _POLISH_FIRST, so it forms
+    # no Gram matrix: 5.56 and 6.56, where a ten-step history of (x, y,
+    # sigma A x) and of the steps peaked at 44.7.
+    n, iters = (1024, 60) if operator == "cdp" else (128, 40)
     stream = RngStream(435)
-    xs = sample_complex_gaussian(1024, stream)
-    ens = CodedDiffractionEnsemble.rademacher(1024, 20, stream)
+    xs = sample_complex_gaussian(n, stream)
+    if operator == "cdp":
+        ens = CodedDiffractionEnsemble.rademacher(n, 20, stream)
+    else:
+        ens = DenseEnsemble.gaussian(n, 12 * n, stream)
+        assert iters < solver._POLISH_FIRST
     obs = observe(ens, xs, NoiseModel.none(), stream)
-    a0 = xs + 0.5 * sample_complex_gaussian(1024, stream)
-    assert solver._history_length(ens) == 0
-    cfg = SolverConfig(max_iters=60, tol_rel_change=tol_rel_change, tol_feas=1e-300)
+    a0 = xs + 0.5 * sample_complex_gaussian(n, stream)
+    cfg = SolverConfig(max_iters=iters, tol_rel_change=tol_rel_change, tol_feas=1e-300)
     tracemalloc.start()
     try:
         sol = solve_phasemax(ens, obs, a0, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol.iters_used == 60
+    assert sol.iters_used == iters
     assert peak <= bound * 16 * ens.m
 
 
-def test_plain_loop_flushes_subnormal_duals(monkeypatch):
-    # Without a history the duals of inactive slabs shrink by rho - 1 = 0.7 a
-    # step and would go subnormal after about 2,000 steps, where arithmetic is
-    # many times slower; a noisy solve runs to max_iters with many such slabs.
-    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
+def test_plain_loop_flushes_subnormal_duals():
+    # The duals of inactive slabs shrink by rho - 1 = 0.7 a step and would go
+    # subnormal after about 2,000 steps, where arithmetic is many times
+    # slower; a noisy solve runs to max_iters with many such slabs.
     ens, obs, xs = make_instance(434, noise=NoiseModel.uniform(1e-2))
     counted = CountingEnsemble(ens)
     sol = solve_phasemax(counted, obs, xs / np.linalg.norm(xs), SolverConfig(max_iters=3000))
@@ -397,7 +381,7 @@ def test_plain_loop_flushes_subnormal_duals(monkeypatch):
 
 
 def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
-    # With rho = 1 and no history the iterates are those of the plain
+    # With rho = 1 the iterates are those of the plain
     # dual-first loop y <- shrink(y + sigma A xbar), x <- x + tau a0 - tau A^H y,
     # xbar <- 2 x_new - x, up to rounding. The solver starts at y = 0 and
     # x0 = c a0; from x = x0 and xbar = 0 the loop's first dual step,
@@ -406,7 +390,6 @@ def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
     ens, obs, xs = make_instance(432)
     a0 = xs / np.linalg.norm(xs)
     monkeypatch.setattr(solver, "_RELAXATION", 1.0)
-    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
     no_polish(monkeypatch)
     iters = 60
     sol = solve_phasemax(ens, obs, a0, SolverConfig(max_iters=iters, tol_rel_change=1e-300))
@@ -434,10 +417,9 @@ def held_out_trial(ratio, t):
 @HELD_OUT_TRIALS
 def test_relaxation_shortens_noiseless_iterations(ratio, t, monkeypatch):
     # Held-out trials RngStream(7, 100 ratio + t) took 1244-1306 iterations
-    # without relaxation from x = 0; at 1.7 they take 646-748 (without a
-    # history) from the rescaled anchor. The polish stage would certify them
-    # at 50 (test_held_out_trials_are_certified).
-    monkeypatch.setattr(solver, "_AA_MEMORY", 0)
+    # without relaxation from x = 0; at 1.7 they take 646-748 from the
+    # rescaled anchor. The polish stage would certify them at 50
+    # (test_held_out_trials_are_certified).
     no_polish(monkeypatch)
     record = held_out_trial(ratio, t)
     assert record.converged
@@ -446,72 +428,35 @@ def test_relaxation_shortens_noiseless_iterations(ratio, t, monkeypatch):
 
 
 @HELD_OUT_TRIALS
-def test_anderson_halves_noiseless_iterations(ratio, t, monkeypatch):
-    # The same trials take 266-313 iterations with a history of 10. Without
-    # the safeguard the iterates of trial (12, 0) overflowed (from x = 0).
-    no_polish(monkeypatch)
-    record = held_out_trial(ratio, t)
-    assert record.converged
-    assert record.iters <= 400
-    assert record.rel_error <= 1e-6
-
-
-@HELD_OUT_TRIALS
 def test_held_out_trials_are_certified(ratio, t):
     # The polish stage ends the same trials at the first checkpoint, with an
-    # error the loop reaches only after 266-313 iterations (7e-13 - 4e-12).
+    # error the loop alone reaches, 1.1e-12 - 2.4e-12, only after 646-748
+    # iterations.
     record = held_out_trial(ratio, t)
     assert record.stop_reason == "certified"
     assert record.iters == solver._POLISH_FIRST
     assert record.rel_error <= 1e-13
 
 
-def test_anderson_safeguard_keeps_noisy_trial_accurate():
-    # Noisy solves run to max_iters. The sweep trial ends at 4.3e-7 error,
-    # as without a history. The small instance ends at 1.0e-5; a safeguard
-    # that dropped only extrapolated points whose residual grew 1000-fold
-    # left it at 0.99 (and 49 of 480 such instances above 1e-2).
+def test_noisy_solves_stay_accurate():
+    # Noisy solves run to max_iters. The sweep trial ends at 4.3e-7 error
+    # and the small instance at 1.0e-5.
     record = _run_trial((128, 12.0, 0, 0, 3, NoiseModel.uniform(1e-4), 50,
                          SolverConfig(max_iters=800)))
     assert record.rel_error <= 1e-6
     ens, obs, xs = make_instance(478, n=32, m=256, noise=NoiseModel.uniform(1e-3))
-    assert solver._history_length(ens) > 0
     sol = solve_phasemax(ens, obs, xs / np.linalg.norm(xs))
     assert not sol.converged
     assert phase_align_error(sol.xhat, xs) <= 1e-4
-
-
-def test_anderson_solves_an_affine_contraction():
-    # On T(z) = M z + c, type-II Anderson is GMRES on (I - M) z = c (Walker &
-    # Ni), so with a history longer than the real dimension of (x, y), 8, it
-    # reaches the fixed point in about that many steps; the plain iteration
-    # keeps 0.98^12 = 0.78 of its error. The residuals then fall
-    # monotonically, so the safeguard never fires. The payload, a linear
-    # map of x, stays that map of the mixed x.
-    n, m = 2, 2
-    g = RngStream(433).generator
-    q, _ = np.linalg.qr(g.standard_normal((8, 8)))
-    contraction = 0.98 * q
-    c = g.standard_normal(8)
-    payload = g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
-    aa = solver._Anderson(n, m, 10, 1.0)
-    for _ in range(12):
-        z = aa.z[:n + m].view(np.float64)
-        aa.t[:n + m].view(np.float64)[:] = contraction @ z + c
-        aa.t[n + m:] = payload @ aa.t[:n]
-        aa.g[:] = aa.t[:n + m] - aa.z[:n + m]
-        aa.advance()
-    fixed = np.linalg.solve(np.eye(8) - contraction, c)
-    assert np.linalg.norm(aa.z[:n + m].view(np.float64) - fixed) <= 1e-8 * np.linalg.norm(fixed)
-    assert np.allclose(aa.z[n + m:], payload @ aa.z[:n], rtol=0, atol=1e-12)
 
 
 def test_hard_sweep_trial_stays_accurate():
     # Gauss-sweep call seed 3,000,010 at M/N = 8. Without relaxation it ends
     # at 1.2e-7 error at max_iters, and every fixed primal weight from 1.25
     # to 3 leaves it above 1e-6 (7.2e-5 at 2.5). At relaxation 1.7 it ran
-    # to max_iters, 2000, at 5.8e-11; with the Anderson history it converges
-    # in 1,550 iterations, at 6.9e-12.
+    # to max_iters, 2000, at 5.8e-11 from x = 0; from the rescaled anchor it
+    # converges in 1,396 iterations, at 4.5e-12 (the crossover finds no
+    # certificate).
     [record] = run_sweep(SweepConfig(n=128, ratios=(8.0,), trials=1, seed=3_000_010))
     assert record.converged
     assert record.rel_error <= 1e-9

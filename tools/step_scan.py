@@ -1,8 +1,7 @@
 """Solve held-out noiseless sweep trials at several relaxations
-(solver._RELAXATION) and Anderson history lengths (solver._AA_MEMORY; 0
-takes plain steps z <- T(z)) and print, per combination, the median and
-largest iteration count, the trials that ran to max_iters and the worst
-recovered error.
+(solver._RELAXATION) and print, per relaxation, the median and largest
+iteration count, the trials that ran to max_iters and the worst recovered
+error.
 
 Trial t at ratio M/N is built by the sweep's own _run_trial, but on stream
 ids of this tool's choosing, RngStream(seed, 100 * M/N + t), not the ids
@@ -33,7 +32,6 @@ trials on noisy data, where Gauss-Newton stalls. The kernel calls are
 counted by the tests' CountingEnsemble (tests/support.py).
 
     python3 tools/step_scan.py --relax 1 1.5 1.7 --n 128 --ratios 8 12 --trials 8
-    python3 tools/step_scan.py --relax 1.7 --memory 0 3 5 8 10 12
     python3 tools/step_scan.py --cdp 20260809 5000000 5000001 --at 150 175 250
     python3 tools/step_scan.py --anchor --cdp 20260809 1000000 1000001
     python3 tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import itertools
 import statistics
 import sys
 import tempfile
@@ -70,24 +67,23 @@ from phasemax.pgm import read_pgm, write_pgm  # noqa: E402
 from support import CountingEnsemble  # noqa: E402
 
 
-def scan(relaxations, memories, n: int, ratios, trials: int, seed: int) -> None:
+def scan(relaxations, n: int, ratios, trials: int, seed: int) -> None:
     cfg = solver.SolverConfig()
     tasks = [(n, ratio, int(round(100 * ratio)) + t, t, seed, NoiseModel.none(), 50, cfg)
              for ratio in ratios for t in range(trials)]
-    saved = solver._RELAXATION, solver._AA_MEMORY
+    saved = solver._RELAXATION
     print(f"n={n} ratios={list(ratios)} trials={trials} seed={seed} max_iters={cfg.max_iters}")
-    print(f"{'relax':>6} {'memory':>7} {'iters_p50':>10} {'iters_max':>10} "
-          f"{'unconverged':>12} {'worst_err':>10}")
+    print(f"{'relax':>6} {'iters_p50':>10} {'iters_max':>10} {'unconverged':>12} {'worst_err':>10}")
     try:
-        for rho, memory in itertools.product(relaxations, memories):
-            solver._RELAXATION, solver._AA_MEMORY = rho, memory
+        for rho in relaxations:
+            solver._RELAXATION = rho
             records = [_run_trial(task) for task in tasks]
             iters = [r.iters for r in records]
-            print(f"{rho:6g} {memory:7d} {statistics.median(iters):10g} {max(iters):10d} "
+            print(f"{rho:6g} {statistics.median(iters):10g} {max(iters):10d} "
                   f"{sum(not r.converged for r in records):12d} "
                   f"{max(r.rel_error for r in records):10.2e}", flush=True)
     finally:
-        solver._RELAXATION, solver._AA_MEMORY = saved
+        solver._RELAXATION = saved
 
 
 def scan_cdp(seeds, caps) -> None:
@@ -206,8 +202,6 @@ def scan_anchor(cdp_seeds, n: int, ratios, trials: int, seed: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--relax", type=float, nargs="+", default=[1.0, 1.5, 1.7, 1.8])
-    parser.add_argument("--memory", type=int, nargs="+", default=[solver._AA_MEMORY],
-                        help="Anderson history lengths, capped as in the solver; 0 takes plain steps")
     parser.add_argument("--n", type=int, default=128)
     parser.add_argument("--ratios", type=float, nargs="+", default=[8.0, 12.0])
     parser.add_argument("--trials", type=int, default=8, help="trials t = 0 .. trials-1 a ratio")
@@ -242,9 +236,7 @@ def main(argv=None) -> int:
         parser.error("--n and --trials must be >= 1")
     if not all(0 < rho < 2 for rho in args.relax):
         parser.error("--relax must lie in (0, 2)")
-    if not all(memory >= 0 for memory in args.memory):
-        parser.error("--memory must be >= 0")
-    scan(args.relax, args.memory, args.n, args.ratios, args.trials, args.seed)
+    scan(args.relax, args.n, args.ratios, args.trials, args.seed)
     return 0
 
 
