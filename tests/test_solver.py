@@ -238,9 +238,13 @@ REFERENCE_CASES = [
 ]
 
 
+# The history-0 cases are the plain loop's; the unprefixed ones ran the
+# solver's default history of past steps, which is gone, and now run the
+# same loop.
 @pytest.mark.parametrize("noise, stop_at_cap, polish", [
-    pytest.param(noise, stop_at_cap, polish, id=("polish-" if polish else "") + name)
-    for polish in (False, True) for name, noise, stop_at_cap in REFERENCE_CASES])
+    pytest.param(noise, stop_at_cap, polish, id=("polish-" if polish else "") + prefix + name)
+    for polish in (False, True) for prefix in ("history-0-", "")
+    for name, noise, stop_at_cap in REFERENCE_CASES])
 def test_solver_matches_exact_check_reference(noise, stop_at_cap, polish, monkeypatch):
     # The tracked A x only screens; every stop decision and the returned
     # residual come from an exact check, so the Solution is the reference's.
