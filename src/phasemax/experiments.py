@@ -176,9 +176,11 @@ def ratio_summary(records) -> list:
     return out
 
 
-# The demo stops at this cap, short of the solver's stop rule. Started from
-# the rescaled anchor, 175 iterations end below the error that 250 from x = 0
-# reached, on each of 19 instances (tools/step_scan.py --cdp measures them).
+# The cap for demo solves that the crossover does not certify; certified
+# ones (all 12 seeds of tools/step_scan.py --polish --cdp) stop at the
+# solver's checkpoint, 50 iterations. Without the crossover, 175 iterations
+# from the rescaled anchor end below the error that 250 from x = 0 reached,
+# on each of 19 instances (tools/step_scan.py --cdp measures them).
 DEFAULT_CDP_CONFIG = SolverConfig(max_iters=175)
 
 
@@ -213,7 +215,8 @@ def run_cdp_demo(
     with the data). The masks are Rademacher, so A^H A = L I and the solver
     starts from the spectral anchor, built in at most anchor_iters Lanczos
     steps, rescaled to exactly ||xstar||. cfg defaults to
-    DEFAULT_CDP_CONFIG, a fixed 175 iterations. The recovered
+    DEFAULT_CDP_CONFIG: solves the crossover certifies stop at its
+    checkpoint, and 175 iterations cap the others. The recovered
     estimate is phase-aligned, rescaled, and its real part written both as a
     clamped 8-bit PGM and as a raw float64 sidecar for bit-exact error
     computation. The written files depend only on the inputs and seed; wall

@@ -48,7 +48,8 @@ class MeasurementEnsemble:
     passes one buffer to every step, so each step frees no m-sized array:
     freeing two a step made glibc trim the heap and fault the pages back
     in, 31,040 minor faults an anchor in the cdp-image benchmark process
-    against 320 with the buffer. The solver does not pass it.
+    against 320 with the buffer. The solver's loop does not pass it; its
+    crossover (solver._polish) passes one of two buffers to every call.
     """
 
     n: int
@@ -66,8 +67,11 @@ class MeasurementEnsemble:
 
     def lifted_gram(self, z: np.ndarray) -> Optional[np.ndarray]:
         """The real 2n x 2n matrix C C^T, or None when the ensemble does not
-        form it, as here; the solver asks only ensembles that override this
-        (solver._can_polish). Column i of C is a_i z_i for z = A x, as a real
+        form it, as here. The solver asks only ensembles that override this
+        (solver._forms_gram), and runs its crossover on every other ensemble
+        matrix-free, through forward and adjoint alone (solver._can_polish):
+        a subclass that gives just those two kernels is polished as CDP is.
+        Column i of C is a_i z_i for z = A x, as a real
         2n-vector in the layout of a complex128 vector viewed as float64,
         (Re, Im) of each entry in turn: C u = A^H(z o u) for real u, and
         C^T w = Re(conj(z) o A w). It is the Gauss-Newton normal matrix of

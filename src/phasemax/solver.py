@@ -1,7 +1,8 @@
 """First-order solver for the anchored relaxation: maximize <a0, x> subject to
 |a_i^H x|^2 <= b_i, by over-relaxed primal-dual proximal splitting, ended
-by a certified Gauss-Newton crossover where the lifted Gram matrix fits in
-the operator's own memory."""
+by a certified Gauss-Newton crossover: through the lifted Gram matrix on
+dense ensembles where it fits in the operator's own memory, and matrix-free
+on ensembles that form none, such as coded diffraction patterns."""
 
 from __future__ import annotations
 
@@ -49,15 +50,18 @@ _SCREEN_RTOL = 1e-12
 _DUAL_FLOOR = 1e-100
 _FLUSH_EVERY = 16
 _TINY = np.finfo(np.float64).tiny
-# Crossover (see _polish): the one checkpoint, in iterations. On 180
-# gauss-sweep trials (call seeds s * 10^6 + k, s = 1..3, k < 30; one BLAS
-# thread, 2-vCPU Xeon) 50 iterations left the iterate close enough that
-# Gauss-Newton reached x* on all, and 178 were certified. There is no
-# retry: noisy b has no exact solution, so Gauss-Newton stalls at every
-# checkpoint. Of the 32 held-out trials at M/N = 4-12 (tools/step_scan.py
-# --polish --ratios 4 6 8 12 --trials 8), all 16 at M/N = 8 and 12 and
-# M/N = 6 t = 2 were certified at 50; the other 15 end at max_iters, at
-# errors of 0.02-0.59.
+# Crossover (see _polish): the one checkpoint, in iterations, for dense and
+# CDP operators alike. On 180 gauss-sweep trials (call seeds s * 10^6 + k,
+# s = 1..3, k < 30; one BLAS thread, 2-vCPU Xeon) 50 iterations left the
+# iterate close enough that Gauss-Newton reached x* on all, and 178 were
+# certified. There is no retry: noisy b has no exact solution, so
+# Gauss-Newton stalls at every checkpoint. Of the 32 held-out trials at
+# M/N = 4-12 (tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8),
+# all 16 at M/N = 8 and 12 and M/N = 6 t = 2 were certified at 50; the
+# other 15 end at max_iters, at errors of 0.02-0.59. The CDP demo (64 x 64
+# gradient image, L = 20) was certified at 50 on all 72 seeds tried (see
+# _CERT_CALLS), among them criterion 7's, 5,000,000, 3,000,001, 1,000,000,
+# 6,000,002, 41,000,000, 41,000,001 and 7-11.
 _POLISH_FIRST = 50
 # Gauss-Newton stops at ||(|Ax|^2 - b)|| <= _GN_RTOL ||b||, after
 # _GN_MAX_STEPS steps, or when the residual fails to halve on two steps in a
@@ -72,15 +76,33 @@ _POLISH_FIRST = 50
 _GN_RTOL = 1e-14
 _GN_MAX_STEPS = 12
 _GN_CG_STEPS = 10
-# Douglas-Rachford steps of the certificate search. Certified held-out trials
-# took 8-128 (23-58 at M/N = 8, 8-13 at M/N = 12, 128 at M/N = 6). A search
-# that finds nothing runs all of them, 600 kernel calls; with Gauss-Newton's
-# 265 that made the four noiseless trials at n = 128, M/N = 6 where
-# Gauss-Newton reaches x* but the relaxation is not tight (RngStream(7,
-# 600 + t), t = 0, 1, 4, 6; 2000 iterations) take 272-382 ms a solve against
-# 226-325 ms without the stage (best of 5; one BLAS thread, 2-vCPU Xeon),
-# 3-31% more.
+# Douglas-Rachford steps of the certificate search through the Gram matrix.
+# Certified held-out trials take 7-129 (23-42 at M/N = 8, 7-14 at M/N = 12,
+# 129 at M/N = 6), and the 180 gauss-sweep trials above 5,989 in all (6,356
+# from mu = 0). A search that finds nothing runs all of them, 600 kernel
+# calls; with Gauss-Newton's 265 that made the four noiseless trials at
+# n = 128, M/N = 6 where Gauss-Newton reaches x* but the relaxation is not
+# tight (RngStream(7, 600 + t), t = 0, 1, 4, 6; 2000 iterations) take
+# 272-382 ms a solve against 226-325 ms without the stage (best of 5; one
+# BLAS thread, 2-vCPU Xeon), 3-31% more.
 _CERT_STEPS = 300
+# Kernel calls of the matrix-free search (CDP), and the tolerances of its
+# projections: each is solved to _CERT_CG_STEP_RTOL ||a0|| only, and the one
+# that is >= 0 is carried on to _CERT_CG_RTOL ||a0||, ten times below
+# _CERT_RTOL, before it is checked. On 72 CDP demo instances (64 x 64
+# gradient, L = 20; the 12 seeds above, s * 10^6 + k for s = 81, 82, 83,
+# k < 10, and 62 * 10^6 + k, k < 30; tools/step_scan.py --polish --cdp) all
+# were certified, the search taking 45-126 calls (mean 65). Step
+# tolerances of 1e-4, 1e-8 and 1e-11 took means of 61, 72 and 86 and at
+# most 197, 120 and 133 calls. A search that finds nothing runs to the cap,
+# on top of Gauss-Newton's 67-265 calls: 200 is 1.6 times the demo's
+# largest search and two thirds of a cap of 300, which took 123-154 ms on
+# demo-size solves it cannot certify (L = 6 and 8). At n = 16, L = 8 and
+# anchor spread 0.75 (RngStream(450, seed), seed < 16), caps of 150, 200
+# and 300 certify 7, 11 and 11 instances.
+_CERT_CALLS = 200
+_CERT_CG_STEP_RTOL = 1e-6
+_CERT_CG_RTOL = 1e-11
 # A certificate mu must leave ||A^H(mu o A xhat) - a0|| <= _CERT_RTOL ||a0||,
 # checked with a fresh adjoint; 24 certified gauss-sweep trials read 5e-16 to
 # 9e-16.
@@ -111,10 +133,11 @@ class Solution:
 
     stop_reason says why the solve stopped:
     - "optimal": the primal-dual stop test passed (see solve_phasemax);
-    - "certified": the crossover (see _polish) found a point with a KKT
-      certificate: mu >= 0 with A^H(mu o A xhat) = a0 to _CERT_RTOL. That
-      proves xhat maximizes <a0, x> over the slabs through it,
-      |a_i^H x|^2 <= |a_i^H xhat|^2, which Gauss-Newton put within
+    - "certified": the crossover (see _polish; dense ensembles whose Gram
+      matrix fits, and ensembles that form none, such as CDP) found a point
+      with a KKT certificate: mu >= 0 with A^H(mu o A xhat) = a0 to
+      _CERT_RTOL. That proves xhat maximizes <a0, x> over the slabs through
+      it, |a_i^H x|^2 <= |a_i^H xhat|^2, which Gauss-Newton put within
       _GN_RTOL ||b|| of b;
     - "max_iters": neither happened within cfg.max_iters.
     converged is True for the first two.
@@ -180,123 +203,247 @@ def _max_violation(ax: np.ndarray, b: np.ndarray, scale: float = 1.0, out=None) 
     return float(max(np.max(viol, initial=0.0), 0.0))
 
 
+def _forms_gram(ens: MeasurementEnsemble) -> bool:
+    """Whether ens forms the lifted Gram matrix: its lifted_gram is not the
+    base class's."""
+    return ens.lifted_gram.__func__ is not MeasurementEnsemble.lifted_gram
+
+
 def _can_polish(ens: MeasurementEnsemble) -> bool:
-    """Whether ens forms the lifted Gram matrix (its lifted_gram is not the
-    base class's) and the matrix with its eigenvectors, 2 (2n)^2 floats, fits
-    in the operator's own bytes: 1.0 MB against 2.1 MB of rows at n = 128,
-    M/N = 8 (dense ensembles with M/N >= 4 pass). CDP operators do not form
-    it."""
-    forms_gram = ens.lifted_gram.__func__ is not MeasurementEnsemble.lifted_gram
-    return forms_gram and 64 * ens.n * ens.n <= ens.nbytes
+    """Whether solves on ens run the crossover. An ensemble that forms the
+    lifted Gram matrix does when the matrix with its eigenvectors, 2 (2n)^2
+    floats, fits in the operator's own bytes: 1.0 MB against 2.1 MB of rows
+    at n = 128, M/N = 8 (dense ensembles with M/N >= 4 pass). Every other
+    ensemble (CDP, or any subclass that gives only forward and adjoint)
+    always runs it, through those two kernels alone: Gauss-Newton is
+    matrix-free anyway, and the certificate search projects by conjugate
+    gradients instead (see _certificate)."""
+    return not _forms_gram(ens) or 64 * ens.n * ens.n <= ens.nbytes
 
 
-def _normal_solve(ens: MeasurementEnsemble, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """At most _GN_CG_STEPS conjugate-gradient steps from 0 on C C^T h = rhs
-    (C as in lifted_gram, z = A x), in the real inner product Re <u, v> on
-    C^n: C C^T h = A^H(z o Re(conj(z) o A h)), one forward and one adjoint.
-    Stops early at a zero residual or a curvature <= 0."""
-    h = np.zeros_like(rhs)
-    res, direction = rhs.copy(), rhs.copy()
+def _lifted(ens: MeasurementEnsemble, z: np.ndarray, u: np.ndarray, scratch: np.ndarray):
+    """C u = A^H(z o u) for a real m-vector u (C as in lifted_gram, z = A x);
+    scratch is a complex m-vector that it overwrites."""
+    np.multiply(z, u, out=scratch)
+    return ens.adjoint(scratch)
+
+
+def _lifted_t(ens: MeasurementEnsemble, z: np.ndarray, w: np.ndarray, scratch: np.ndarray):
+    """C^T w = Re(conj(z) o A w), returned as the real part of scratch, a
+    complex m-vector that it overwrites with conj(A w) o z (whose real part
+    is the same sum of the same products)."""
+    ens.forward(w, out=scratch)
+    np.conjugate(scratch, out=scratch)
+    scratch *= z
+    return scratch.real
+
+
+def _normal_solve(ens: MeasurementEnsemble, z: np.ndarray, res: np.ndarray,
+                  scratch: np.ndarray, tol: float = 0.0, max_steps: int = _GN_CG_STEPS):
+    """At most max_steps conjugate-gradient steps from 0 on C C^T h = res (C
+    as in lifted_gram, z = A x), in the real inner product Re <u, v> on C^n:
+    C C^T h = A^H(z o Re(conj(z) o A h)), one forward and one adjoint a step
+    through scratch, a complex m-vector. res is overwritten by the residual.
+    Stops early once ||res|| <= tol, or at a curvature <= 0. Returns (h,
+    steps taken, whether ||res|| <= tol). A warm start from h0 is the solve
+    for h - h0 with res = rhs - C C^T h0."""
+    h = np.zeros_like(res)
+    direction = res.copy()
     rr = np.vdot(res, res).real
-    for _ in range(_GN_CG_STEPS):
-        q = ens.adjoint(z * (np.conj(z) * ens.forward(direction)).real)
+    for step in range(max_steps):
+        if rr <= tol * tol:
+            return h, step, True
+        _lifted_t(ens, z, direction, scratch)
+        scratch.imag = 0.0
+        scratch *= z
+        q = ens.adjoint(scratch)
         curvature = np.vdot(direction, q).real
-        if not (rr > 0 and curvature > 0):
-            break
+        if not curvature > 0:
+            return h, step + 1, False
         alpha = rr / curvature
         h += alpha * direction
         res -= alpha * q
         rr, rr_old = np.vdot(res, res).real, rr
         direction *= rr / rr_old
         direction += res
-    return h
+    return h, max_steps, rr <= tol * tol
 
 
-def _gauss_newton(ens: MeasurementEnsemble, b: np.ndarray, x: np.ndarray):
+def _gauss_newton(ens: MeasurementEnsemble, b: np.ndarray, x: np.ndarray, z: np.ndarray,
+                  scratch: np.ndarray, r: np.ndarray):
     """Gauss-Newton on |Ax|^2 = b from x, matrix-free: each step solves
     C C^T h = -C r / 2 for r = |Ax|^2 - b by _normal_solve. Returns the point
     once ||r|| <= _GN_RTOL ||b||, or None on a stall or after _GN_MAX_STEPS
-    steps. x itself is not written."""
+    steps. x itself is not written; z, scratch (complex) and r (real) are
+    m-vectors that it overwrites, z ending as A of the last point."""
     target = _GN_RTOL * np.linalg.norm(b)
-    z = ens.forward(x)
-    r = np.abs(z) ** 2 - b
-    res = np.linalg.norm(r)
+
+    def residual():
+        ens.forward(x, out=z)
+        np.abs(z, out=r)
+        np.square(r, out=r)
+        np.subtract(r, b, out=r)
+        return np.linalg.norm(r)
+
+    res = residual()
     stalls = 0
     for _ in range(_GN_MAX_STEPS):
         if res <= target:
             return x
-        x = x + _normal_solve(ens, z, -0.5 * ens.adjoint(z * r))
-        z = ens.forward(x)
-        r = np.abs(z) ** 2 - b
-        res, res_old = np.linalg.norm(r), res
+        x = x + _normal_solve(ens, z, -0.5 * _lifted(ens, z, r, scratch), scratch)[0]
+        res, res_old = residual(), res
         stalls = stalls + 1 if not res <= 0.5 * res_old else 0
         if stalls == 2:
             return None
     return x if res <= target else None
 
 
-def _certificate(ens: MeasurementEnsemble, z: np.ndarray, a0: np.ndarray, gram: np.ndarray):
+def _certificate(ens: MeasurementEnsemble, z: np.ndarray, a0: np.ndarray, mu0: np.ndarray,
+                 scratch: np.ndarray, buf: np.ndarray, gram=None):
     """Search for mu >= 0 with C mu = A^H(z o mu) = a0 (z = A x, C and its
     Gram matrix G = C C^T as in lifted_gram) by Douglas-Rachford between the
-    affine set {C mu = a0} and the orthant. Returns (mu, steps), mu None when
-    _CERT_STEPS steps find none.
+    affine set {C mu = a0} and the orthant, from the point mu0 >= 0. mu0,
+    scratch (complex) and buf (real) are m-vectors that it overwrites.
+    Returns (mu, steps), mu None when the search finds none.
 
-    The projection onto the affine set is P(u) = u - C^T G^+ (C u - a0), one
-    adjoint and one forward, with the pseudo-inverse G^+ from one eigh: G is
-    singular at least along the phase direction i x, as C^T (i x) =
-    Re(i |z|^2) = 0, and has rank n only for real data. Eigenvalues up to
-    2n eps times the largest count as 0 (numpy's matrix_rank rule). P is
-    affine, so P(2 max(u, 0) - u) = 2 P(max(u, 0)) - P(u), and each step
-    needs only P(max(u, 0)); the search stops once that point is >= 0, and
-    keeps it if a fresh adjoint confirms C mu = a0 to _CERT_RTOL.
+    The projection onto the affine set is P(u) = u - C^T h for G h = C u - a0.
+    With gram given, h = G^+ (C u - a0), one adjoint and one forward, the
+    pseudo-inverse from one eigh: G is singular at least along the phase
+    direction i x, as C^T (i x) = Re(i |z|^2) = 0, and has rank n only for
+    real data. Eigenvalues up to 2n eps times the largest count as 0
+    (numpy's matrix_rank rule); the search stops after _CERT_STEPS steps.
+    Without gram, h comes from _normal_solve, warm started from the
+    previous projection's h, to _CERT_CG_STEP_RTOL ||a0||: far enough to
+    steer the search, not to certify. The first projection that is >= 0 is
+    carried on to _CERT_CG_RTOL ||a0|| from its residual, and the search
+    goes on if that makes it < 0. It stops at the first solve that cannot
+    finish within _CERT_CALLS kernel calls in all, so a search that finds
+    nothing makes at most that many.
+
+    From u0 = mu0 >= 0 the first step is u1 = P(mu0). P is affine, so
+    P(2 max(u, 0) - u) = 2 P(max(u, 0)) - P(u), and each later step needs
+    only P(max(u, 0)), with u <- min(u, 0) + 2 P(max(u, 0)) - P(u). The
+    search stops once a (refined) projection is >= 0, and keeps it if a
+    fresh adjoint confirms C mu = a0 to _CERT_RTOL.
     """
-    values, vectors = np.linalg.eigh(gram)
-    keep = values > values[-1] * 2 * ens.n * np.finfo(np.float64).eps
-    values, vectors = values[keep], vectors[:, keep]
+    a0_norm = np.linalg.norm(a0)
+    if gram is not None:
+        values, vectors = np.linalg.eigh(gram)
+        keep = values > values[-1] * 2 * ens.n * np.finfo(np.float64).eps
+        values, vectors = values[keep], vectors[:, keep]
 
-    def project(u):
-        w = vectors @ ((vectors.T @ (ens.adjoint(z * u) - a0).view(np.float64)) / values)
-        return u - (np.conj(z) * ens.forward(w.view(np.complex128))).real
+        def project(u):
+            res = _lifted(ens, z, u, scratch) - a0
+            w = vectors @ ((vectors.T @ res.view(np.float64)) / values)
+            u -= _lifted_t(ens, z, w.view(np.complex128), scratch)
+            return u
 
-    u = p_u = project(np.zeros(ens.m))
-    for step in range(1, _CERT_STEPS + 1):
-        mu = np.maximum(u, 0.0)
-        p_mu = project(mu)
-        if np.min(p_mu) >= 0.0:
-            kkt = np.linalg.norm(ens.adjoint(z * p_mu) - a0)
-            return (p_mu if kkt <= _CERT_RTOL * np.linalg.norm(a0) else None), step
-        u += 2.0 * p_mu - p_u - mu
-        p_u = p_mu
-    return None, _CERT_STEPS
+        def refine(u):
+            return u
+    else:
+        calls, h, res = 0, None, None
+
+        def project(u):
+            # Warm started from h: u - C^T h is projected by a solve from 0.
+            nonlocal calls, res
+            calls += 2 if h is None else 3
+            if calls > _CERT_CALLS:
+                return None
+            if h is not None:
+                u -= _lifted_t(ens, z, h, scratch)
+            res = _lifted(ens, z, u, scratch)
+            res -= a0
+            return correct(u, _CERT_CG_STEP_RTOL)
+
+        def refine(u):
+            # Carries the last projection's solve on, from its residual.
+            nonlocal calls
+            calls += 1
+            return correct(u, _CERT_CG_RTOL) if calls <= _CERT_CALLS else None
+
+        def correct(u, rtol):
+            # u - C^T g for G g = res solved to rtol ||a0||, with the calls
+            # left after the ones its caller made or counted.
+            nonlocal calls, h
+            step, steps, solved = _normal_solve(ens, z, res, scratch, rtol * a0_norm,
+                                                (_CERT_CALLS - calls) // 2)
+            calls += 2 * steps
+            if not solved:
+                return None
+            h = step if h is None else h + step
+            u -= _lifted_t(ens, z, step, scratch)
+            return u
+
+    # project writes P(u) over u and returns it, or None when it fails; so
+    # does refine, for a projection that is >= 0. u lives in buf, and each
+    # step's max(u, 0) in the array of the last but one projection.
+    p_u, spare = project(mu0), None
+    steps = 1
+    if p_u is not None:
+        u = buf
+        np.copyto(u, p_u)
+    while p_u is not None and steps < _CERT_STEPS:
+        if np.min(p_u) >= 0.0:
+            p_u = refine(p_u)
+            if p_u is None or np.min(p_u) >= 0.0:
+                break
+        p_mu = project(np.maximum(u, 0.0, out=spare))
+        if p_mu is not None:
+            np.minimum(u, 0.0, out=u)
+            u -= p_u
+            u += p_mu
+            u += p_mu
+        p_u, spare = p_mu, p_u
+        steps += 1
+    if p_u is None or np.min(p_u) < 0.0:
+        return None, steps
+    kkt = np.linalg.norm(_lifted(ens, z, p_u, scratch) - a0)
+    return (p_u if kkt <= _CERT_RTOL * a0_norm else None), steps
 
 
 def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: float,
-            x: np.ndarray):
-    """Crossover from the primal-dual iterate x to a certified vertex, as LP
-    and QP solvers end a first-order solve (OSQP's solution polishing,
+            x: np.ndarray, y: np.ndarray, buf: np.ndarray):
+    """Crossover from the primal-dual iterate (x, y) to a certified vertex, as
+    LP and QP solvers end a first-order solve (OSQP's solution polishing,
     Stellato et al., arXiv:1711.08013). With noiseless data every slab is
     tight at x*, so the guess is the whole active set: from x, a
     matrix-free Gauss-Newton (Gao & Xu, IEEE Trans. Signal Process. 2017)
     solves |Ax|^2 = b; the point is phase-aligned to a0 and checked for
     feasibility to tol_feas, and kept only with a KKT certificate: mu >= 0
     with A^H(mu o A x) = a0, which by convexity makes x the maximizer of
-    <a0, x> over the slabs through it (see _certificate). Returns (xhat,
-    feasibility residual) when certified, else None.
+    <a0, x> over the slabs through it (see _certificate). At the KKT point
+    y_i = mu_i z_i for z = A x, so the search starts from the loop's dual,
+    mu0 = max(Re(conj(z) o y), 0) / |z|^2. Returns (xhat, feasibility
+    residual) when certified, else None.
 
-    The solver calls it once, at iteration _POLISH_FIRST; it reads x and
-    writes no loop state, so a solve it does not end is the solve without
-    it.
+    The solver calls it once, at iteration _POLISH_FIRST. It reads x and y
+    and writes only buf, the loop's real m-vector of scratch, so a solve it
+    does not end is the solve without it. Its own m-sized arrays are A x,
+    one complex m-vector that every forward writes and every adjoint reads,
+    and two real ones for the search; each adjoint also allocates its
+    kernel's own temporary, as in the loop.
     """
-    solved = _gauss_newton(ens, b, x)
+    z, scratch = np.empty(ens.m, dtype=np.complex128), np.empty(ens.m, dtype=np.complex128)
+    solved = _gauss_newton(ens, b, x, z, scratch, buf)
     if solved is None:
         return None
     overlap = np.vdot(solved, a0)
     if overlap == 0:  # x = 0, e.g. for b = 0, has no phase to align
         return None
     x = solved * (overlap / abs(overlap))
-    z = ens.forward(x)
-    feas = _max_violation(z, b)  # feasibility_residual of x
-    if feas > tol_feas or _certificate(ens, z, a0, ens.lifted_gram(z))[0] is None:
+    ens.forward(x, out=z)
+    feas = _max_violation(z, b, out=buf)  # feasibility_residual of x
+    if feas > tol_feas:
+        return None
+    np.conjugate(z, out=scratch)
+    scratch *= y
+    mu0 = np.maximum(scratch.real, 0.0)
+    np.abs(z, out=buf)
+    np.square(buf, out=buf)
+    np.maximum(buf, _TINY, out=buf)
+    mu0 /= buf
+    gram = ens.lifted_gram(z) if _forms_gram(ens) else None
+    if _certificate(ens, z, a0, mu0, scratch, buf, gram)[0] is None:
         return None
     return x, feas
 
@@ -336,13 +483,14 @@ def solve_phasemax(
     confirms every stop, so the stop decisions are those of an exact check
     made whenever the relative change passes.
 
-    When the operator can hold the lifted Gram matrix (_can_polish: dense
-    ensembles with M/N >= 4, not CDP), the crossover _polish runs once,
-    from T(z)_x after _POLISH_FIRST steps: Gauss-Newton on |Ax|^2 = b, then a
-    search for a KKT certificate. A certified point ends the solve
-    ("certified"; see Solution for what that proves). Otherwise the loop
-    goes on from the state it left, so the Solution is the one the loop
-    alone returns.
+    Where _can_polish holds (dense ensembles with M/N >= 4, and ensembles
+    that form no Gram matrix, such as CDP), the crossover _polish runs once,
+    from T(z) after _POLISH_FIRST steps: Gauss-Newton on |Ax|^2 = b from
+    T(z)_x, then a search for a KKT certificate started from T(z)_y, through
+    the Gram matrix on dense ensembles and matrix-free on the others. A
+    certified point ends the solve ("certified"; see Solution for what that
+    proves). Otherwise the loop goes on from the state it left, so the
+    Solution is the one the loop alone returns.
 
     Zero-radius disks (b_i = 0, e.g. after gaussian-noise clipping) stay
     constraints forcing (Ax)_i toward 0. xhat is feasible only to
@@ -362,7 +510,8 @@ def solve_phasemax(
         balance, start = 1.0, 0.0
     tau = balance * _STEP_SCALE / op_norm
     sigma = _STEP_SCALE / (balance * op_norm)
-    sigma_radii = sigma * radii
+    sigma_radii = radii  # radii itself is not needed past here
+    sigma_radii *= sigma
     x, iters_used, feas, stop_reason = _iterate(
         ens, obs, b, start * a0,
         (tau * a0, tau, sigma, sigma_radii, np.maximum(sigma_radii, _TINY)),
@@ -386,7 +535,7 @@ def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, polish):
     residual of x, stop reason), the residual None when the solve ran to
     max_iters. Every _FLUSH_EVERY steps, dual entries below y_floor are set
     to 0. When the count of steps reaches _POLISH_FIRST, polish (if given)
-    reads T(z)_x and may end the solve.
+    reads T(z) = (x, y), may use buf as scratch, and may end the solve.
 
     The stop test's screen tracks sax = sigma A x: A x_half is the mean of
     A (2 x_half - x), which the step computes, and A x, so the relaxed x has
@@ -444,7 +593,7 @@ def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, polish):
             if feas <= cfg.tol_feas:
                 return x, k + 1, feas, "optimal"
         if polish is not None and k + 1 == _POLISH_FIRST:
-            polished = polish(x)
+            polished = polish(x, y, buf)
             if polished is not None:
                 xhat, feas = polished
                 return xhat, k + 1, feas, "certified"

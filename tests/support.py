@@ -25,13 +25,14 @@ def strip_runtime(csv_text):
 class CountingEnsemble(MeasurementEnsemble):
     """Wraps an ensemble; counts its forward and adjoint calls, and, unless
     subnormals=False, the subnormal entries (0 < |z_i| < tiny) of the vectors
-    its adjoint is given. It hands on the wrapped ensemble's own lifted_gram,
-    so the solver polishes the wrapper exactly when it polishes ens."""
+    its adjoint is given. It hands on the wrapped ensemble's own lifted_gram
+    and exact_norm, so the solver polishes the wrapper exactly when it
+    polishes ens, and takes the same steps on it."""
 
     def __init__(self, ens, subnormals=True):
         self.ens, self.n, self.m, self.subnormals = ens, ens.n, ens.m, subnormals
         self.forwards = self.adjoints = self.subnormal_inputs = 0
-        self.lifted_gram = ens.lifted_gram
+        self.lifted_gram, self.exact_norm = ens.lifted_gram, ens.exact_norm
 
     def forward(self, x, *, out=None):
         self.forwards += 1
@@ -224,8 +225,9 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
     """solve_phasemax with the stop test as a plain exact check: every time
     the relative change passes, the feasibility residual is computed with a
     fresh forward. Same steps and arithmetic, and the solver's own polish
-    stage at the same iteration, so its Solution is the one solve_phasemax
-    must return bit for bit. With polish=False it is the loop alone."""
+    stage at the same iteration, from the same (x, y), so its Solution is the
+    one solve_phasemax must return bit for bit. With polish=False it is the
+    loop alone."""
     from phasemax import solver
     from phasemax.measurements import operator_norm
     from phasemax.numerics import RngStream, real_inner
@@ -266,7 +268,7 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
                 iters_used, stop_reason = k + 1, "optimal"
                 break
         if polish and k + 1 == solver._POLISH_FIRST:
-            certified = solver._polish(ens, obs.b, a0, cfg.tol_feas, t[:n])
+            certified = solver._polish(ens, obs.b, a0, cfg.tol_feas, t[:n], t[n:], buf)
             if certified is not None:
                 iters_used, stop_reason = k + 1, "certified"
                 break

@@ -26,6 +26,7 @@ from phasemax.measurements import Observations, operator_norm
 from phasemax.solver import _shrink_dual
 from support import (
     CountingEnsemble,
+    cdp_forward_reference,
     disk_project_vector,
     lift,
     lifted_columns,
@@ -220,16 +221,30 @@ def no_polish(monkeypatch):
 
 
 def test_polish_only_where_the_gram_is_formed():
-    # This CDP operator's masks take as many bytes as a Gram matrix would,
-    # but it forms none, bare or wrapped; dense M/N = 4 passes the size
-    # test and M/N = 2 does not.
+    # A dense ensemble polishes through its Gram matrix where the matrix
+    # fits: M/N = 4 passes the size test and M/N = 2 does not. A CDP
+    # operator forms no Gram matrix, bare or wrapped, and polishes
+    # matrix-free, even when its masks take as many bytes as the Gram would.
     stream = RngStream(442)
     cdp = CodedDiffractionEnsemble.rademacher(4, 8, stream)
     assert 64 * cdp.n ** 2 <= cdp.nbytes
-    assert not solver._can_polish(cdp) and not solver._can_polish(CountingEnsemble(cdp))
+    for ens in (cdp, CountingEnsemble(cdp)):
+        assert solver._can_polish(ens) and not solver._forms_gram(ens)
     dense = DenseEnsemble.gaussian(8, 32, stream)
-    assert solver._can_polish(dense) and solver._can_polish(CountingEnsemble(dense))
+    for ens in (dense, CountingEnsemble(dense)):
+        assert solver._can_polish(ens) and solver._forms_gram(ens)
     assert not solver._can_polish(DenseEnsemble.gaussian(8, 16, stream))
+
+
+# The CDP ensemble sampler, for noiseless_anchored.
+CDP = CodedDiffractionEnsemble.rademacher
+
+
+def cdp_rows(ens):
+    """The rows a_i of a CDP operator, (A x)_i = a_i^H x, built column by
+    column from the one-expression reference forward map."""
+    columns = [cdp_forward_reference(ens.masks, e) for e in np.eye(ens.n, dtype=complex)]
+    return np.conj(np.column_stack(columns))
 
 
 REFERENCE_CASES = [
@@ -241,21 +256,26 @@ REFERENCE_CASES = [
 # The history-0 cases are the plain loop's; the unprefixed ones ran the
 # solver's default history of past steps, which is gone, and now run the
 # same loop.
-@pytest.mark.parametrize("noise, stop_at_cap, polish", [
-    pytest.param(noise, stop_at_cap, polish, id=("polish-" if polish else "") + prefix + name)
+@pytest.mark.parametrize("noise, stop_at_cap, polish, cdp", [
+    pytest.param(noise, stop_at_cap, polish, False, id=("polish-" if polish else "") + prefix + name)
     for polish in (False, True) for prefix in ("history-0-", "")
-    for name, noise, stop_at_cap in REFERENCE_CASES])
-def test_solver_matches_exact_check_reference(noise, stop_at_cap, polish, monkeypatch):
+    for name, noise, stop_at_cap in REFERENCE_CASES] + [
+    pytest.param(None, False, True, True, id="polish-cdp-noiseless")])
+def test_solver_matches_exact_check_reference(noise, stop_at_cap, polish, cdp, monkeypatch):
     # The tracked A x only screens; every stop decision and the returned
     # residual come from an exact check, so the Solution is the reference's.
     # Without the polish stage the noiseless cases stop "optimal" after 268
     # iterations. With it, the reference runs the solver's stage at
-    # the same iteration: the noiseless cases are certified at 50, and the
-    # noisy ones stall there and run on, through the screened stop test.
-    ens, obs, xs = make_instance(430, noise=noise)
+    # the same iteration, from the same (x, y): the noiseless cases are
+    # certified at 50, the CDP one by the matrix-free search, and the noisy
+    # ones stall there and run on, through the screened stop test.
+    if cdp:
+        ens, obs, xs, a0 = noiseless_anchored(RngStream(430), 16, 8, 0.0, CDP)
+    else:
+        ens, obs, xs = make_instance(430, noise=noise)
+        a0 = xs / np.linalg.norm(xs)
     if not polish:
         no_polish(monkeypatch)
-    a0 = xs / np.linalg.norm(xs)
     cfg = SolverConfig()
     if stop_at_cap:
         # The stop falls on the last iteration, with no next forward to screen it.
@@ -342,34 +362,45 @@ def test_tracked_forward_matches_a_fresh_one(monkeypatch):
 
 
 @pytest.mark.parametrize("operator, tol_rel_change, bound", [
-    ("cdp", 1e-9, 5.0), ("cdp", 1e300, 6.0), ("dense", 1e-9, 6.0), ("dense", 1e300, 7.0)],
-    ids=["cdp-unseeded", "cdp-seeded", "dense-unseeded", "dense-seeded"])
-def test_solve_keeps_its_memory(operator, tol_rel_change, bound):
+    ("cdp", 1e-9, 5.0), ("cdp", 1e300, 6.0), ("dense", 1e-9, 6.0), ("dense", 1e300, 7.0),
+    ("cdp-polished", 1e-9, 7.5)],
+    ids=["cdp-unseeded", "cdp-seeded", "dense-unseeded", "dense-seeded", "cdp-polished"])
+def test_solve_keeps_its_memory(operator, tol_rel_change, bound, monkeypatch):
     # A solve holds y, the shrink's scratch, each step's m-sized temporaries
     # and, once a relative change has passed (seeded), the tracked sigma A x:
     # on CDP, peaks of 4.77 and 5.79 complex m-vectors. A loop that kept a
     # row of T(z) and carried sigma A x from the start peaked at 6.83. The
     # dense solve (n = 128, M/N = 12) stops before _POLISH_FIRST, so it forms
     # no Gram matrix: 5.56 and 6.56, where a ten-step history of (x, y,
-    # sigma A x) and of the steps peaked at 44.7.
-    n, iters = (1024, 60) if operator == "cdp" else (128, 40)
+    # sigma A x) and of the steps peaked at 44.7. These four run without the
+    # polish stage. The polished CDP solve is certified at _POLISH_FIRST,
+    # after a three-step search: 7.18, where a stage with a real m-vector
+    # of its own in place of the loop's buf peaked at 7.68.
+    n, iters = (1024, 60) if operator.startswith("cdp") else (128, 40)
     stream = RngStream(435)
     xs = sample_complex_gaussian(n, stream)
-    if operator == "cdp":
+    if operator.startswith("cdp"):
         ens = CodedDiffractionEnsemble.rademacher(n, 20, stream)
     else:
         ens = DenseEnsemble.gaussian(n, 12 * n, stream)
         assert iters < solver._POLISH_FIRST
     obs = observe(ens, xs, NoiseModel.none(), stream)
     a0 = xs + 0.5 * sample_complex_gaussian(n, stream)
-    cfg = SolverConfig(max_iters=iters, tol_rel_change=tol_rel_change, tol_feas=1e-300)
+    if operator == "cdp-polished":
+        cfg = SolverConfig(max_iters=iters)
+    else:
+        no_polish(monkeypatch)
+        cfg = SolverConfig(max_iters=iters, tol_rel_change=tol_rel_change, tol_feas=1e-300)
     tracemalloc.start()
     try:
         sol = solve_phasemax(ens, obs, a0, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol.iters_used == iters
+    if operator == "cdp-polished":
+        assert (sol.stop_reason, sol.iters_used) == ("certified", solver._POLISH_FIRST)
+    else:
+        assert sol.iters_used == iters
     assert peak <= bound * 16 * ens.m
 
 
@@ -466,12 +497,13 @@ def test_hard_sweep_trial_stays_accurate():
     assert record.rel_error <= 1e-9
 
 
-def noiseless_anchored(stream, n, m, spread):
-    """A noiseless dense instance and an anchor xs / ||xs|| + spread g / sqrt(n),
+def noiseless_anchored(stream, n, m, spread, sample=DenseEnsemble.gaussian):
+    """A noiseless instance and an anchor xs / ||xs|| + spread g / sqrt(n),
     g complex Gaussian: the larger spread, the more often the relaxation is
-    not tight."""
+    not tight. sample(n, m, stream) draws the ensemble: m dense rows, or
+    with CodedDiffractionEnsemble.rademacher m masks."""
     xs = sample_complex_gaussian(n, stream)
-    ens = DenseEnsemble.gaussian(n, m, stream)
+    ens = sample(n, m, stream)
     obs = observe(ens, xs, NoiseModel.none(), stream)
     a0 = xs / np.linalg.norm(xs) + spread * sample_complex_gaussian(n, stream) / np.sqrt(n)
     return ens, obs, xs, a0
@@ -522,6 +554,62 @@ def test_uncertified_solve_is_the_loop_without_polish(seed, monkeypatch):
     cfg = SolverConfig(max_iters=150)
     sol = solve_phasemax(ens, obs, a0, cfg)
     assert [(found is None, steps) for found, steps in searches] == [(True, solver._CERT_STEPS)]
+    ref = solve_phasemax_reference(ens, obs, a0, cfg, polish=False)
+    assert sol.stop_reason == ref.stop_reason == "max_iters"
+    assert np.array_equal(sol.xhat, ref.xhat)
+    assert (sol.iters_used, sol.objective, sol.feas_residual) == (
+        ref.iters_used, ref.objective, ref.feas_residual)
+
+
+def test_certified_cdp_solutions_pass_the_nnls_oracle():
+    # The matrix-free search on CDP operators, checked by the same oracle on
+    # explicit rows built from the reference forward map. At n = 16, L = 8
+    # and anchor spread 0.75, 11 of the 16 are certified, in searches of
+    # 1-14 steps; on some of the others the relaxation is not tight, and the
+    # oracle rejected a search that accepted mu of any sign.
+    cfg = SolverConfig(max_iters=150)
+    certified = 0
+    for seed in range(16):
+        ens, obs, xs, a0 = noiseless_anchored(RngStream(450, seed), 16, 8, 0.75, CDP)
+        sol = solve_phasemax(ens, obs, a0, cfg)
+        if sol.stop_reason != "certified":
+            continue
+        certified += 1
+        mu = nnls(lifted_columns(cdp_rows(ens), sol.xhat), lift(a0))
+        kkt = np.linalg.norm(ens.adjoint(mu * ens.forward(sol.xhat)) - a0)
+        assert np.all(mu >= 0) and kkt <= 1e-8 * np.linalg.norm(a0)
+        assert sol.feas_residual <= cfg.tol_feas
+        assert sol.feas_residual == feasibility_residual(ens, obs, sol.xhat)
+        assert sol.iters_used == solver._POLISH_FIRST
+        assert phase_align_error(sol.xhat, xs) <= 1e-12
+    assert certified >= 10
+
+
+@pytest.mark.parametrize("seed", [0, 3, 10])
+def test_uncertified_cdp_solve_is_the_loop_without_polish(seed, monkeypatch):
+    # The CDP counterpart: at anchor spread 1.0 these relaxations are not
+    # tight (the oracle leaves a residual at x*), Gauss-Newton reaches x*,
+    # and the matrix-free search stops at its cap of kernel calls; the solve
+    # then goes on as if the stage had not run.
+    ens, obs, xs, a0 = noiseless_anchored(RngStream(450, seed), 16, 8, 1.0, CDP)
+    xs_aligned = xs * np.exp(1j * np.angle(np.vdot(xs, a0)))
+    mu = nnls(lifted_columns(cdp_rows(ens), xs_aligned), lift(a0))
+    assert np.linalg.norm(ens.adjoint(mu * ens.forward(xs_aligned)) - a0) > 1e-3 * np.linalg.norm(a0)
+    counted = CountingEnsemble(ens)
+    searches = []
+    search = solver._certificate
+
+    def recording(*args):
+        before = counted.forwards + counted.adjoints
+        found = search(*args)
+        searches.append((found[0] is None, counted.forwards + counted.adjoints - before))
+        return found
+
+    monkeypatch.setattr(solver, "_certificate", recording)
+    cfg = SolverConfig(max_iters=150)
+    sol = solve_phasemax(counted, obs, a0, cfg)
+    [(missed, calls)] = searches
+    assert missed and solver._CERT_CALLS - 4 <= calls <= solver._CERT_CALLS
     ref = solve_phasemax_reference(ens, obs, a0, cfg, polish=False)
     assert sol.stop_reason == ref.stop_reason == "max_iters"
     assert np.array_equal(sol.xhat, ref.xhat)

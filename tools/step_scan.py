@@ -1,7 +1,8 @@
 """Solve held-out noiseless sweep trials at several relaxations
 (solver._RELAXATION) and print, per relaxation, the median and largest
 iteration count, the trials that ran to max_iters and the worst recovered
-error.
+error. The solves run without the crossover (solver._polish), which would
+end them all at its checkpoint.
 
 Trial t at ratio M/N is built by the sweep's own _run_trial, but on stream
 ids of this tool's choosing, RngStream(seed, 100 * M/N + t), not the ids
@@ -12,7 +13,8 @@ tests/test_solver.py pins the iteration counts of four of these trials.
 With --cdp it instead runs the CDP demo, run_cdp_demo on the 64 x 64
 gradient image with 20 masks (acceptance criterion 7 and the cdp-image
 benchmark), once per seed and per iteration cap in --at, and prints each
-instance's rel_error at each cap, at the solver's current constants.
+instance's rel_error at each cap, at the solver's current constants and
+without the crossover.
 
 With --anchor it checks the spectral anchor instead of the solve: on each
 CDP demo instance of --cdp (none by default) and each held-out trial, built
@@ -24,23 +26,28 @@ dense Sigma for the trials, and from 200 Lanczos steps at no stop tolerance
 for the CDP instances.
 
 With --polish it checks the solver's crossover instead (solver._polish):
-on each held-out trial, solved from the spectral anchor as _run_trial
-solves it, it prints the stop reason and iterations, the kernel calls of
-Gauss-Newton, the Douglas-Rachford steps of the certificate search (- when
-none ran), the solve's wall time and the recovered error. --noise runs the
-trials on noisy data, where Gauss-Newton stalls. The kernel calls are
-counted by the tests' CountingEnsemble (tests/support.py).
+on each held-out trial, or with --cdp on each CDP demo instance, solved
+from the spectral anchor as _run_trial and run_cdp_demo solve them, it
+prints the stop reason and iterations, the kernel calls of the loop (with
+the dense operator-norm estimate), of Gauss-Newton and of the rest of the
+crossover (the certificate search), the Douglas-Rachford steps of the
+search (- when none ran), the solve's wall time and the recovered error.
+--noise runs the trials on noisy data, where Gauss-Newton stalls. The
+kernel calls are counted by the tests' CountingEnsemble (tests/support.py);
+the anchor's are not included.
 
     python3 tools/step_scan.py --relax 1 1.5 1.7 --n 128 --ratios 8 12 --trials 8
     python3 tools/step_scan.py --cdp 20260809 5000000 5000001 --at 150 175 250
     python3 tools/step_scan.py --anchor --cdp 20260809 1000000 1000001
     python3 tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8
     python3 tools/step_scan.py --polish --ratios 12 --trials 4 --noise uniform:1e-4
+    python3 tools/step_scan.py --polish --cdp 20260809 5000000 3000001
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import statistics
 import sys
@@ -55,7 +62,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from phasemax import anchor, solver  # noqa: E402
 from phasemax.cli import parse_noise  # noqa: E402
-from phasemax.experiments import _run_trial, run_cdp_demo  # noqa: E402
+from phasemax.experiments import DEFAULT_CDP_CONFIG, _run_trial, run_cdp_demo  # noqa: E402
 from phasemax.measurements import (  # noqa: E402
     CodedDiffractionEnsemble,
     DenseEnsemble,
@@ -72,24 +79,38 @@ def scan(relaxations, n: int, ratios, trials: int, seed: int) -> None:
     tasks = [(n, ratio, int(round(100 * ratio)) + t, t, seed, NoiseModel.none(), 50, cfg)
              for ratio in ratios for t in range(trials)]
     saved = solver._RELAXATION
-    print(f"n={n} ratios={list(ratios)} trials={trials} seed={seed} max_iters={cfg.max_iters}")
+    print(f"n={n} ratios={list(ratios)} trials={trials} seed={seed} max_iters={cfg.max_iters}, "
+          "crossover off")
     print(f"{'relax':>6} {'iters_p50':>10} {'iters_max':>10} {'unconverged':>12} {'worst_err':>10}")
     try:
-        for rho in relaxations:
-            solver._RELAXATION = rho
-            records = [_run_trial(task) for task in tasks]
-            iters = [r.iters for r in records]
-            print(f"{rho:6g} {statistics.median(iters):10g} {max(iters):10d} "
-                  f"{sum(not r.converged for r in records):12d} "
-                  f"{max(r.rel_error for r in records):10.2e}", flush=True)
+        with polish_off():
+            for rho in relaxations:
+                solver._RELAXATION = rho
+                records = [_run_trial(task) for task in tasks]
+                iters = [r.iters for r in records]
+                print(f"{rho:6g} {statistics.median(iters):10g} {max(iters):10d} "
+                      f"{sum(not r.converged for r in records):12d} "
+                      f"{max(r.rel_error for r in records):10.2e}", flush=True)
     finally:
         solver._RELAXATION = saved
 
 
+@contextlib.contextmanager
+def polish_off():
+    """Solves without the crossover (solver._polish), so that they measure the
+    loop that a scan varies rather than end at the checkpoint."""
+    saved = solver._can_polish
+    solver._can_polish = lambda ens: False
+    try:
+        yield
+    finally:
+        solver._can_polish = saved
+
+
 def scan_cdp(seeds, caps) -> None:
-    print(f"64x64 gradient image, L=20; rel_error at max_iters {list(caps)}")
+    print(f"64x64 gradient image, L=20, crossover off; rel_error at max_iters {list(caps)}")
     print(f"{'seed':>10} " + " ".join(f"{cap:>10d}" for cap in caps))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, polish_off():
         image = gradient_image(tmp)
         for seed in seeds:
             errors = [run_cdp_demo(image, num_masks=20, cfg=solver.SolverConfig(max_iters=cap),
@@ -127,17 +148,23 @@ def long_lanczos(ens, obs, steps: int, rng):
 def anchor_instances(cdp_seeds, n: int, ratios, trials: int, seed: int):
     """(name, ens, obs, stream at the anchor's draw, top eigenvector), one
     instance at a time."""
-    with tempfile.TemporaryDirectory() as tmp:
-        flat = read_pgm(gradient_image(tmp)).astype(np.float64).ravel()
-    xstar = (flat / np.linalg.norm(flat)).astype(np.complex128)
-    for cdp_seed in cdp_seeds:
-        stream = RngStream(cdp_seed)
-        ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], 20, stream)
-        obs = observe(ens, xstar, NoiseModel.none(), stream)
-        yield f"cdp {cdp_seed}", ens, obs, stream, long_lanczos(ens, obs, 200, RngStream(cdp_seed, 1))
+    for cdp_seed, (name, ens, obs, _, stream) in zip(cdp_seeds, cdp_instances(cdp_seeds)):
+        yield name, ens, obs, stream, long_lanczos(ens, obs, 200, RngStream(cdp_seed, 1))
     for name, ens, obs, _, stream in held_out_trials(n, ratios, trials, seed, NoiseModel.none()):
         sigma = (ens.rows.T * obs.b) @ ens.rows.conj() / ens.m
         yield name, ens, obs, stream, np.linalg.eigh(sigma)[1][:, -1]
+
+
+def cdp_instances(seeds):
+    """(name, ens, obs, xstar, stream at the anchor's draw) of the CDP demo at
+    each seed, built as run_cdp_demo builds it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        flat = read_pgm(gradient_image(tmp)).astype(np.float64).ravel()
+    xstar = (flat / np.linalg.norm(flat)).astype(np.complex128)
+    for seed in seeds:
+        stream = RngStream(seed)
+        ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], 20, stream)
+        yield f"cdp {seed}", ens, observe(ens, xstar, NoiseModel.none(), stream), xstar, stream
 
 
 def held_out_trials(n: int, ratios, trials: int, seed: int, noise):
@@ -152,40 +179,47 @@ def held_out_trials(n: int, ratios, trials: int, seed: int, noise):
             yield f"n={n} M/N={ratio:g} t={t}", ens, obs, xs, stream
 
 
-def scan_polish(n: int, ratios, trials: int, seed: int, noise) -> None:
+def scan_polish(instances, noise, cfg) -> None:
     print(f"crossover at checkpoint {solver._POLISH_FIRST}, noise {noise.kind}:{noise.param:g}; "
-          f"Douglas-Rachford cap {solver._CERT_STEPS}")
-    print(f"{'trial':>18} {'stop_reason':>12} {'iters':>6} {'gn_calls':>9} {'dr_steps':>9} "
-          f"{'solve_ms':>9} {'error':>10}")
-    gauss_newton, certificate = solver._gauss_newton, solver._certificate
+          f"search cap {solver._CERT_STEPS} steps with the Gram, {solver._CERT_CALLS} kernel "
+          "calls without")
+    print(f"{'instance':>18} {'stop_reason':>12} {'iters':>6} {'loop_calls':>10} {'gn_calls':>9} "
+          f"{'search_calls':>12} {'dr_steps':>9} {'solve_ms':>9} {'error':>10}")
+    polish, gauss_newton, certificate = solver._polish, solver._gauss_newton, solver._certificate
     try:
-        for name, ens, obs, xs, stream in held_out_trials(n, ratios, trials, seed, noise):
+        for name, ens, obs, xs, stream in instances:
             a0 = anchor.spectral_anchor(ens, obs, 50, stream).a0
             # No per-call subnormal check, so the wall time is the solve's.
             counted = CountingEnsemble(ens, subnormals=False)
-            gn_calls, dr_steps = [], []
+            polish_calls, gn_calls, dr_steps = [], [], []
 
-            def counting_gauss_newton(*args):
-                before = counted.forwards + counted.adjoints
-                try:
-                    return gauss_newton(*args)
-                finally:
-                    gn_calls.append(counted.forwards + counted.adjoints - before)
+            def counting(stage, calls):
+                def wrapped(*args):
+                    before = counted.forwards + counted.adjoints
+                    try:
+                        return stage(*args)
+                    finally:
+                        calls.append(counted.forwards + counted.adjoints - before)
+                return wrapped
 
             def recording_certificate(*args):
                 found = certificate(*args)
                 dr_steps.append(found[1])
                 return found
 
-            solver._gauss_newton, solver._certificate = counting_gauss_newton, recording_certificate
+            solver._polish = counting(polish, polish_calls)
+            solver._gauss_newton = counting(gauss_newton, gn_calls)
+            solver._certificate = recording_certificate
             t0 = time.perf_counter()
-            sol = solver.solve_phasemax(counted, obs, a0)
+            sol = solver.solve_phasemax(counted, obs, a0, cfg)
             solve_ms = (time.perf_counter() - t0) * 1e3
-            print(f"{name:>18} {sol.stop_reason:>12} {sol.iters_used:6d} {sum(gn_calls):9d} "
+            loop_calls = counted.forwards + counted.adjoints - sum(polish_calls)
+            print(f"{name:>18} {sol.stop_reason:>12} {sol.iters_used:6d} {loop_calls:10d} "
+                  f"{sum(gn_calls):9d} {sum(polish_calls) - sum(gn_calls):12d} "
                   f"{(str(dr_steps[0]) if dr_steps else '-'):>9} {solve_ms:9.1f} "
                   f"{phase_align_error(sol.xhat, xs):10.2e}", flush=True)
     finally:
-        solver._gauss_newton, solver._certificate = gauss_newton, certificate
+        solver._polish, solver._gauss_newton, solver._certificate = polish, gauss_newton, certificate
 
 
 def scan_anchor(cdp_seeds, n: int, ratios, trials: int, seed: int) -> None:
@@ -213,14 +247,20 @@ def main(argv=None) -> int:
     parser.add_argument("--anchor", action="store_true",
                         help="check the spectral anchor on the --cdp instances and the trials")
     parser.add_argument("--polish", action="store_true",
-                        help="check the solver's crossover on the trials")
+                        help="check the solver's crossover on the trials, or the --cdp instances")
     parser.add_argument("--noise", type=parse_noise, default=NoiseModel.none(),
                         help="with --polish: none, uniform:<eta_inv> or gaussian:<snr_db>")
     args = parser.parse_args(argv)
     if args.polish:
+        if args.cdp is not None:
+            if args.noise.kind != "none":
+                parser.error("--noise does not apply to the CDP demo, which is noiseless")
+            scan_polish(cdp_instances(args.cdp), args.noise, DEFAULT_CDP_CONFIG)
+            return 0
         if args.n < 1 or args.trials < 1:
             parser.error("--n and --trials must be >= 1")
-        scan_polish(args.n, args.ratios, args.trials, args.seed, args.noise)
+        scan_polish(held_out_trials(args.n, args.ratios, args.trials, args.seed, args.noise),
+                    args.noise, solver.SolverConfig())
         return 0
     if args.anchor:
         if args.n < 1 or args.trials < 0:
