@@ -113,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cap on the spectral anchor's Lanczos steps; it stops sooner "
                           "once its top Ritz pair has converged")
     cdp.add_argument("--max-iters", type=int, default=None)
-    cdp.add_argument("--tol", type=float, default=None)
+    cdp.add_argument("--tol", type=float, default=None,
+                     help="sets both the relative-change and feasibility tolerances")
     cdp.add_argument("--seed", type=int, default=0)
     cdp.add_argument("--out-prefix", default="cdp")
 

@@ -176,11 +176,13 @@ def ratio_summary(records) -> list:
     return out
 
 
-# The cap for demo solves that the crossover does not certify; certified
-# ones (all 12 seeds of tools/step_scan.py --polish --cdp) stop at the
-# solver's checkpoint, 50 iterations. Without the crossover, 175 iterations
-# from the rescaled anchor end below the error that 250 from x = 0 reached,
-# on each of 19 instances (tools/step_scan.py --cdp measures them).
+# The cap for demo solves that the crossover does not certify. Certified
+# ones stop at the solver's first matrix-free checkpoint, 20 iterations
+# (all 72 demo seeds listed at solver._CERT_CALLS; tools/step_scan.py
+# --polish --cdp), or at 50 after a search that missed at 20. Without the
+# crossover, 175 iterations from the rescaled anchor end below the error
+# that 250 from x = 0 reached, on each of 19 instances (tools/step_scan.py
+# --cdp measures them).
 DEFAULT_CDP_CONFIG = SolverConfig(max_iters=175)
 
 
@@ -216,10 +218,10 @@ def run_cdp_demo(
     starts from the spectral anchor, built in at most anchor_iters Lanczos
     steps, rescaled to exactly ||xstar||. cfg defaults to
     DEFAULT_CDP_CONFIG: solves the crossover certifies stop at its
-    checkpoint, and 175 iterations cap the others. The recovered
-    estimate is phase-aligned, rescaled, and its real part written both as a
-    clamped 8-bit PGM and as a raw float64 sidecar for bit-exact error
-    computation. The written files depend only on the inputs and seed; wall
+    checkpoint, 20 iterations or, after a search that missed there, 50;
+    175 iterations cap the others. The recovered estimate is phase-aligned,
+    rescaled, and its real part written both as a clamped 8-bit PGM and as
+    a raw float64 sidecar for bit-exact error computation. The written files depend only on the inputs and seed; wall
     time is reported on the return value only.
     """
     if num_masks < 1:

@@ -1,8 +1,9 @@
 """First-order solver for the anchored relaxation: maximize <a0, x> subject to
 |a_i^H x|^2 <= b_i, by over-relaxed primal-dual proximal splitting, ended
-by a certified Gauss-Newton crossover: through the lifted Gram matrix on
-dense ensembles where it fits in the operator's own memory, and matrix-free
-on ensembles that form none, such as coded diffraction patterns."""
+by a certified Gauss-Newton crossover: through the lifted Gram matrix at
+iteration 50 on dense ensembles where it fits in the operator's own memory,
+and matrix-free on ensembles that form none, such as coded diffraction
+patterns, at iteration 20 with one more search at 50."""
 
 from __future__ import annotations
 
@@ -50,19 +51,41 @@ _SCREEN_RTOL = 1e-12
 _DUAL_FLOOR = 1e-100
 _FLUSH_EVERY = 16
 _TINY = np.finfo(np.float64).tiny
-# Crossover (see _polish): the one checkpoint, in iterations, for dense and
-# CDP operators alike. On 180 gauss-sweep trials (call seeds s * 10^6 + k,
-# s = 1..3, k < 30; one BLAS thread, 2-vCPU Xeon) 50 iterations left the
-# iterate close enough that Gauss-Newton reached x* on all, and 178 were
-# certified. There is no retry: noisy b has no exact solution, so
-# Gauss-Newton stalls at every checkpoint. Of the 32 held-out trials at
-# M/N = 4-12 (tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8),
-# all 16 at M/N = 8 and 12 and M/N = 6 t = 2 were certified at 50; the
-# other 15 end at max_iters, at errors of 0.02-0.59. The CDP demo (64 x 64
-# gradient image, L = 20) was certified at 50 on all 72 seeds tried (see
-# _CERT_CALLS), among them criterion 7's, 5,000,000, 3,000,001, 1,000,000,
-# 6,000,002, 41,000,000, 41,000,001 and 7-11.
+# Crossover (see _polish): its checkpoints, in iterations (_checkpoints).
+# Ensembles that form the Gram matrix (dense) run it once, at _POLISH_FIRST.
+# On 180 gauss-sweep trials (call seeds s * 10^6 + k, s = 1..3, k < 30; one
+# BLAS thread, 2-vCPU Xeon) 50 iterations left the iterate close enough
+# that Gauss-Newton reached x* on all, and 178 were certified. There is no
+# retry: noisy b has no exact solution, so Gauss-Newton stalls at every
+# checkpoint. Of the 32 held-out trials at M/N = 4-12 (tools/step_scan.py
+# --polish --ratios 4 6 8 12 --trials 8), all 16 at M/N = 8 and 12 and
+# M/N = 6 t = 2 were certified at 50; the other 15 end at max_iters, at
+# errors of 0.02-0.59. A checkpoint at 20 made dense solves slower: on
+# gauss-sweep seeds 51-52 a call took 157-172 ms against 143-152, its
+# search 53-54 ms against 29-33 and Gauss-Newton 44-46 ms against 36-40.
+#
+# Ensembles that form none (CDP) run it at _POLISH_EARLY and, when
+# Gauss-Newton reached a feasible point there but the search missed, search
+# once more at _POLISH_FIRST, from the point held and the newer dual.
+# Gauss-Newton reaches x* on the CDP demo (64 x 64 gradient image, L = 20)
+# from iteration 1 on, but the search misses there: the loop runs only to
+# improve the dual that the search starts from. Kernel calls of the demo by
+# the iteration of a single checkpoint, medians over 8 seeds:
+#
+#     checkpoint   loop   Gauss-Newton   search
+#         50        102         67          63
+#         20         42         67          52
+#         15         32         89          77
+#         10         22         89          88
+#
+# At 20 all 72 demo instances of _CERT_CALLS were certified, among them
+# criterion 7's, 5,000,000, 3,000,001, 1,000,000, 6,000,002, 41,000,000,
+# 41,000,001 and 7-11, at errors of 2.3e-15-1.1e-14. A single checkpoint at
+# 20 was not enough: of the n = 16, L = 8 instances at anchor spread 0.75
+# (RngStream(450, seed), seed < 16) it certified 9 of the 11 that 50
+# certifies, and the search at 50 certifies the other two, seeds 5 and 12.
 _POLISH_FIRST = 50
+_POLISH_EARLY = 20
 # Gauss-Newton stops at ||(|Ax|^2 - b)|| <= _GN_RTOL ||b||, after
 # _GN_MAX_STEPS steps, or when the residual fails to halve on two steps in a
 # row (a stall). Each step solves the normal equations by at most
@@ -92,14 +115,16 @@ _CERT_STEPS = 300
 # _CERT_RTOL, before it is checked. On 72 CDP demo instances (64 x 64
 # gradient, L = 20; the 12 seeds above, s * 10^6 + k for s = 81, 82, 83,
 # k < 10, and 62 * 10^6 + k, k < 30; tools/step_scan.py --polish --cdp) all
-# were certified, the search taking 45-126 calls (mean 65). Step
+# were certified, the search taking 44-125 calls (mean 64) at iteration 50
+# and 48-159 (mean 79) at 20, besides the forward of A xhat. Step
 # tolerances of 1e-4, 1e-8 and 1e-11 took means of 61, 72 and 86 and at
-# most 197, 120 and 133 calls. A search that finds nothing runs to the cap,
-# on top of Gauss-Newton's 67-265 calls: 200 is 1.6 times the demo's
-# largest search and two thirds of a cap of 300, which took 123-154 ms on
+# most 197, 120 and 133 calls at 50, the forward included. A search that
+# finds nothing runs to the cap, on top of Gauss-Newton's 67-265 calls, and
+# a solve it cannot certify makes two: 200 is 1.25 times the demo's largest
+# search and two thirds of a cap of 300, which took 123-154 ms a search on
 # demo-size solves it cannot certify (L = 6 and 8). At n = 16, L = 8 and
-# anchor spread 0.75 (RngStream(450, seed), seed < 16), caps of 150, 200
-# and 300 certify 7, 11 and 11 instances.
+# anchor spread 0.75 (RngStream(450, seed), seed < 16), with one checkpoint
+# at 50, caps of 150, 200 and 300 certified 7, 11 and 11 instances.
 _CERT_CALLS = 200
 _CERT_CG_STEP_RTOL = 1e-6
 _CERT_CG_RTOL = 1e-11
@@ -138,7 +163,9 @@ class Solution:
       with a KKT certificate: mu >= 0 with A^H(mu o A xhat) = a0 to
       _CERT_RTOL. That proves xhat maximizes <a0, x> over the slabs through
       it, |a_i^H x|^2 <= |a_i^H xhat|^2, which Gauss-Newton put within
-      _GN_RTOL ||b|| of b;
+      _GN_RTOL ||b|| of b. iters_used is then the checkpoint that found it:
+      _POLISH_FIRST on dense ensembles, _POLISH_EARLY or _POLISH_FIRST on
+      the others;
     - "max_iters": neither happened within cfg.max_iters.
     converged is True for the first two.
 
@@ -207,6 +234,13 @@ def _forms_gram(ens: MeasurementEnsemble) -> bool:
     """Whether ens forms the lifted Gram matrix: its lifted_gram is not the
     base class's."""
     return ens.lifted_gram.__func__ is not MeasurementEnsemble.lifted_gram
+
+
+def _checkpoints(ens: MeasurementEnsemble) -> tuple:
+    """The iterations at which solves on ens run the crossover: _POLISH_FIRST
+    on ensembles that form the Gram matrix, _POLISH_EARLY and _POLISH_FIRST
+    on the others."""
+    return (_POLISH_FIRST,) if _forms_gram(ens) else (_POLISH_EARLY, _POLISH_FIRST)
 
 
 def _can_polish(ens: MeasurementEnsemble) -> bool:
@@ -402,7 +436,7 @@ def _certificate(ens: MeasurementEnsemble, z: np.ndarray, a0: np.ndarray, mu0: n
 
 
 def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: float,
-            x: np.ndarray, y: np.ndarray, buf: np.ndarray):
+            x: np.ndarray, y: np.ndarray, buf: np.ndarray, held=None):
     """Crossover from the primal-dual iterate (x, y) to a certified vertex, as
     LP and QP solvers end a first-order solve (OSQP's solution polishing,
     Stellato et al., arXiv:1711.08013). With noiseless data every slab is
@@ -413,28 +447,39 @@ def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: f
     with A^H(mu o A x) = a0, which by convexity makes x the maximizer of
     <a0, x> over the slabs through it (see _certificate). At the KKT point
     y_i = mu_i z_i for z = A x, so the search starts from the loop's dual,
-    mu0 = max(Re(conj(z) o y), 0) / |z|^2. Returns (xhat, feasibility
-    residual) when certified, else None.
+    mu0 = max(Re(conj(z) o y), 0) / |z|^2. Returns None when Gauss-Newton
+    stalls or its point is 0 or infeasible, else (xhat, feasibility residual,
+    whether the search certified xhat).
 
-    The solver calls it once, at iteration _POLISH_FIRST. It reads x and y
-    and writes only buf, the loop's real m-vector of scratch, so a solve it
+    The solver calls it at each checkpoint of _checkpoints(ens) until it
+    returns None or a certified point: once on dense ensembles, at
+    _POLISH_FIRST, and on the others at _POLISH_EARLY and, after a search
+    that missed, again at _POLISH_FIRST with that result as held. A call
+    with held runs no Gauss-Newton: it searches from held's xhat, with
+    z = A xhat from one forward, and from the newer y. It reads x and y and
+    writes only buf, the loop's real m-vector of scratch, so a solve it
     does not end is the solve without it. Its own m-sized arrays are A x,
     one complex m-vector that every forward writes and every adjoint reads,
     and two real ones for the search; each adjoint also allocates its
-    kernel's own temporary, as in the loop.
+    kernel's own temporary, as in the loop. Between calls the solve keeps
+    only held, an n-vector and two scalars.
     """
     z, scratch = np.empty(ens.m, dtype=np.complex128), np.empty(ens.m, dtype=np.complex128)
-    solved = _gauss_newton(ens, b, x, z, scratch, buf)
-    if solved is None:
-        return None
-    overlap = np.vdot(solved, a0)
-    if overlap == 0:  # x = 0, e.g. for b = 0, has no phase to align
-        return None
-    x = solved * (overlap / abs(overlap))
-    ens.forward(x, out=z)
-    feas = _max_violation(z, b, out=buf)  # feasibility_residual of x
-    if feas > tol_feas:
-        return None
+    if held is None:
+        solved = _gauss_newton(ens, b, x, z, scratch, buf)
+        if solved is None:
+            return None
+        overlap = np.vdot(solved, a0)
+        if overlap == 0:  # x = 0, e.g. for b = 0, has no phase to align
+            return None
+        x = solved * (overlap / abs(overlap))
+        ens.forward(x, out=z)
+        feas = _max_violation(z, b, out=buf)  # feasibility_residual of x
+        if feas > tol_feas:
+            return None
+    else:
+        x, feas, _ = held
+        ens.forward(x, out=z)
     np.conjugate(z, out=scratch)
     scratch *= y
     mu0 = np.maximum(scratch.real, 0.0)
@@ -443,9 +488,7 @@ def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: f
     np.maximum(buf, _TINY, out=buf)
     mu0 /= buf
     gram = ens.lifted_gram(z) if _forms_gram(ens) else None
-    if _certificate(ens, z, a0, mu0, scratch, buf, gram)[0] is None:
-        return None
-    return x, feas
+    return x, feas, _certificate(ens, z, a0, mu0, scratch, buf, gram)[0] is not None
 
 
 def solve_phasemax(
@@ -484,10 +527,13 @@ def solve_phasemax(
     made whenever the relative change passes.
 
     Where _can_polish holds (dense ensembles with M/N >= 4, and ensembles
-    that form no Gram matrix, such as CDP), the crossover _polish runs once,
-    from T(z) after _POLISH_FIRST steps: Gauss-Newton on |Ax|^2 = b from
-    T(z)_x, then a search for a KKT certificate started from T(z)_y, through
-    the Gram matrix on dense ensembles and matrix-free on the others. A
+    that form no Gram matrix, such as CDP), the crossover _polish runs from
+    T(z) at its checkpoints: Gauss-Newton on |Ax|^2 = b from T(z)_x, then a
+    search for a KKT certificate started from T(z)_y. Dense ensembles run it
+    once, after _POLISH_FIRST steps, searching through the Gram matrix. The
+    others run it after _POLISH_EARLY steps, matrix-free; when Gauss-Newton
+    reached a feasible point there but the search missed, they search once
+    more after _POLISH_FIRST steps, from that point and the newer T(z)_y. A
     certified point ends the solve ("certified"; see Solution for what that
     proves). Otherwise the loop goes on from the state it left, so the
     Solution is the one the loop alone returns.
@@ -534,8 +580,10 @@ def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, polish):
     array and is written in place. Returns (x, iters_used, feasibility
     residual of x, stop reason), the residual None when the solve ran to
     max_iters. Every _FLUSH_EVERY steps, dual entries below y_floor are set
-    to 0. When the count of steps reaches _POLISH_FIRST, polish (if given)
-    reads T(z) = (x, y), may use buf as scratch, and may end the solve.
+    to 0. When the count of steps reaches a checkpoint of _checkpoints(ens),
+    polish (if given) reads T(z) = (x, y) and the point held from the last
+    checkpoint, may use buf as scratch, and may end the solve; once it
+    returns None, no later checkpoint calls it.
 
     The stop test's screen tracks sax = sigma A x: A x_half is the mean of
     A (2 x_half - x), which the step computes, and A x, so the relaxed x has
@@ -551,6 +599,8 @@ def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, polish):
     small = np.empty(m, dtype=bool)
     rho = _RELAXATION
     screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
+    checkpoints = _checkpoints(ens) if polish is not None else ()
+    held = None  # polish's point from a checkpoint whose search missed
     for k in range(cfg.max_iters):
         # x_half = x + tau a0 - tau A^H y and xbar = sigma (2 x_half - x).
         x_half = ens.adjoint(y)
@@ -592,11 +642,12 @@ def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, polish):
                 feas = math.inf
             if feas <= cfg.tol_feas:
                 return x, k + 1, feas, "optimal"
-        if polish is not None and k + 1 == _POLISH_FIRST:
-            polished = polish(x, y, buf)
-            if polished is not None:
-                xhat, feas = polished
-                return xhat, k + 1, feas, "certified"
+        if k + 1 in checkpoints:
+            held = polish(x, y, buf, held)
+            if held is None:
+                checkpoints = ()
+            elif held[2]:
+                return held[0], k + 1, held[1], "certified"
         if k % _FLUSH_EVERY == 0:
             _flush_dual(y, y_floor, buf, small)
     return x, cfg.max_iters, None, "max_iters"

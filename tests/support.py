@@ -225,9 +225,9 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
     """solve_phasemax with the stop test as a plain exact check: every time
     the relative change passes, the feasibility residual is computed with a
     fresh forward. Same steps and arithmetic, and the solver's own polish
-    stage at the same iteration, from the same (x, y), so its Solution is the
-    one solve_phasemax must return bit for bit. With polish=False it is the
-    loop alone."""
+    stage at the same checkpoints, from the same (x, y) and the point held
+    from a search that missed, so its Solution is the one solve_phasemax
+    must return bit for bit. With polish=False it is the loop alone."""
     from phasemax import solver
     from phasemax.measurements import operator_norm
     from phasemax.numerics import RngStream, real_inner
@@ -250,8 +250,8 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
     buf = np.empty(m)
     y_floor = solver._DUAL_FLOOR * a0_norm / op_norm
     z = np.concatenate([start * a0, np.zeros(m, dtype=np.complex128)])
-    polish = polish and solver._can_polish(ens)
-    iters_used, stop_reason, feas, certified = cfg.max_iters, "max_iters", None, None
+    checkpoints = solver._checkpoints(ens) if polish and solver._can_polish(ens) else ()
+    iters_used, stop_reason, feas, held = cfg.max_iters, "max_iters", None, None
     for k in range(cfg.max_iters):
         x, y = z[:n], z[n:]
         x_half = (tau_a0 - tau * ens.adjoint(y)) + x
@@ -267,15 +267,17 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
             if feas <= cfg.tol_feas:
                 iters_used, stop_reason = k + 1, "optimal"
                 break
-        if polish and k + 1 == solver._POLISH_FIRST:
-            certified = solver._polish(ens, obs.b, a0, cfg.tol_feas, t[:n], t[n:], buf)
-            if certified is not None:
+        if k + 1 in checkpoints:
+            held = solver._polish(ens, obs.b, a0, cfg.tol_feas, t[:n], t[n:], buf, held)
+            if held is None:
+                checkpoints = ()
+            elif held[2]:
                 iters_used, stop_reason = k + 1, "certified"
                 break
         z = t
         if k % solver._FLUSH_EVERY == 0:
             z[n:][np.abs(z[n:]) < y_floor] = 0.0
-    x, feas = certified if certified is not None else (t[:n].copy(), feas)
+    x, feas = held[:2] if stop_reason == "certified" else (t[:n].copy(), feas)
     if stop_reason == "max_iters":
         feas = solver.feasibility_residual(ens, obs, x)
     return solver.Solution(xhat=x, iters_used=iters_used, objective=real_inner(a0, x),

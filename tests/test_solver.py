@@ -266,9 +266,9 @@ def test_solver_matches_exact_check_reference(noise, stop_at_cap, polish, cdp, m
     # residual come from an exact check, so the Solution is the reference's.
     # Without the polish stage the noiseless cases stop "optimal" after 268
     # iterations. With it, the reference runs the solver's stage at
-    # the same iteration, from the same (x, y): the noiseless cases are
-    # certified at 50, the CDP one by the matrix-free search, and the noisy
-    # ones stall there and run on, through the screened stop test.
+    # the same checkpoints, from the same (x, y): the dense noiseless cases
+    # are certified at 50, the CDP one at 20 by the matrix-free search, and
+    # the noisy ones stall at 50 and run on, through the screened stop test.
     if cdp:
         ens, obs, xs, a0 = noiseless_anchored(RngStream(430), 16, 8, 0.0, CDP)
     else:
@@ -373,9 +373,9 @@ def test_solve_keeps_its_memory(operator, tol_rel_change, bound, monkeypatch):
     # dense solve (n = 128, M/N = 12) stops before _POLISH_FIRST, so it forms
     # no Gram matrix: 5.56 and 6.56, where a ten-step history of (x, y,
     # sigma A x) and of the steps peaked at 44.7. These four run without the
-    # polish stage. The polished CDP solve is certified at _POLISH_FIRST,
-    # after a three-step search: 7.18, where a stage with a real m-vector
-    # of its own in place of the loop's buf peaked at 7.68.
+    # polish stage. The polished CDP solve is certified at _POLISH_EARLY,
+    # after a four-step search: 7.18, as at _POLISH_FIRST, where a stage with
+    # a real m-vector of its own in place of the loop's buf peaked at 7.68.
     n, iters = (1024, 60) if operator.startswith("cdp") else (128, 40)
     stream = RngStream(435)
     xs = sample_complex_gaussian(n, stream)
@@ -398,7 +398,7 @@ def test_solve_keeps_its_memory(operator, tol_rel_change, bound, monkeypatch):
     finally:
         tracemalloc.stop()
     if operator == "cdp-polished":
-        assert (sol.stop_reason, sol.iters_used) == ("certified", solver._POLISH_FIRST)
+        assert (sol.stop_reason, sol.iters_used) == ("certified", solver._POLISH_EARLY)
     else:
         assert sol.iters_used == iters
     assert peak <= bound * 16 * ens.m
@@ -564,9 +564,11 @@ def test_uncertified_solve_is_the_loop_without_polish(seed, monkeypatch):
 def test_certified_cdp_solutions_pass_the_nnls_oracle():
     # The matrix-free search on CDP operators, checked by the same oracle on
     # explicit rows built from the reference forward map. At n = 16, L = 8
-    # and anchor spread 0.75, 11 of the 16 are certified, in searches of
-    # 1-14 steps; on some of the others the relaxation is not tight, and the
-    # oracle rejected a search that accepted mu of any sign.
+    # and anchor spread 0.75, 11 of the 16 are certified: 9 at iteration 20,
+    # in searches of 1-5 steps, and 2 at 50, after a search that missed at
+    # 20 (test_cdp_search_that_misses_at_20_certifies_at_50). On some of the
+    # others the relaxation is not tight, and the oracle rejected a search
+    # that accepted mu of any sign.
     cfg = SolverConfig(max_iters=150)
     certified = 0
     for seed in range(16):
@@ -580,17 +582,57 @@ def test_certified_cdp_solutions_pass_the_nnls_oracle():
         assert np.all(mu >= 0) and kkt <= 1e-8 * np.linalg.norm(a0)
         assert sol.feas_residual <= cfg.tol_feas
         assert sol.feas_residual == feasibility_residual(ens, obs, sol.xhat)
-        assert sol.iters_used == solver._POLISH_FIRST
+        assert sol.iters_used in (solver._POLISH_EARLY, solver._POLISH_FIRST)
         assert phase_align_error(sol.xhat, xs) <= 1e-12
     assert certified >= 10
+
+
+@pytest.mark.parametrize("seed", [5, 12])
+def test_cdp_search_that_misses_at_20_certifies_at_50(seed, monkeypatch):
+    # Gauss-Newton reaches x* at the first checkpoint of a matrix-free
+    # crossover, but the search from that iteration's dual misses. The point
+    # is held, and the search from the dual of iteration 50 certifies it,
+    # with no second Gauss-Newton. A single checkpoint at 20 left both
+    # uncertified.
+    ens, obs, xs, a0 = noiseless_anchored(RngStream(450, seed), 16, 8, 0.75, CDP)
+    stages = []
+    for name in ("_gauss_newton", "_certificate"):
+        def recording(*args, stage=getattr(solver, name), name=name):
+            found = stage(*args)
+            stages.append((name, (found if name == "_gauss_newton" else found[0]) is not None))
+            return found
+        monkeypatch.setattr(solver, name, recording)
+    cfg = SolverConfig(max_iters=150)
+    sol = solve_phasemax(ens, obs, a0, cfg)
+    assert stages == [("_gauss_newton", True), ("_certificate", False), ("_certificate", True)]
+    assert (sol.stop_reason, sol.iters_used) == ("certified", solver._POLISH_FIRST)
+    mu = nnls(lifted_columns(cdp_rows(ens), sol.xhat), lift(a0))
+    kkt = np.linalg.norm(ens.adjoint(mu * ens.forward(sol.xhat)) - a0)
+    assert np.all(mu >= 0) and kkt <= 1e-8 * np.linalg.norm(a0)
+    assert sol.feas_residual <= cfg.tol_feas
+    assert phase_align_error(sol.xhat, xs) <= 1e-12
+
+
+def test_cdp_solve_is_certified_at_20():
+    # A polished n = 1024, L = 20 CDP solve ends at the first checkpoint: 40
+    # loop calls (CDP takes its exact norm), 67 in Gauss-Newton and 89 in
+    # the forward and search that certify the point, 196 in all. With one
+    # checkpoint at 50 it took 250, 100 of them in the loop.
+    ens, obs, xs, a0 = noiseless_anchored(RngStream(435), 1024, 20, 0.5, CDP)
+    counted = CountingEnsemble(ens)
+    sol = solve_phasemax(counted, obs, a0, SolverConfig(max_iters=175))
+    assert (sol.stop_reason, sol.iters_used) == ("certified", solver._POLISH_EARLY)
+    assert counted.forwards + counted.adjoints <= 200
+    assert phase_align_error(sol.xhat, xs) <= 1e-13
 
 
 @pytest.mark.parametrize("seed", [0, 3, 10])
 def test_uncertified_cdp_solve_is_the_loop_without_polish(seed, monkeypatch):
     # The CDP counterpart: at anchor spread 1.0 these relaxations are not
-    # tight (the oracle leaves a residual at x*), Gauss-Newton reaches x*,
-    # and the matrix-free search stops at its cap of kernel calls; the solve
-    # then goes on as if the stage had not run.
+    # tight (the oracle leaves a residual at x*), Gauss-Newton reaches x* at
+    # 20, and the matrix-free search stops at its cap of kernel calls there
+    # and again at 50, from the point held; the solve then goes on as if the
+    # stage had not run.
     ens, obs, xs, a0 = noiseless_anchored(RngStream(450, seed), 16, 8, 1.0, CDP)
     xs_aligned = xs * np.exp(1j * np.angle(np.vdot(xs, a0)))
     mu = nnls(lifted_columns(cdp_rows(ens), xs_aligned), lift(a0))
@@ -608,8 +650,9 @@ def test_uncertified_cdp_solve_is_the_loop_without_polish(seed, monkeypatch):
     monkeypatch.setattr(solver, "_certificate", recording)
     cfg = SolverConfig(max_iters=150)
     sol = solve_phasemax(counted, obs, a0, cfg)
-    [(missed, calls)] = searches
-    assert missed and solver._CERT_CALLS - 4 <= calls <= solver._CERT_CALLS
+    assert len(searches) == 2
+    for missed, calls in searches:
+        assert missed and solver._CERT_CALLS - 4 <= calls <= solver._CERT_CALLS
     ref = solve_phasemax_reference(ens, obs, a0, cfg, polish=False)
     assert sol.stop_reason == ref.stop_reason == "max_iters"
     assert np.array_equal(sol.xhat, ref.xhat)

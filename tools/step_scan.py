@@ -11,10 +11,10 @@ shares no stream with the benchmark's call seeds or the acceptance tests;
 tests/test_solver.py pins the iteration counts of four of these trials.
 
 With --cdp it instead runs the CDP demo, run_cdp_demo on the 64 x 64
-gradient image with 20 masks (acceptance criterion 7 and the cdp-image
-benchmark), once per seed and per iteration cap in --at, and prints each
-instance's rel_error at each cap, at the solver's current constants and
-without the crossover.
+gradient image with --masks masks (20 by default, as in acceptance
+criterion 7 and the cdp-image benchmark), once per seed and per iteration
+cap in --at, and prints each instance's rel_error at each cap, at the
+solver's current constants and without the crossover.
 
 With --anchor it checks the spectral anchor instead of the solve: on each
 CDP demo instance of --cdp (none by default) and each held-out trial, built
@@ -28,10 +28,15 @@ for the CDP instances.
 With --polish it checks the solver's crossover instead (solver._polish):
 on each held-out trial, or with --cdp on each CDP demo instance, solved
 from the spectral anchor as _run_trial and run_cdp_demo solve them, it
-prints the stop reason and iterations, the kernel calls of the loop (with
-the dense operator-norm estimate), of Gauss-Newton and of the rest of the
-crossover (the certificate search), the Douglas-Rachford steps of the
-search (- when none ran), the solve's wall time and the recovered error.
+prints the stop reason and iterations, the checkpoint that certified it
+(- when none did), the kernel calls of the loop (with the dense
+operator-norm estimate) and of Gauss-Newton, and for each certificate
+search (joined by +, - when none ran) its kernel calls and
+Douglas-Rachford steps, then the solve's wall time and the recovered
+error. Each checkpoint that searches also makes one forward, A xhat,
+which no column counts.
+With --masks 4, 6 or 8 the crossover certified neither seed 1 nor 2, so
+their wall times show what its failed attempts cost.
 --noise runs the trials on noisy data, where Gauss-Newton stalls. The
 kernel calls are counted by the tests' CountingEnsemble (tests/support.py);
 the anchor's are not included.
@@ -42,6 +47,7 @@ the anchor's are not included.
     python3 tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8
     python3 tools/step_scan.py --polish --ratios 12 --trials 4 --noise uniform:1e-4
     python3 tools/step_scan.py --polish --cdp 20260809 5000000 3000001
+    python3 tools/step_scan.py --polish --cdp 1 2 1 2 1 2 --masks 8
 """
 
 from __future__ import annotations
@@ -107,13 +113,13 @@ def polish_off():
         solver._can_polish = saved
 
 
-def scan_cdp(seeds, caps) -> None:
-    print(f"64x64 gradient image, L=20, crossover off; rel_error at max_iters {list(caps)}")
+def scan_cdp(seeds, caps, masks: int) -> None:
+    print(f"64x64 gradient image, L={masks}, crossover off; rel_error at max_iters {list(caps)}")
     print(f"{'seed':>10} " + " ".join(f"{cap:>10d}" for cap in caps))
     with tempfile.TemporaryDirectory() as tmp, polish_off():
         image = gradient_image(tmp)
         for seed in seeds:
-            errors = [run_cdp_demo(image, num_masks=20, cfg=solver.SolverConfig(max_iters=cap),
+            errors = [run_cdp_demo(image, num_masks=masks, cfg=solver.SolverConfig(max_iters=cap),
                                    seed=seed, out_prefix=str(Path(tmp) / "cdp")).rel_error
                       for cap in caps]
             print(f"{seed:10d} " + " ".join(f"{e:10.3e}" for e in errors), flush=True)
@@ -145,25 +151,25 @@ def long_lanczos(ens, obs, steps: int, rng):
         anchor._ANCHOR_RTOL = saved
 
 
-def anchor_instances(cdp_seeds, n: int, ratios, trials: int, seed: int):
+def anchor_instances(cdp_seeds, masks: int, n: int, ratios, trials: int, seed: int):
     """(name, ens, obs, stream at the anchor's draw, top eigenvector), one
     instance at a time."""
-    for cdp_seed, (name, ens, obs, _, stream) in zip(cdp_seeds, cdp_instances(cdp_seeds)):
+    for cdp_seed, (name, ens, obs, _, stream) in zip(cdp_seeds, cdp_instances(cdp_seeds, masks)):
         yield name, ens, obs, stream, long_lanczos(ens, obs, 200, RngStream(cdp_seed, 1))
     for name, ens, obs, _, stream in held_out_trials(n, ratios, trials, seed, NoiseModel.none()):
         sigma = (ens.rows.T * obs.b) @ ens.rows.conj() / ens.m
         yield name, ens, obs, stream, np.linalg.eigh(sigma)[1][:, -1]
 
 
-def cdp_instances(seeds):
-    """(name, ens, obs, xstar, stream at the anchor's draw) of the CDP demo at
-    each seed, built as run_cdp_demo builds it."""
+def cdp_instances(seeds, masks: int):
+    """(name, ens, obs, xstar, stream at the anchor's draw) of the CDP demo with
+    masks masks at each seed, built as run_cdp_demo builds it."""
     with tempfile.TemporaryDirectory() as tmp:
         flat = read_pgm(gradient_image(tmp)).astype(np.float64).ravel()
     xstar = (flat / np.linalg.norm(flat)).astype(np.complex128)
     for seed in seeds:
         stream = RngStream(seed)
-        ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], 20, stream)
+        ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], masks, stream)
         yield f"cdp {seed}", ens, observe(ens, xstar, NoiseModel.none(), stream), xstar, stream
 
 
@@ -180,18 +186,19 @@ def held_out_trials(n: int, ratios, trials: int, seed: int, noise):
 
 
 def scan_polish(instances, noise, cfg) -> None:
-    print(f"crossover at checkpoint {solver._POLISH_FIRST}, noise {noise.kind}:{noise.param:g}; "
-          f"search cap {solver._CERT_STEPS} steps with the Gram, {solver._CERT_CALLS} kernel "
-          "calls without")
-    print(f"{'instance':>18} {'stop_reason':>12} {'iters':>6} {'loop_calls':>10} {'gn_calls':>9} "
-          f"{'search_calls':>12} {'dr_steps':>9} {'solve_ms':>9} {'error':>10}")
+    print(f"crossover at iterations {solver._POLISH_FIRST} with the Gram and "
+          f"{solver._POLISH_EARLY}, {solver._POLISH_FIRST} without, noise "
+          f"{noise.kind}:{noise.param:g}; search cap {solver._CERT_STEPS} steps with the Gram, "
+          f"{solver._CERT_CALLS} kernel calls without")
+    print(f"{'instance':>18} {'stop_reason':>12} {'iters':>6} {'cert_at':>7} {'loop_calls':>10} "
+          f"{'gn_calls':>9} {'search_calls':>12} {'dr_steps':>9} {'solve_ms':>9} {'error':>10}")
     polish, gauss_newton, certificate = solver._polish, solver._gauss_newton, solver._certificate
     try:
         for name, ens, obs, xs, stream in instances:
             a0 = anchor.spectral_anchor(ens, obs, 50, stream).a0
             # No per-call subnormal check, so the wall time is the solve's.
             counted = CountingEnsemble(ens, subnormals=False)
-            polish_calls, gn_calls, dr_steps = [], [], []
+            polish_calls, gn_calls, search_calls, dr_steps = [], [], [], []
 
             def counting(stage, calls):
                 def wrapped(*args):
@@ -209,24 +216,30 @@ def scan_polish(instances, noise, cfg) -> None:
 
             solver._polish = counting(polish, polish_calls)
             solver._gauss_newton = counting(gauss_newton, gn_calls)
-            solver._certificate = recording_certificate
+            solver._certificate = counting(recording_certificate, search_calls)
             t0 = time.perf_counter()
             sol = solver.solve_phasemax(counted, obs, a0, cfg)
             solve_ms = (time.perf_counter() - t0) * 1e3
             loop_calls = counted.forwards + counted.adjoints - sum(polish_calls)
-            print(f"{name:>18} {sol.stop_reason:>12} {sol.iters_used:6d} {loop_calls:10d} "
-                  f"{sum(gn_calls):9d} {sum(polish_calls) - sum(gn_calls):12d} "
-                  f"{(str(dr_steps[0]) if dr_steps else '-'):>9} {solve_ms:9.1f} "
+            cert_at = sol.iters_used if sol.stop_reason == "certified" else "-"
+            print(f"{name:>18} {sol.stop_reason:>12} {sol.iters_used:6d} {cert_at:>7} "
+                  f"{loop_calls:10d} {sum(gn_calls):9d} {attempts(search_calls):>12} "
+                  f"{attempts(dr_steps):>9} {solve_ms:9.1f} "
                   f"{phase_align_error(sol.xhat, xs):10.2e}", flush=True)
     finally:
         solver._polish, solver._gauss_newton, solver._certificate = polish, gauss_newton, certificate
 
 
-def scan_anchor(cdp_seeds, n: int, ratios, trials: int, seed: int) -> None:
+def attempts(counts) -> str:
+    """One count per search attempt, joined by +, or - when none ran."""
+    return "+".join(map(str, counts)) or "-"
+
+
+def scan_anchor(cdp_seeds, masks: int, n: int, ratios, trials: int, seed: int) -> None:
     print(f"spectral anchor at a cap of 50 steps, _ANCHOR_RTOL={anchor._ANCHOR_RTOL:g}; "
           "distances to the top eigenvector of Sigma")
     print(f"{'instance':>22} {'steps':>6} {'lanczos':>10} {'power_50':>10}")
-    for name, ens, obs, stream, top in anchor_instances(cdp_seeds, n, ratios, trials, seed):
+    for name, ens, obs, stream, top in anchor_instances(cdp_seeds, masks, n, ratios, trials, seed):
         start = sample_complex_gaussian(ens.n, copy.deepcopy(stream))
         report = anchor.spectral_anchor(ens, obs, 50, stream)
         print(f"{name:>22} {report.steps:6d} {phase_align_error(report.a0, top):10.2e} "
@@ -242,6 +255,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--cdp", type=int, nargs="+", metavar="SEED",
                         help="run the CDP demo at these seeds instead of the sweep trials")
+    parser.add_argument("--masks", type=int, default=20, metavar="L",
+                        help="with --cdp: the number of masks of the demo")
     parser.add_argument("--at", type=int, nargs="+", default=[175], metavar="ITERS",
                         help="with --cdp: the iteration caps to report")
     parser.add_argument("--anchor", action="store_true",
@@ -251,11 +266,13 @@ def main(argv=None) -> int:
     parser.add_argument("--noise", type=parse_noise, default=NoiseModel.none(),
                         help="with --polish: none, uniform:<eta_inv> or gaussian:<snr_db>")
     args = parser.parse_args(argv)
+    if args.masks < 1:
+        parser.error("--masks must be >= 1")
     if args.polish:
         if args.cdp is not None:
             if args.noise.kind != "none":
                 parser.error("--noise does not apply to the CDP demo, which is noiseless")
-            scan_polish(cdp_instances(args.cdp), args.noise, DEFAULT_CDP_CONFIG)
+            scan_polish(cdp_instances(args.cdp, args.masks), args.noise, DEFAULT_CDP_CONFIG)
             return 0
         if args.n < 1 or args.trials < 1:
             parser.error("--n and --trials must be >= 1")
@@ -265,12 +282,12 @@ def main(argv=None) -> int:
     if args.anchor:
         if args.n < 1 or args.trials < 0:
             parser.error("--n must be >= 1 and --trials >= 0")
-        scan_anchor(args.cdp or [], args.n, args.ratios, args.trials, args.seed)
+        scan_anchor(args.cdp or [], args.masks, args.n, args.ratios, args.trials, args.seed)
         return 0
     if args.cdp is not None:
         if not all(cap >= 1 for cap in args.at):
             parser.error("--at must be >= 1")
-        scan_cdp(args.cdp, args.at)
+        scan_cdp(args.cdp, args.at, args.masks)
         return 0
     if args.n < 1 or args.trials < 1:
         parser.error("--n and --trials must be >= 1")
