@@ -4,6 +4,7 @@ diffraction image demo, and the theory-verification suites."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import time
@@ -89,28 +90,42 @@ class TrialRecord:
 CSV_HEADER = [f.name for f in fields(TrialRecord)]
 
 
-def _run_trial(task) -> TrialRecord:
-    (n, ratio, stream_id, trial, base_seed, noise, anchor_iters, solver_cfg) = task
-    stream = RngStream(base_seed, stream_id)
-    m = int(round(ratio * n))
+def _gaussian_instance(n: int, ratio: float, noise: NoiseModel, stream: RngStream):
+    """(ens, obs, xstar) of a sweep trial: xstar, then round(ratio n) dense
+    Gaussian rows, then the noisy observations, all drawn from stream."""
     xstar = sample_complex_gaussian(n, stream)
-    ens = DenseEnsemble.gaussian(n, m, stream)
-    obs = observe(ens, xstar, noise, stream)
+    ens = DenseEnsemble.gaussian(n, int(round(ratio * n)), stream)
+    return ens, observe(ens, xstar, noise, stream), xstar
+
+
+def _recover(ens, obs, xstar, anchor_iters: int, cfg: SolverConfig, stream: RngStream):
+    """The paper's estimator on one instance: the spectral anchor, drawn from
+    stream, then the anchored relaxation solved from it. Returns the anchor's
+    report, the Solution, the wall time of the two in ms and the
+    phase-aligned error of the estimate to xstar."""
     t0 = time.perf_counter()
     report = spectral_anchor(ens, obs, anchor_iters, stream)
-    sol = solve_phasemax(ens, obs, report.a0, solver_cfg)
+    sol = solve_phasemax(ens, obs, report.a0, cfg)
     runtime_ms = (time.perf_counter() - t0) * 1e3
+    return report, sol, runtime_ms, phase_align_error(sol.xhat, xstar)
+
+
+def _run_trial(cfg: SweepConfig, ratio: float, stream_id: int, trial: int) -> TrialRecord:
+    stream = RngStream(cfg.seed, stream_id)
+    ens, obs, xstar = _gaussian_instance(cfg.n, ratio, cfg.noise, stream)
+    report, sol, runtime_ms, rel_error = _recover(ens, obs, xstar, cfg.anchor_iters, cfg.solver,
+                                                  stream)
     return TrialRecord(
-        n=n,
-        m=m,
+        n=cfg.n,
+        m=ens.m,
         ratio=ratio,
         trial=trial,
-        seed=base_seed,
-        noise_kind=noise.kind,
-        noise_param=noise.param,
+        seed=cfg.seed,
+        noise_kind=cfg.noise.kind,
+        noise_param=cfg.noise.param,
         snr_db=obs.snr_db,
         anchor_corr=anchor_correlation(report.a0, xstar),
-        rel_error=phase_align_error(sol.xhat, xstar),
+        rel_error=rel_error,
         iters=sol.iters_used,
         converged=sol.converged,
         runtime_ms=runtime_ms,
@@ -135,12 +150,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     scheduling. Records are returned in (ratio, trial) order and written as
     CSV when cfg.out_path is set.
     """
-    tasks = [
-        (cfg.n, ratio, ri * cfg.trials + trial, trial, cfg.seed, cfg.noise,
-         cfg.anchor_iters, cfg.solver)
-        for ri, ratio in enumerate(cfg.ratios)
-        for trial in range(cfg.trials)
-    ]
+    tasks = [(ratio, ri * cfg.trials + trial, trial)
+             for ri, ratio in enumerate(cfg.ratios) for trial in range(cfg.trials)]
+    run_trial = functools.partial(_run_trial, cfg)
     # The executor forks all max_workers processes when it starts, so the pool
     # gets no more workers than tasks or than CPUs this process may run on.
     workers = min(cfg.workers, len(tasks))
@@ -148,9 +160,9 @@ def run_sweep(cfg: SweepConfig) -> list:
         workers = min(workers, _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial, tasks))
+            records = list(pool.map(run_trial, *zip(*tasks)))
     else:
-        records = [_run_trial(t) for t in tasks]
+        records = list(map(run_trial, *zip(*tasks)))
     if cfg.out_path is not None:
         write_records_csv(cfg.out_path, records)
     return records
@@ -202,6 +214,24 @@ class CdpReport:
     report_path: str
 
 
+def _cdp_instance(image_path, num_masks: int, seed: int):
+    """(ens, obs, xstar, stream, shape, scale) of the CDP demo: the PGM at
+    image_path, of the given shape and Frobenius norm scale, flattened to a
+    real signal of unit energy, then num_masks Rademacher masks and the
+    noiseless observations drawn from stream = RngStream(seed), which the
+    anchor goes on to draw from."""
+    if num_masks < 1:
+        raise ValueError("num_masks must be >= 1")
+    image = read_pgm(image_path).astype(np.float64)
+    scale = np.linalg.norm(image)
+    if scale == 0:
+        raise ValueError("image is identically zero; nothing to recover")
+    xstar = (image.ravel() / scale).astype(np.complex128)
+    stream = RngStream(seed)
+    ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], num_masks, stream)
+    return ens, observe(ens, xstar, NoiseModel.none(), stream), xstar, stream, image.shape, scale
+
+
 def run_cdp_demo(
     image_path,
     num_masks: int,
@@ -221,30 +251,13 @@ def run_cdp_demo(
     checkpoint, 20 iterations or, after a search that missed there, 50;
     175 iterations cap the others. The recovered estimate is phase-aligned,
     rescaled, and its real part written both as a clamped 8-bit PGM and as
-    a raw float64 sidecar for bit-exact error computation. The written files depend only on the inputs and seed; wall
-    time is reported on the return value only.
+    a raw float64 sidecar for bit-exact error computation. The written
+    files depend only on the inputs and seed; wall time is reported on the
+    return value only.
     """
-    if num_masks < 1:
-        raise ValueError("num_masks must be >= 1")
-    if cfg is None:
-        cfg = DEFAULT_CDP_CONFIG
-    image = read_pgm(image_path).astype(np.float64)
-    height, width = image.shape
-    flat = image.ravel()
-    scale = float(np.linalg.norm(flat))
-    if scale == 0:
-        raise ValueError("image is identically zero; nothing to recover")
-    xstar = (flat / scale).astype(np.complex128)
-    n = xstar.shape[0]
-
-    stream = RngStream(seed)
-    ens = CodedDiffractionEnsemble.rademacher(n, num_masks, stream)
-    obs = observe(ens, xstar, NoiseModel.none(), stream)
-    t0 = time.perf_counter()
-    anchor = spectral_anchor(ens, obs, anchor_iters, stream)
-    sol = solve_phasemax(ens, obs, anchor.a0, cfg)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    rel_error = phase_align_error(sol.xhat, xstar)
+    ens, obs, xstar, stream, shape, scale = _cdp_instance(image_path, num_masks, seed)
+    _, sol, runtime_ms, rel_error = _recover(ens, obs, xstar, anchor_iters,
+                                             DEFAULT_CDP_CONFIG if cfg is None else cfg, stream)
 
     overlap = np.vdot(sol.xhat, xstar)
     phase = np.exp(1j * np.angle(overlap)) if overlap != 0 else 1.0
@@ -254,10 +267,10 @@ def run_cdp_demo(
     pgm_path = prefix + "_recovered.pgm"
     f64_path = prefix + "_recovered.f64"
     report_path = prefix + "_report.txt"
-    write_pgm(pgm_path, recovered.reshape(height, width))
+    write_pgm(pgm_path, recovered.reshape(shape))
     write_f64_sidecar(f64_path, recovered)
     lines = [
-        f"n={n}",
+        f"n={ens.n}",
         f"m={ens.m}",
         f"num_masks={num_masks}",
         f"seed={seed}",
@@ -269,7 +282,7 @@ def run_cdp_demo(
     ]
     Path(report_path).write_text("\n".join(lines) + "\n")
     return CdpReport(
-        n=n,
+        n=ens.n,
         m=ens.m,
         num_masks=num_masks,
         rel_error=rel_error,

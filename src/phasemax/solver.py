@@ -28,7 +28,10 @@ __all__ = [
 _NORM_EST_SEED = 0x5EED
 _NORM_EST_ITERS = 30
 # Fraction of the step-size stability bound: tau = c _STEP_SCALE / ||A|| and
-# sigma = _STEP_SCALE / (c ||A||), so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1.
+# sigma = _STEP_SCALE / (c ||A||), so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1
+# for the exact norm, which CDP takes. On dense ensembles ||A|| is the
+# _NORM_EST_ITERS-step power estimate, 0.07-2.0% low at n = 128, so the
+# realised tau * sigma * ||A||^2 is 0.90-0.94 there: still below 1.
 _STEP_SCALE = 0.95
 # Over-relaxation: each primal-dual step is stretched by this factor,
 # (x, y) <- (x, y) + rho (T(x, y) - (x, y)) for the plain step T, which
@@ -237,22 +240,18 @@ def _forms_gram(ens: MeasurementEnsemble) -> bool:
 
 
 def _checkpoints(ens: MeasurementEnsemble) -> tuple:
-    """The iterations at which solves on ens run the crossover: _POLISH_FIRST
-    on ensembles that form the Gram matrix, _POLISH_EARLY and _POLISH_FIRST
-    on the others."""
-    return (_POLISH_FIRST,) if _forms_gram(ens) else (_POLISH_EARLY, _POLISH_FIRST)
-
-
-def _can_polish(ens: MeasurementEnsemble) -> bool:
-    """Whether solves on ens run the crossover. An ensemble that forms the
-    lifted Gram matrix does when the matrix with its eigenvectors, 2 (2n)^2
-    floats, fits in the operator's own bytes: 1.0 MB against 2.1 MB of rows
-    at n = 128, M/N = 8 (dense ensembles with M/N >= 4 pass). Every other
-    ensemble (CDP, or any subclass that gives only forward and adjoint)
-    always runs it, through those two kernels alone: Gauss-Newton is
-    matrix-free anyway, and the certificate search projects by conjugate
-    gradients instead (see _certificate)."""
-    return not _forms_gram(ens) or 64 * ens.n * ens.n <= ens.nbytes
+    """The iterations at which solves on ens run the crossover (_polish).
+    An ensemble that forms the lifted Gram matrix runs it at _POLISH_FIRST
+    when the matrix with its eigenvectors, 2 (2n)^2 floats, fits in the
+    operator's own bytes: 1.0 MB against 2.1 MB of rows at n = 128, M/N = 8
+    (dense ensembles with M/N >= 4 pass), and never when it does not. Every
+    other ensemble (CDP, or any subclass that gives only forward and
+    adjoint) runs it at _POLISH_EARLY and _POLISH_FIRST, through those two
+    kernels alone: Gauss-Newton is matrix-free anyway, and the certificate
+    search projects by conjugate gradients instead (see _certificate)."""
+    if not _forms_gram(ens):
+        return (_POLISH_EARLY, _POLISH_FIRST)
+    return (_POLISH_FIRST,) if 64 * ens.n * ens.n <= ens.nbytes else ()
 
 
 def _lifted(ens: MeasurementEnsemble, z: np.ndarray, u: np.ndarray, scratch: np.ndarray):
@@ -519,24 +518,24 @@ def solve_phasemax(
     x0 to 0. It then iterates z <- T(z), writing T(z) over z.
 
     It stops when the relative change ||T(z)_x - x|| / ||T(z)_x|| is at most
-    tol_rel_change and feasibility_residual of T(z)_x at most tol_feas,
+    tol_rel_change and the feasibility residual of T(z)_x at most tol_feas,
     returning T(z)_x (stop_reason "optimal"), or at max_iters, returning the
     last T(z)_x ("max_iters"). A tracked sigma A x screens the residual
-    without an operator call (see _iterate), and feasibility_residual
-    confirms every stop, so the stop decisions are those of an exact check
-    made whenever the relative change passes.
+    without an operator call (see _iterate), and a fresh forward confirms
+    every stop, so the stop decisions are those of an exact check made
+    whenever the relative change passes.
 
-    Where _can_polish holds (dense ensembles with M/N >= 4, and ensembles
-    that form no Gram matrix, such as CDP), the crossover _polish runs from
-    T(z) at its checkpoints: Gauss-Newton on |Ax|^2 = b from T(z)_x, then a
-    search for a KKT certificate started from T(z)_y. Dense ensembles run it
-    once, after _POLISH_FIRST steps, searching through the Gram matrix. The
-    others run it after _POLISH_EARLY steps, matrix-free; when Gauss-Newton
-    reached a feasible point there but the search missed, they search once
-    more after _POLISH_FIRST steps, from that point and the newer T(z)_y. A
-    certified point ends the solve ("certified"; see Solution for what that
-    proves). Otherwise the loop goes on from the state it left, so the
-    Solution is the one the loop alone returns.
+    At the checkpoints of _checkpoints(ens) (none on dense ensembles with
+    M/N < 4), the crossover _polish runs from T(z): Gauss-Newton on
+    |Ax|^2 = b from T(z)_x, then a search for a KKT certificate started from
+    T(z)_y. Dense ensembles run it once, after _POLISH_FIRST steps,
+    searching through the Gram matrix. The others run it after
+    _POLISH_EARLY steps, matrix-free; when Gauss-Newton reached a feasible
+    point there but the search missed, they search once more after
+    _POLISH_FIRST steps, from that point and the newer T(z)_y. A certified
+    point ends the solve ("certified"; see Solution for what that proves).
+    Otherwise the loop goes on from the state it left, so the Solution is
+    the one the loop alone returns.
 
     Zero-radius disks (b_i = 0, e.g. after gaussian-noise clipping) stay
     constraints forcing (Ax)_i toward 0. xhat is feasible only to
@@ -559,13 +558,12 @@ def solve_phasemax(
     sigma_radii = radii  # radii itself is not needed past here
     sigma_radii *= sigma
     x, iters_used, feas, stop_reason = _iterate(
-        ens, obs, b, start * a0,
+        ens, b, start * a0,
         (tau * a0, tau, sigma, sigma_radii, np.maximum(sigma_radii, _TINY)),
-        _DUAL_FLOOR * a0_norm / op_norm, cfg,
-        functools.partial(_polish, ens, b, a0, cfg.tol_feas) if _can_polish(ens) else None)
+        _DUAL_FLOOR * a0_norm / op_norm, cfg, functools.partial(_polish, ens, b, a0, cfg.tol_feas))
     if feas is None:
         # Computed after _iterate has returned its m-sized buffers.
-        feas = feasibility_residual(ens, obs, x)
+        feas = _max_violation(ens.forward(x), b)
     return Solution(
         xhat=x,
         iters_used=iters_used,
@@ -575,15 +573,15 @@ def solve_phasemax(
     )
 
 
-def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, polish):
+def _iterate(ens, b, x, steps, y_floor: float, cfg, polish):
     """Iterate T from z = (x, 0), writing T(z) over z; x is the caller's
     array and is written in place. Returns (x, iters_used, feasibility
     residual of x, stop reason), the residual None when the solve ran to
     max_iters. Every _FLUSH_EVERY steps, dual entries below y_floor are set
     to 0. When the count of steps reaches a checkpoint of _checkpoints(ens),
-    polish (if given) reads T(z) = (x, y) and the point held from the last
-    checkpoint, may use buf as scratch, and may end the solve; once it
-    returns None, no later checkpoint calls it.
+    polish reads T(z) = (x, y) and the point held from the last checkpoint,
+    may use buf as scratch, and may end the solve; once it returns None, no
+    later checkpoint calls it.
 
     The stop test's screen tracks sax = sigma A x: A x_half is the mean of
     A (2 x_half - x), which the step computes, and A x, so the relaxed x has
@@ -599,7 +597,7 @@ def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, polish):
     small = np.empty(m, dtype=bool)
     rho = _RELAXATION
     screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
-    checkpoints = _checkpoints(ens) if polish is not None else ()
+    checkpoints = _checkpoints(ens)
     held = None  # polish's point from a checkpoint whose search missed
     for k in range(cfg.max_iters):
         # x_half = x + tau a0 - tau A^H y and xbar = sigma (2 x_half - x).
@@ -637,7 +635,7 @@ def _iterate(ens, obs, b, x, steps, y_floor: float, cfg, polish):
                 feas = _max_violation(sax, b)
                 sax *= sigma
             elif _max_violation(sax, b, sigma, buf) <= screen_tol:
-                feas = feasibility_residual(ens, obs, x)
+                feas = _max_violation(ens.forward(x), b)
             else:
                 feas = math.inf
             if feas <= cfg.tol_feas:

@@ -4,8 +4,8 @@ n <= 3, the disk projection the solver's dual shrink is checked against,
 one-expression references for the CDP kernels, the full-dimensional
 cut-probability sampler, the spectral anchor's Lanczos iteration and the
 dense Gaussian sampler written plainly, the solver loop with an exact stop
-check, a Lawson-Hanson NNLS for KKT certificates, and CSV comparison without
-the wall-clock column."""
+check, a Lawson-Hanson NNLS for KKT certificates, CSV comparison without
+the wall-clock column, and the CDP demo's image."""
 
 import math
 from itertools import combinations, product
@@ -13,6 +13,14 @@ from itertools import combinations, product
 import numpy as np
 
 from phasemax.measurements import MeasurementEnsemble
+from phasemax.pgm import write_pgm
+
+
+def write_demo_image(path):
+    """Write the CDP demo's 64 x 64 gradient image (acceptance criterion 7's
+    and the cdp-image benchmark's) as a PGM at path, and return path."""
+    write_pgm(path, np.add.outer(np.linspace(5, 250, 64), np.linspace(0, 30, 64)))
+    return path
 
 
 def strip_runtime(csv_text):
@@ -250,7 +258,7 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
     buf = np.empty(m)
     y_floor = solver._DUAL_FLOOR * a0_norm / op_norm
     z = np.concatenate([start * a0, np.zeros(m, dtype=np.complex128)])
-    checkpoints = solver._checkpoints(ens) if polish and solver._can_polish(ens) else ()
+    checkpoints = solver._checkpoints(ens) if polish else ()
     iters_used, stop_reason, feas, held = cfg.max_iters, "max_iters", None, None
     for k in range(cfg.max_iters):
         x, y = z[:n], z[n:]

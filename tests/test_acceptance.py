@@ -29,8 +29,7 @@ from phasemax import (
 )
 from phasemax.experiments import ratio_summary
 from phasemax.measurements import Observations
-from phasemax.pgm import write_pgm
-from support import oracle_solve_small, strip_runtime
+from support import oracle_solve_small, strip_runtime, write_demo_image
 
 SEED = 20260809
 
@@ -70,10 +69,7 @@ def transition_sweep(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def cdp_image(tmp_path_factory):
-    path = tmp_path_factory.mktemp("acceptance") / "gradient64.pgm"
-    img = np.add.outer(np.linspace(5, 250, 64), np.linspace(0, 30, 64))
-    write_pgm(path, img)
-    return path
+    return write_demo_image(tmp_path_factory.mktemp("acceptance") / "gradient64.pgm")
 
 
 @pytest.fixture(scope="session")

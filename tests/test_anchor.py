@@ -11,10 +11,10 @@ from phasemax import (
     sample_complex_gaussian,
     spectral_anchor,
 )
+from phasemax.experiments import _cdp_instance, _gaussian_instance
 from phasemax.measurements import MeasurementEnsemble, Observations
 from phasemax.numerics import phase_align_error
-from phasemax.pgm import read_pgm, write_pgm
-from support import CountingEnsemble, spectral_anchor_reference
+from support import CountingEnsemble, spectral_anchor_reference, write_demo_image
 
 
 def dense_sigma(ens, obs):
@@ -103,11 +103,7 @@ def test_spectral_anchor_rejects_degenerate_sigma():
 
 
 def test_spectral_anchor_matches_dense_eigen_oracle():
-    rng = RngStream(303)
-    n, m = 16, 256
-    xs = sample_complex_gaussian(n, rng)
-    ens = DenseEnsemble.gaussian(n, m, rng)
-    obs = observe(ens, xs, NoiseModel.none(), rng)
+    ens, obs, xs = _gaussian_instance(16, 16.0, NoiseModel.none(), RngStream(303))
     report = spectral_anchor(ens, obs, 50, RngStream(304))
 
     eigvals, eigvecs = np.linalg.eigh(dense_sigma(ens, obs))
@@ -156,15 +152,10 @@ def test_spectral_anchor_no_further_than_power_steps_at_every_cap():
 
 
 def test_spectral_anchor_steps_on_the_cdp_demo(tmp_path):
-    # Criterion 7's instance, built as run_cdp_demo builds it. 50 power steps
-    # and a Rayleigh quotient made 51 applications of Sigma.
-    path = tmp_path / "gradient64.pgm"
-    write_pgm(path, np.add.outer(np.linspace(5, 250, 64), np.linspace(0, 30, 64)))
-    flat = read_pgm(path).astype(np.float64).ravel()
-    xstar = (flat / np.linalg.norm(flat)).astype(np.complex128)
-    stream = RngStream(20260809)
-    ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], 20, stream)
-    obs = observe(ens, xstar, NoiseModel.none(), stream)
+    # Criterion 7's instance. 50 power steps and a Rayleigh quotient made 51
+    # applications of Sigma.
+    path = write_demo_image(tmp_path / "gradient64.pgm")
+    ens, obs, _, stream, _, _ = _cdp_instance(path, 20, 20260809)
     counted = CountingEnsemble(ens)
     report = spectral_anchor(counted, obs, 50, stream)
     assert counted.forwards == counted.adjoints == report.steps
@@ -172,11 +163,7 @@ def test_spectral_anchor_steps_on_the_cdp_demo(tmp_path):
 
 
 def test_spectral_anchor_rayleigh_quotient_nondecreasing():
-    rng = RngStream(305)
-    n, m = 12, 96
-    xs = sample_complex_gaussian(n, rng)
-    ens = DenseEnsemble.gaussian(n, m, rng)
-    obs = observe(ens, xs, NoiseModel.none(), rng)
+    ens, obs, _ = _gaussian_instance(12, 8.0, NoiseModel.none(), RngStream(305))
     quotients = [
         spectral_anchor(ens, obs, iters, RngStream(306)).rayleigh_quotient
         for iters in range(1, 15)
@@ -205,14 +192,10 @@ def test_spectral_anchor_phase_covariance():
 
 
 def test_spectral_anchor_median_correlation_at_8x_oversampling():
-    n = 128
-    m = 8 * n
     corrs = []
     for trial in range(20):
         stream = RngStream(311, trial)
-        xs = sample_complex_gaussian(n, stream)
-        ens = DenseEnsemble.gaussian(n, m, stream)
-        obs = observe(ens, xs, NoiseModel.none(), stream)
+        ens, obs, xs = _gaussian_instance(128, 8.0, NoiseModel.none(), stream)
         report = spectral_anchor(ens, obs, 50, stream)
         corrs.append(anchor_correlation(report.a0, xs))
     assert np.median(corrs) >= 0.5

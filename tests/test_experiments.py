@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
-from phasemax import NoiseModel, SweepConfig, experiments, run_cdp_demo, run_sweep, run_verify
+from phasemax import (CodedDiffractionEnsemble, DenseEnsemble, NoiseModel, RngStream,
+                      SweepConfig, anchor_correlation, experiments, observe, phase_align_error,
+                      run_cdp_demo, run_sweep, run_verify, sample_complex_gaussian,
+                      solve_phasemax, spectral_anchor)
 from phasemax.cli import main, parse_noise, parse_ratios
 from phasemax.experiments import CSV_HEADER, ratio_summary
 from phasemax.pgm import read_f64_sidecar, read_pgm, write_pgm
 from phasemax.solver import SolverConfig
-from support import strip_runtime
+from support import strip_runtime, write_demo_image
 
 
-def gradient_image(h, w):
-    return np.add.outer(np.linspace(10, 240, h), np.linspace(0, 15, w))
+def gradient_image(path, h, w):
+    """Write an h x w gradient as a PGM at path, and return path."""
+    write_pgm(path, np.add.outer(np.linspace(10, 240, h), np.linspace(0, 15, w)))
+    return path
 
 
 # ------------------------------------------------------------------------ PGM
@@ -120,8 +125,8 @@ def test_sweep_pool_never_larger_than_tasks_or_cpus(monkeypatch, cpus, expected)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
@@ -192,8 +197,7 @@ def test_ratio_summary_orders_by_ratio():
 
 
 def test_cdp_demo_recovers_small_image(tmp_path):
-    img_path = tmp_path / "in.pgm"
-    write_pgm(img_path, gradient_image(32, 32))
+    img_path = gradient_image(tmp_path / "in.pgm", 32, 32)
     report = run_cdp_demo(img_path, num_masks=12, seed=2,
                           out_prefix=str(tmp_path / "out"))
     assert report.n == 1024
@@ -216,16 +220,53 @@ def test_cdp_demo_default_cap_keeps_the_250_iteration_error(seed, error_at_250, 
     # acceptance instance and on cdp-image benchmark calls. Its cap is lower
     # now because the warm-started solve gets there sooner; a cap must not
     # buy time with a looser error.
-    img_path = tmp_path / "gradient64.pgm"
-    write_pgm(img_path, np.add.outer(np.linspace(5, 250, 64), np.linspace(0, 30, 64)))
+    img_path = write_demo_image(tmp_path / "gradient64.pgm")
     report = run_cdp_demo(img_path, num_masks=20, seed=seed, out_prefix=str(tmp_path / "cdp"))
     assert report.iters_used <= experiments.DEFAULT_CDP_CONFIG.max_iters < 250
     assert report.rel_error <= error_at_250
 
 
+def test_sweep_trials_are_the_library_pipeline():
+    # Each trial written out plainly on its own stream, RngStream(seed,
+    # ratio index * trials + t): x*, the rows and the noise, the anchor, the
+    # solve and the error. The records must hold the same bits.
+    cfg = SweepConfig(n=32, ratios=(6.0,), trials=2, noise=NoiseModel.uniform(1e-3),
+                      solver=SolverConfig(max_iters=400), seed=5)
+    for t, record in enumerate(run_sweep(cfg)):
+        stream = RngStream(5, t)
+        xstar = sample_complex_gaussian(32, stream)
+        ens = DenseEnsemble.gaussian(32, 192, stream)
+        obs = observe(ens, xstar, cfg.noise, stream)
+        a0 = spectral_anchor(ens, obs, cfg.anchor_iters, stream).a0
+        sol = solve_phasemax(ens, obs, a0, cfg.solver)
+        assert (record.rel_error, record.anchor_corr, record.iters, record.stop_reason) == (
+            phase_align_error(sol.xhat, xstar), anchor_correlation(a0, xstar),
+            sol.iters_used, sol.stop_reason)
+
+
+def test_cdp_demo_is_the_library_pipeline(tmp_path):
+    # The demo written out plainly: the image as a unit-energy signal, masks
+    # and observations from RngStream(seed), the anchor from the same
+    # stream, the solve at DEFAULT_CDP_CONFIG (certified here at 50, after a
+    # search that missed at 20), then the phase-aligned, rescaled real part.
+    # The sidecar must hold the same bits.
+    img_path = gradient_image(tmp_path / "in.pgm", 16, 16)
+    report = run_cdp_demo(img_path, num_masks=8, seed=4, out_prefix=str(tmp_path / "cdp"))
+    flat = read_pgm(img_path).astype(np.float64).ravel()
+    xstar = (flat / np.linalg.norm(flat)).astype(np.complex128)
+    stream = RngStream(4)
+    ens = CodedDiffractionEnsemble.rademacher(256, 8, stream)
+    obs = observe(ens, xstar, NoiseModel.none(), stream)
+    a0 = spectral_anchor(ens, obs, 50, stream).a0
+    sol = solve_phasemax(ens, obs, a0, experiments.DEFAULT_CDP_CONFIG)
+    phase = np.exp(1j * np.angle(np.vdot(sol.xhat, xstar)))
+    recovered = (phase * sol.xhat).real * np.linalg.norm(flat)
+    assert report.rel_error == phase_align_error(sol.xhat, xstar)
+    assert read_f64_sidecar(report.recovered_f64).tobytes() == recovered.tobytes()
+
+
 def test_cdp_demo_report_file_is_deterministic(tmp_path):
-    img_path = tmp_path / "in.pgm"
-    write_pgm(img_path, gradient_image(16, 16))
+    img_path = gradient_image(tmp_path / "in.pgm", 16, 16)
     cfg = SolverConfig(max_iters=60)
     r1 = run_cdp_demo(img_path, num_masks=6, cfg=cfg, seed=4,
                       out_prefix=str(tmp_path / "a"))
@@ -248,8 +289,7 @@ def test_cdp_demo_rejects_zero_image(tmp_path):
 def test_cdp_demo_single_mask_underdetermined(tmp_path):
     # One mask gives m = n phaseless equations for 2n-1 real unknowns; the
     # outcome is recorded, not asserted small.
-    img_path = tmp_path / "in.pgm"
-    write_pgm(img_path, gradient_image(16, 16))
+    img_path = gradient_image(tmp_path / "in.pgm", 16, 16)
     report = run_cdp_demo(img_path, num_masks=1, cfg=SolverConfig(max_iters=80),
                           seed=5, out_prefix=str(tmp_path / "L1"))
     assert report.rel_error >= 0.0
@@ -349,8 +389,7 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
 
 
 def test_cli_cdp_end_to_end(tmp_path, capsys):
-    img_path = tmp_path / "in.pgm"
-    write_pgm(img_path, gradient_image(16, 16))
+    img_path = gradient_image(tmp_path / "in.pgm", 16, 16)
     code = main(["cdp", "--image", str(img_path), "--masks", "6",
                  "--max-iters", "80", "--seed", "2",
                  "--out-prefix", str(tmp_path / "cli")])

@@ -21,7 +21,7 @@ from phasemax import (
     solve_phasemax,
 )
 from phasemax import solver
-from phasemax.experiments import _run_trial
+from phasemax.experiments import _gaussian_instance, _run_trial
 from phasemax.measurements import Observations, operator_norm
 from phasemax.solver import _shrink_dual
 from support import (
@@ -78,11 +78,7 @@ def test_shrink_dual_matches_moreau_oracle():
 
 
 def make_instance(seed, n=8, m=64, noise=None):
-    stream = RngStream(seed)
-    xs = sample_complex_gaussian(n, stream)
-    ens = DenseEnsemble.gaussian(n, m, stream)
-    obs = observe(ens, xs, noise or NoiseModel.none(), stream)
-    return ens, obs, xs
+    return _gaussian_instance(n, m / n, noise or NoiseModel.none(), RngStream(seed))
 
 
 def test_solver_rejects_degenerate_inputs():
@@ -217,7 +213,7 @@ def test_solver_determinism():
 
 def no_polish(monkeypatch):
     """Leave the polish stage out of solves, for tests of the loop itself."""
-    monkeypatch.setattr(solver, "_can_polish", lambda ens: False)
+    monkeypatch.setattr(solver, "_checkpoints", lambda ens: ())
 
 
 def test_polish_only_where_the_gram_is_formed():
@@ -229,11 +225,11 @@ def test_polish_only_where_the_gram_is_formed():
     cdp = CodedDiffractionEnsemble.rademacher(4, 8, stream)
     assert 64 * cdp.n ** 2 <= cdp.nbytes
     for ens in (cdp, CountingEnsemble(cdp)):
-        assert solver._can_polish(ens) and not solver._forms_gram(ens)
+        assert solver._checkpoints(ens) == (20, 50) and not solver._forms_gram(ens)
     dense = DenseEnsemble.gaussian(8, 32, stream)
     for ens in (dense, CountingEnsemble(dense)):
-        assert solver._can_polish(ens) and solver._forms_gram(ens)
-    assert not solver._can_polish(DenseEnsemble.gaussian(8, 16, stream))
+        assert solver._checkpoints(ens) == (50,) and solver._forms_gram(ens)
+    assert solver._checkpoints(DenseEnsemble.gaussian(8, 16, stream)) == ()
 
 
 # The CDP ensemble sampler, for noiseless_anchored.
@@ -320,15 +316,24 @@ def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
             polish_forwards.append(counted.forwards - before)
 
     monkeypatch.setattr(solver, "_polish", counting_polish)
-    checks.clear()
+    # An exact check is _max_violation on a fresh forward, called with no
+    # scale or buffer; the screens and the polish stage pass one or both.
+    exact_checks = []
+    violation = solver._max_violation
+
+    def counting_violation(*args, **kwargs):
+        exact_checks.append(len(args) == 2 and not kwargs)
+        return violation(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_max_violation", counting_violation)
     sol = solve_phasemax(counted, obs, a0)
     assert not sol.converged
     assert len(polish_forwards) == 1
-    # Confirmations: the exact check when the relative change first passes,
-    # plus every feasibility_residual call (here only the returned residual).
-    assert len(checks) <= 2
+    # Exact checks: the one when the relative change first passes, a screen
+    # that passes (none here) and the returned residual.
+    assert sum(exact_checks) <= 3
     loop_forwards = counted.forwards - sum(polish_forwards)
-    assert loop_forwards <= sol.iters_used + norm.forwards + 1 + len(checks)
+    assert loop_forwards <= sol.iters_used + norm.forwards + sum(exact_checks)
 
 
 def test_tracked_forward_matches_a_fresh_one(monkeypatch):
@@ -445,8 +450,8 @@ HELD_OUT_TRIALS = pytest.mark.parametrize("ratio, t", [(8.0, 0), (8.0, 1), (12.0
 
 
 def held_out_trial(ratio, t):
-    return _run_trial((128, ratio, int(100 * ratio) + t, t, 7, NoiseModel.none(), 50,
-                       SolverConfig()))
+    return _run_trial(SweepConfig(n=128, ratios=(ratio,), trials=1, seed=7), ratio,
+                      int(100 * ratio) + t, t)
 
 
 @HELD_OUT_TRIALS
@@ -476,8 +481,9 @@ def test_held_out_trials_are_certified(ratio, t):
 def test_noisy_solves_stay_accurate():
     # Noisy solves run to max_iters. The sweep trial ends at 4.3e-7 error
     # and the small instance at 1.0e-5.
-    record = _run_trial((128, 12.0, 0, 0, 3, NoiseModel.uniform(1e-4), 50,
-                         SolverConfig(max_iters=800)))
+    [record] = run_sweep(SweepConfig(n=128, ratios=(12.0,), trials=1, seed=3,
+                                     noise=NoiseModel.uniform(1e-4),
+                                     solver=SolverConfig(max_iters=800)))
     assert record.rel_error <= 1e-6
     ens, obs, xs = make_instance(478, n=32, m=256, noise=NoiseModel.uniform(1e-3))
     sol = solve_phasemax(ens, obs, xs / np.linalg.norm(xs))

@@ -4,11 +4,14 @@ iteration count, the trials that ran to max_iters and the worst recovered
 error. The solves run without the crossover (solver._polish), which would
 end them all at its checkpoint.
 
-Trial t at ratio M/N is built by the sweep's own _run_trial, but on stream
-ids of this tool's choosing, RngStream(seed, 100 * M/N + t), not the ids
-run_sweep assigns (ratio index * trials + t). With the default seed 7 it
-shares no stream with the benchmark's call seeds or the acceptance tests;
-tests/test_solver.py pins the iteration counts of four of these trials.
+Every instance comes from the builders in phasemax.experiments that the
+sweep and the demo use: _gaussian_instance for the trials (the relaxation
+scan runs the sweep's own _run_trial) and _cdp_instance for the CDP demo.
+Trial t at ratio M/N is drawn on a stream id of this tool's choosing,
+RngStream(seed, 100 * M/N + t), not the ids run_sweep assigns (ratio
+index * trials + t). With the default seed 7 it shares no stream with the
+benchmark's call seeds or the acceptance tests; tests/test_solver.py pins
+the iteration counts of four of these trials.
 
 With --cdp it instead runs the CDP demo, run_cdp_demo on the 64 x 64
 gradient image with --masks masks (20 by default, as in acceptance
@@ -17,13 +20,12 @@ cap in --at, and prints each instance's rel_error at each cap, at the
 solver's current constants and without the crossover.
 
 With --anchor it checks the spectral anchor instead of the solve: on each
-CDP demo instance of --cdp (none by default) and each held-out trial, built
-as run_cdp_demo and _run_trial build them, it prints the Lanczos steps that
-spectral_anchor takes at a cap of 50, the phase-aligned distance of its
-anchor to the top eigenvector of Sigma, and that distance for 50 power steps
-from the same start vector. The eigenvector comes from np.linalg.eigh of the
-dense Sigma for the trials, and from 200 Lanczos steps at no stop tolerance
-for the CDP instances.
+CDP demo instance of --cdp (none by default) and each held-out trial, it
+prints the Lanczos steps that spectral_anchor takes at a cap of 50, the
+phase-aligned distance of its anchor to the top eigenvector of Sigma, and
+that distance for 50 power steps from the same start vector. The
+eigenvector comes from np.linalg.eigh of the dense Sigma for the trials, and
+from 200 Lanczos steps at no stop tolerance for the CDP instances.
 
 With --polish it checks the solver's crossover instead (solver._polish):
 on each held-out trial, or with --cdp on each CDP demo instance, solved
@@ -53,13 +55,13 @@ the anchor's are not included.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -68,68 +70,50 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from phasemax import anchor, solver  # noqa: E402
 from phasemax.cli import parse_noise  # noqa: E402
-from phasemax.experiments import DEFAULT_CDP_CONFIG, _run_trial, run_cdp_demo  # noqa: E402
-from phasemax.measurements import (  # noqa: E402
-    CodedDiffractionEnsemble,
-    DenseEnsemble,
-    NoiseModel,
-    observe,
+from phasemax.experiments import (  # noqa: E402
+    DEFAULT_CDP_CONFIG,
+    SweepConfig,
+    _cdp_instance,
+    _gaussian_instance,
+    _run_trial,
+    run_cdp_demo,
 )
+from phasemax.measurements import NoiseModel  # noqa: E402
 from phasemax.numerics import RngStream, phase_align_error, sample_complex_gaussian  # noqa: E402
-from phasemax.pgm import read_pgm, write_pgm  # noqa: E402
-from support import CountingEnsemble  # noqa: E402
+from support import CountingEnsemble, write_demo_image  # noqa: E402
 
 
 def scan(relaxations, n: int, ratios, trials: int, seed: int) -> None:
-    cfg = solver.SolverConfig()
-    tasks = [(n, ratio, int(round(100 * ratio)) + t, t, seed, NoiseModel.none(), 50, cfg)
-             for ratio in ratios for t in range(trials)]
-    saved = solver._RELAXATION
-    print(f"n={n} ratios={list(ratios)} trials={trials} seed={seed} max_iters={cfg.max_iters}, "
-          "crossover off")
+    cfg = SweepConfig(n=n, ratios=ratios, trials=trials, seed=seed)
+    print(f"n={n} ratios={list(ratios)} trials={trials} seed={seed} "
+          f"max_iters={cfg.solver.max_iters}, crossover off")
     print(f"{'relax':>6} {'iters_p50':>10} {'iters_max':>10} {'unconverged':>12} {'worst_err':>10}")
-    try:
-        with polish_off():
-            for rho in relaxations:
-                solver._RELAXATION = rho
-                records = [_run_trial(task) for task in tasks]
-                iters = [r.iters for r in records]
-                print(f"{rho:6g} {statistics.median(iters):10g} {max(iters):10d} "
-                      f"{sum(not r.converged for r in records):12d} "
-                      f"{max(r.rel_error for r in records):10.2e}", flush=True)
-    finally:
-        solver._RELAXATION = saved
+    for rho in relaxations:
+        with polish_off(), mock.patch.object(solver, "_RELAXATION", rho):
+            records = [_run_trial(cfg, ratio, int(round(100 * ratio)) + t, t)
+                       for ratio in ratios for t in range(trials)]
+        iters = [r.iters for r in records]
+        print(f"{rho:6g} {statistics.median(iters):10g} {max(iters):10d} "
+              f"{sum(not r.converged for r in records):12d} "
+              f"{max(r.rel_error for r in records):10.2e}", flush=True)
 
 
-@contextlib.contextmanager
 def polish_off():
     """Solves without the crossover (solver._polish), so that they measure the
     loop that a scan varies rather than end at the checkpoint."""
-    saved = solver._can_polish
-    solver._can_polish = lambda ens: False
-    try:
-        yield
-    finally:
-        solver._can_polish = saved
+    return mock.patch.object(solver, "_checkpoints", lambda ens: ())
 
 
 def scan_cdp(seeds, caps, masks: int) -> None:
     print(f"64x64 gradient image, L={masks}, crossover off; rel_error at max_iters {list(caps)}")
     print(f"{'seed':>10} " + " ".join(f"{cap:>10d}" for cap in caps))
     with tempfile.TemporaryDirectory() as tmp, polish_off():
-        image = gradient_image(tmp)
+        image = write_demo_image(Path(tmp) / "gradient64.pgm")
         for seed in seeds:
             errors = [run_cdp_demo(image, num_masks=masks, cfg=solver.SolverConfig(max_iters=cap),
                                    seed=seed, out_prefix=str(Path(tmp) / "cdp")).rel_error
                       for cap in caps]
             print(f"{seed:10d} " + " ".join(f"{e:10.3e}" for e in errors), flush=True)
-
-
-def gradient_image(directory) -> Path:
-    """The 64 x 64 gradient image of the CDP demo, written as a PGM."""
-    image = Path(directory) / "gradient64.pgm"
-    write_pgm(image, np.add.outer(np.linspace(5, 250, 64), np.linspace(0, 30, 64)))
-    return image
 
 
 def power_steps(ens, obs, steps: int, start):
@@ -143,12 +127,8 @@ def power_steps(ens, obs, steps: int, start):
 
 def long_lanczos(ens, obs, steps: int, rng):
     """The anchor after steps Lanczos steps with the stop tolerance at 0."""
-    saved = anchor._ANCHOR_RTOL
-    anchor._ANCHOR_RTOL = 0.0
-    try:
+    with mock.patch.object(anchor, "_ANCHOR_RTOL", 0.0):
         return anchor.spectral_anchor(ens, obs, steps, rng).a0
-    finally:
-        anchor._ANCHOR_RTOL = saved
 
 
 def anchor_instances(cdp_seeds, masks: int, n: int, ratios, trials: int, seed: int):
@@ -163,26 +143,21 @@ def anchor_instances(cdp_seeds, masks: int, n: int, ratios, trials: int, seed: i
 
 def cdp_instances(seeds, masks: int):
     """(name, ens, obs, xstar, stream at the anchor's draw) of the CDP demo with
-    masks masks at each seed, built as run_cdp_demo builds it."""
+    masks masks at each seed."""
     with tempfile.TemporaryDirectory() as tmp:
-        flat = read_pgm(gradient_image(tmp)).astype(np.float64).ravel()
-    xstar = (flat / np.linalg.norm(flat)).astype(np.complex128)
-    for seed in seeds:
-        stream = RngStream(seed)
-        ens = CodedDiffractionEnsemble.rademacher(xstar.shape[0], masks, stream)
-        yield f"cdp {seed}", ens, observe(ens, xstar, NoiseModel.none(), stream), xstar, stream
+        image = write_demo_image(Path(tmp) / "gradient64.pgm")
+        for seed in seeds:
+            yield (f"cdp {seed}", *_cdp_instance(image, masks, seed)[:4])
 
 
 def held_out_trials(n: int, ratios, trials: int, seed: int, noise):
     """(name, ens, obs, xstar, stream at the anchor's draw) of each held-out
-    trial, built as _run_trial builds it."""
+    trial."""
     for ratio in ratios:
         for t in range(trials):
             stream = RngStream(seed, int(round(100 * ratio)) + t)
-            xs = sample_complex_gaussian(n, stream)
-            ens = DenseEnsemble.gaussian(n, int(round(ratio * n)), stream)
-            obs = observe(ens, xs, noise, stream)
-            yield f"n={n} M/N={ratio:g} t={t}", ens, obs, xs, stream
+            yield (f"n={n} M/N={ratio:g} t={t}", *_gaussian_instance(n, ratio, noise, stream),
+                   stream)
 
 
 def scan_polish(instances, noise, cfg) -> None:
@@ -193,41 +168,38 @@ def scan_polish(instances, noise, cfg) -> None:
     print(f"{'instance':>18} {'stop_reason':>12} {'iters':>6} {'cert_at':>7} {'loop_calls':>10} "
           f"{'gn_calls':>9} {'search_calls':>12} {'dr_steps':>9} {'solve_ms':>9} {'error':>10}")
     polish, gauss_newton, certificate = solver._polish, solver._gauss_newton, solver._certificate
-    try:
-        for name, ens, obs, xs, stream in instances:
-            a0 = anchor.spectral_anchor(ens, obs, 50, stream).a0
-            # No per-call subnormal check, so the wall time is the solve's.
-            counted = CountingEnsemble(ens, subnormals=False)
-            polish_calls, gn_calls, search_calls, dr_steps = [], [], [], []
+    for name, ens, obs, xs, stream in instances:
+        a0 = anchor.spectral_anchor(ens, obs, 50, stream).a0
+        # No per-call subnormal check, so the wall time is the solve's.
+        counted = CountingEnsemble(ens, subnormals=False)
+        polish_calls, gn_calls, search_calls, dr_steps = [], [], [], []
 
-            def counting(stage, calls):
-                def wrapped(*args):
-                    before = counted.forwards + counted.adjoints
-                    try:
-                        return stage(*args)
-                    finally:
-                        calls.append(counted.forwards + counted.adjoints - before)
-                return wrapped
+        def counting(stage, calls):
+            def wrapped(*args):
+                before = counted.forwards + counted.adjoints
+                try:
+                    return stage(*args)
+                finally:
+                    calls.append(counted.forwards + counted.adjoints - before)
+            return wrapped
 
-            def recording_certificate(*args):
-                found = certificate(*args)
-                dr_steps.append(found[1])
-                return found
+        def recording_certificate(*args):
+            found = certificate(*args)
+            dr_steps.append(found[1])
+            return found
 
-            solver._polish = counting(polish, polish_calls)
-            solver._gauss_newton = counting(gauss_newton, gn_calls)
-            solver._certificate = counting(recording_certificate, search_calls)
+        with mock.patch.multiple(solver, _polish=counting(polish, polish_calls),
+                                 _gauss_newton=counting(gauss_newton, gn_calls),
+                                 _certificate=counting(recording_certificate, search_calls)):
             t0 = time.perf_counter()
             sol = solver.solve_phasemax(counted, obs, a0, cfg)
             solve_ms = (time.perf_counter() - t0) * 1e3
-            loop_calls = counted.forwards + counted.adjoints - sum(polish_calls)
-            cert_at = sol.iters_used if sol.stop_reason == "certified" else "-"
-            print(f"{name:>18} {sol.stop_reason:>12} {sol.iters_used:6d} {cert_at:>7} "
-                  f"{loop_calls:10d} {sum(gn_calls):9d} {attempts(search_calls):>12} "
-                  f"{attempts(dr_steps):>9} {solve_ms:9.1f} "
-                  f"{phase_align_error(sol.xhat, xs):10.2e}", flush=True)
-    finally:
-        solver._polish, solver._gauss_newton, solver._certificate = polish, gauss_newton, certificate
+        loop_calls = counted.forwards + counted.adjoints - sum(polish_calls)
+        cert_at = sol.iters_used if sol.stop_reason == "certified" else "-"
+        print(f"{name:>18} {sol.stop_reason:>12} {sol.iters_used:6d} {cert_at:>7} "
+              f"{loop_calls:10d} {sum(gn_calls):9d} {attempts(search_calls):>12} "
+              f"{attempts(dr_steps):>9} {solve_ms:9.1f} "
+              f"{phase_align_error(sol.xhat, xs):10.2e}", flush=True)
 
 
 def attempts(counts) -> str:
