@@ -79,14 +79,14 @@ def phase_align_error(xhat, xstar) -> float:
     return float(np.linalg.norm(xh - np.exp(1j * phi) * xs) / norm_star)
 
 
-def sample_complex_gaussian(n: int, rng: RngStream) -> np.ndarray:
+def sample_complex_gaussian(n: int, rng: RngStream, rows: Optional[int] = None) -> np.ndarray:
     """Draw a length-n vector with i.i.d. entries Normal(0, 1/2) + i Normal(0, 1/2),
-    so each entry has unit expected squared modulus."""
+    so each entry has unit expected squared modulus. With rows, draw a
+    (rows, n) stack of them, equal to the vectors of rows calls in turn."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = rng.generator
-    scale = np.sqrt(0.5)
-    return scale * (g.standard_normal(n) + 1j * g.standard_normal(n))
+    z = rng.generator.standard_normal((2, n) if rows is None else (rows, 2, n))
+    return np.sqrt(0.5) * (z[..., 0, :] + 1j * z[..., 1, :])
 
 
 def sample_rademacher(n: int, rng: RngStream) -> np.ndarray:

@@ -32,6 +32,7 @@ __all__ = [
 
 _MAX_EXP = 709.0  # largest x with exp(x) finite in float64
 _CUT_CHUNK = 1 << 18  # measurement draws per block in measurement_cut_probability
+_CUT_SUB = 1 << 15  # draws per slice a direction is scored over: 1 MB of R, Q and buffers
 
 
 @dataclass(frozen=True)
@@ -119,32 +120,58 @@ def pmin_lower_bound(delta: float, t: float) -> float:
     return prefactor * math.exp(exponent)
 
 
+def _overlaps(x: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """x^H h for every row h of the stack hs, each summed as np.vdot(x, h)
+    sums it: a (1, n) @ (n, 1) matmul is one BLAS dot."""
+    return (x.conj()[None, None, :] @ hs[:, :, None])[:, 0, 0]
+
+
+def _row_norms(hs: np.ndarray) -> np.ndarray:
+    """||h||_2 for every row h of the stack hs, each summed as
+    np.linalg.norm(h) sums it: one BLAS dot of the real parts plus one of
+    the imaginary parts."""
+    re, im = hs.real, hs.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def _split(x: np.ndarray, hs: np.ndarray):
+    """(c, p) for every row h of hs: c = x^H h and p = ||h - c x||_2."""
+    c = _overlaps(x, hs)
+    return c, _row_norms(hs - c[:, None] * x)
+
+
+def _in_R(ctx: GeometryContext, hs: np.ndarray) -> np.ndarray:
+    c, p = _split(ctx.xstar, hs)
+    return p >= ctx.delta * np.abs(c.imag)
+
+
+def _in_C(ctx: GeometryContext, ys: np.ndarray) -> np.ndarray:
+    return _overlaps(ctx.xstar, ys).real >= ctx.delta * _row_norms(ys)
+
+
+def _in_Cprime(ctx: GeometryContext, zs: np.ndarray) -> np.ndarray:
+    c = _overlaps(ctx.xstar, zs)
+    # np.hypot rounds |c| as abs() of one complex scalar does; np.abs on an
+    # array can differ in the last bit.
+    residual_sq = np.maximum(_row_norms(zs) ** 2 - np.hypot(c.real, c.imag) ** 2, 0.0)
+    rhs = -math.sqrt(max(1.0 - ctx.delta**2, 0.0)) * np.sqrt(residual_sq)
+    return ctx.delta * c.real >= rhs
+
+
 def in_R_delta(h, ctx: GeometryContext) -> bool:
     """Membership in the region ||h - (x^H h) x||_2 >= delta * |Im(x^H h)|."""
-    x = ctx.xstar
-    hv = as_signal(h, "h", x.shape[0])
-    overlap = np.vdot(x, hv)
-    perp = hv - overlap * x
-    return bool(np.linalg.norm(perp) >= ctx.delta * abs(overlap.imag))
+    return bool(_in_R(ctx, as_signal(h, "h", ctx.xstar.shape[0])[None])[0])
 
 
 def in_C_delta(y, ctx: GeometryContext) -> bool:
     """Membership in the cone Re(x^H y) >= delta * ||y||_2."""
-    x = ctx.xstar
-    yv = as_signal(y, "y", x.shape[0])
-    return bool(np.vdot(x, yv).real >= ctx.delta * np.linalg.norm(yv))
+    return bool(_in_C(ctx, as_signal(y, "y", ctx.xstar.shape[0])[None])[0])
 
 
 def in_Cprime_delta(z, ctx: GeometryContext) -> bool:
     """Membership in the closure of the complement of the polar cone:
     delta * <x, z> >= -sqrt(1 - delta^2) * sqrt(||z||^2 - |x^H z|^2)."""
-    x = ctx.xstar
-    zv = as_signal(z, "z", x.shape[0])
-    overlap = np.vdot(x, zv)
-    residual_sq = max(float(np.linalg.norm(zv) ** 2 - abs(overlap) ** 2), 0.0)
-    lhs = ctx.delta * overlap.real
-    rhs = -math.sqrt(max(1.0 - ctx.delta**2, 0.0)) * math.sqrt(residual_sq)
-    return bool(lhs >= rhs)
+    return bool(_in_Cprime(ctx, as_signal(z, "z", ctx.xstar.shape[0])[None])[0])
 
 
 def check_certificate(
@@ -182,7 +209,7 @@ def check_certificate(
 
 
 def _cut_hits(ctx: GeometryContext, hs, num_a: int, rng: RngStream) -> np.ndarray:
-    """Count, for every direction in hs, the draws among num_a complex
+    """Count, for every row h of the stack hs, the draws among num_a complex
     Gaussian measurements whose cut value <a a^H xstar, h> exceeds
     eta_inv / 2. All directions are scored on the same draws.
 
@@ -194,15 +221,15 @@ def _cut_hits(ctx: GeometryContext, hs, num_a: int, rng: RngStream) -> np.ndarra
     normals whatever n is: with u = (g0 + i g1)/sqrt(2) and
     z = (g2 + i g3)/sqrt(2), twice the cut value is Re(c) R + p Q with
     R = g0^2 + g1^2 and Q = g0 g2 + g1 g3, compared with eta_inv. R and Q
-    do not depend on h, so they are formed once per block of draws.
+    do not depend on h, so they are formed once per block of _CUT_CHUNK
+    draws, and every direction is scored over one _CUT_SUB-column slice of
+    them at a time, which stays in cache.
     """
-    x = ctx.xstar
-    coeffs = []
-    for h in hs:
-        c = np.vdot(x, h)
-        coeffs.append((float(c.real), float(np.linalg.norm(h - c * x))))
+    c, p = _split(ctx.xstar, np.asarray(hs))
+    coeffs = list(zip(c.real.tolist(), p.tolist()))
     g = rng.generator
     hits = np.zeros(len(coeffs), dtype=np.int64)
+    above = np.empty(min(_CUT_SUB, num_a), dtype=bool)
     remaining = int(num_a)
     while remaining > 0:
         k = min(_CUT_CHUNK, remaining)
@@ -214,11 +241,15 @@ def _cut_hits(ctx: GeometryContext, hs, num_a: int, rng: RngStream) -> np.ndarra
         g0 *= g0
         g1 *= g1
         g0 += g1
-        for j, (re_c, p) in enumerate(coeffs):
-            np.multiply(g0, re_c, out=g1)
-            np.multiply(g2, p, out=g3)
-            g1 += g3
-            hits[j] += np.count_nonzero(g1 > ctx.eta_inv)
+        for s in range(0, k, _CUT_SUB):
+            r, q, buf, tmp = (v[s:s + _CUT_SUB] for v in (g0, g2, g1, g3))
+            mask = above[:r.shape[0]]
+            for j, (re_c, p_j) in enumerate(coeffs):
+                np.multiply(r, re_c, out=buf)
+                np.multiply(q, p_j, out=tmp)
+                buf += tmp
+                np.greater(buf, ctx.eta_inv, out=mask)
+                hits[j] += np.count_nonzero(mask)
         remaining -= k
     return hits
 
@@ -233,7 +264,7 @@ def measurement_cut_probability(ctx: GeometryContext, h, num_a: int, rng: RngStr
     if num_a < 1:
         raise ValueError("num_a must be >= 1")
     hv = as_signal(h, "h", ctx.xstar.shape[0])
-    return int(_cut_hits(ctx, [hv], num_a, rng)[0]) / num_a
+    return int(_cut_hits(ctx, hv[None], num_a, rng)[0]) / num_a
 
 
 def empirical_pmin(ctx: GeometryContext, num_h: int, num_a: int, rng: RngStream) -> float:
@@ -241,8 +272,11 @@ def empirical_pmin(ctx: GeometryContext, num_h: int, num_a: int, rng: RngStream)
 
     Directions h are complex Gaussian draws rescaled to sit just above the
     norm threshold eta_inv / t where the infimum is approached, and are kept
-    only if they land in C'_delta intersect R_delta (rejection sampling).
-    Requires eta_inv > 0, otherwise the threshold degenerates to 0.
+    only if they land in C'_delta intersect R_delta (rejection sampling),
+    within 1000 num_h attempts. Attempts are drawn as stacks of as many as
+    directions are still missing: each accepts at most one direction, so a
+    stack never overshoots, and the stream ends where one attempt at a time
+    leaves it. Requires eta_inv > 0, otherwise the threshold degenerates to 0.
 
     All num_h directions are scored on one shared sample of num_a
     measurements, as in the sample-complexity argument, where one set of
@@ -260,23 +294,25 @@ def empirical_pmin(ctx: GeometryContext, num_h: int, num_a: int, rng: RngStream)
     target_norm = (1.0 + 1e-6) * ctx.eta_inv / ctx.t
     n = ctx.xstar.shape[0]
     accepted = []
+    found = 0
     attempts = 0
     max_attempts = 1000 * num_h
-    while len(accepted) < num_h and attempts < max_attempts:
-        attempts += 1
-        h = sample_complex_gaussian(n, rng)
-        norm = np.linalg.norm(h)
-        if norm == 0:
-            continue
-        h = h * (target_norm / norm)
-        if in_Cprime_delta(h, ctx) and in_R_delta(h, ctx):
-            accepted.append(h)
-    if len(accepted) < num_h:
+    while found < num_h and attempts < max_attempts:
+        k = min(num_h - found, max_attempts - attempts)
+        attempts += k
+        hs = sample_complex_gaussian(n, rng, rows=k)
+        norms = _row_norms(hs)
+        nonzero = norms != 0
+        hs = hs[nonzero] * (target_norm / norms[nonzero])[:, None]
+        hs = hs[_in_Cprime(ctx, hs) & _in_R(ctx, hs)]
+        accepted.append(hs)
+        found += hs.shape[0]
+    if found < num_h:
         raise RuntimeError(
-            f"rejection sampling accepted only {len(accepted)}/{num_h} directions "
+            f"rejection sampling accepted only {found}/{num_h} directions "
             f"after {max_attempts} attempts"
         )
-    return int(_cut_hits(ctx, accepted, num_a, rng).min()) / num_a
+    return int(_cut_hits(ctx, np.concatenate(accepted), num_a, rng).min()) / num_a
 
 
 def sauer_bound(n: int, d: int) -> int:

@@ -2,7 +2,8 @@
 calls, an independent brute-force oracle for the relaxation in dimension
 n <= 3, the disk projection the solver's dual shrink is checked against,
 one-expression references for the CDP kernels, the full-dimensional
-cut-probability sampler, the spectral anchor's Lanczos iteration and the
+cut-probability sampler, the geometry suite and its p_min sampler testing
+one vector at a time, the spectral anchor's Lanczos iteration and the
 dense Gaussian sampler written plainly, the solver loop with an exact stop
 check, a Lawson-Hanson NNLS for KKT certificates, CSV comparison without
 the wall-clock column, and the CDP demo's image."""
@@ -12,7 +13,10 @@ from itertools import combinations, product
 
 import numpy as np
 
+from phasemax import theory
+from phasemax.experiments import CheckResult
 from phasemax.measurements import MeasurementEnsemble
+from phasemax.numerics import RngStream, sample_complex_gaussian
 from phasemax.pgm import write_pgm
 
 
@@ -98,6 +102,109 @@ def cut_probability_reference(ctx, h, num_a: int, rng) -> float:
         w = a.conj() @ h
         hits += int(np.count_nonzero((np.conj(u) * w).real > 0.5 * ctx.eta_inv))
     return hits / num_a
+
+
+def cut_hits_reference(ctx, hs, num_a: int, rng) -> np.ndarray:
+    """theory._cut_hits scoring each direction over a whole block of
+    _CUT_CHUNK draws in one pass, on the same draws: per block, the four
+    normal rows g0..g3, R = g0^2 + g1^2 and Q = g0 g2 + g1 g3, and a hit
+    where Re(c) R + p Q > eta_inv."""
+    x = ctx.xstar
+    coeffs = []
+    for h in hs:
+        c = np.vdot(x, h)
+        coeffs.append((float(c.real), float(np.linalg.norm(h - c * x))))
+    hits = np.zeros(len(coeffs), dtype=np.int64)
+    for start in range(0, num_a, theory._CUT_CHUNK):
+        g0, g1, g2, g3 = rng.generator.standard_normal((4, min(theory._CUT_CHUNK, num_a - start)))
+        r, q = g0 * g0 + g1 * g1, g0 * g2 + g1 * g3
+        for j, (re_c, p) in enumerate(coeffs):
+            hits[j] += np.count_nonzero(r * re_c + q * p > ctx.eta_inv)
+    return hits
+
+
+def empirical_pmin_reference(ctx, num_h: int, num_a: int, rng) -> float:
+    """theory.empirical_pmin drawing and testing one attempt at a time
+    through the public scalar predicates, scored by cut_hits_reference."""
+    target_norm = (1.0 + 1e-6) * ctx.eta_inv / ctx.t
+    n = ctx.xstar.shape[0]
+    accepted = []
+    attempts = 0
+    while len(accepted) < num_h and attempts < 1000 * num_h:
+        attempts += 1
+        h = sample_complex_gaussian(n, rng)
+        norm = np.linalg.norm(h)
+        if norm == 0:
+            continue
+        h = h * (target_norm / norm)
+        if theory.in_Cprime_delta(h, ctx) and theory.in_R_delta(h, ctx):
+            accepted.append(h)
+    if len(accepted) < num_h:
+        raise RuntimeError(f"accepted only {len(accepted)}/{num_h} directions")
+    return int(cut_hits_reference(ctx, accepted, num_a, rng).min()) / num_a
+
+
+def geometry_checks_reference(seed: int, num_h: int, num_a: int) -> list:
+    """experiments._geometry_checks testing one vector per predicate call,
+    with empirical_pmin_reference for the p_min check."""
+    checks = []
+    stream = RngStream(seed, 2)
+    g = stream.generator
+    n = 8
+
+    ok = True
+    for delta in (0.1, 0.5, 0.9):
+        xs = sample_complex_gaussian(n, stream)
+        ctx = theory.GeometryContext(xstar=xs, delta=delta, t=1.0)
+        for _ in range(200):
+            y = sample_complex_gaussian(n, stream)
+            if theory.in_C_delta(y, ctx) and not theory.in_Cprime_delta(y, ctx):
+                ok = False
+    checks.append(CheckResult(
+        name="C_delta contained in Cprime_delta",
+        passed=ok,
+        observed="implication held on all samples" if ok else "counterexample found",
+        required="no counterexample over 600 random vectors",
+    ))
+
+    xs = sample_complex_gaussian(n, stream)
+    xs = xs / np.linalg.norm(xs)
+    ctx = theory.GeometryContext(xstar=xs, delta=0.6, t=1.0)
+    projector = np.eye(n) - np.outer(xs, xs.conj())
+    ok_r = True
+    ok_c = True
+    for _ in range(500):
+        h = sample_complex_gaussian(n, stream) * g.uniform(0.01, 3.0)
+        overlap = np.vdot(xs, h)
+        lhs = np.linalg.norm(projector @ h)
+        if theory.in_R_delta(h, ctx) != (lhs >= ctx.delta * abs(overlap.imag)):
+            ok_r = False
+        resid = projector @ h
+        rhs = -math.sqrt(1.0 - ctx.delta**2) * np.linalg.norm(resid)
+        if theory.in_Cprime_delta(h, ctx) != (ctx.delta * overlap.real >= rhs):
+            ok_c = False
+    checks.append(CheckResult(
+        name="R_delta and Cprime_delta vs explicit projector",
+        passed=ok_r and ok_c,
+        observed=f"R_delta agreement: {ok_r}, Cprime agreement: {ok_c}",
+        required="exact agreement on 500 random directions",
+    ))
+
+    delta, t, eta_inv = 0.99, 0.1, 1e-3
+    xs = sample_complex_gaussian(n, stream)
+    ctx = theory.GeometryContext(xstar=xs, delta=delta, t=t, eta_inv=eta_inv)
+    pmin_emp = empirical_pmin_reference(ctx, num_h=num_h, num_a=num_a, rng=stream)
+    bound = theory.pmin_lower_bound(delta, t)
+    se = math.sqrt(max(pmin_emp * (1.0 - pmin_emp), 1.0 / num_a) / num_a)
+    ok_pmin = pmin_emp >= bound - 4.0 * se
+    checks.append(CheckResult(
+        name="empirical pmin dominates closed-form lower bound",
+        passed=ok_pmin,
+        observed=f"min estimate {pmin_emp:.3e} vs bound {bound:.3e} (se {se:.1e})",
+        required=f"min over {num_h} directions >= bound - 4 standard errors",
+        margin=(pmin_emp - bound) / se + 4.0,
+    ))
+    return checks
 
 
 def oracle_solve_small(rows, b, a0, grid_points: int = 501, method: str = "auto") -> np.ndarray:

@@ -9,7 +9,7 @@ from phasemax.cli import main, parse_noise, parse_ratios
 from phasemax.experiments import CSV_HEADER, ratio_summary
 from phasemax.pgm import read_f64_sidecar, read_pgm, write_pgm
 from phasemax.solver import SolverConfig
-from support import strip_runtime, write_demo_image
+from support import geometry_checks_reference, strip_runtime, write_demo_image
 
 
 def gradient_image(path, h, w):
@@ -286,6 +286,12 @@ def test_cdp_demo_rejects_zero_image(tmp_path):
         run_cdp_demo(img_path, num_masks=4, seed=0, out_prefix=str(tmp_path / "z"))
 
 
+def test_cdp_demo_rejects_zero_masks(tmp_path):
+    img_path = gradient_image(tmp_path / "in.pgm", 8, 8)
+    with pytest.raises(ValueError, match="num_masks"):
+        run_cdp_demo(img_path, num_masks=0, seed=0, out_prefix=str(tmp_path / "z"))
+
+
 def test_cdp_demo_single_mask_underdetermined(tmp_path):
     # One mask gives m = n phaseless equations for 2n-1 real unknowns; the
     # outcome is recorded, not asserted small.
@@ -304,6 +310,16 @@ def test_verify_all_suites_pass():
     assert report.passed, report.render()
     names = [c.name for c in report.checks]
     assert len(names) == len(set(names))
+
+
+# The suite tests stacks of vectors; the reference tests one vector per call.
+# The last case is the CLI's scale.
+@pytest.mark.parametrize("seed, num_h, num_a", [
+    (0, 20, 20_000), (3, 20, 20_000), (20260809, 20, 20_000), (11_000_007, 200, 100_000)])
+def test_geometry_checks_match_the_one_vector_reference(seed, num_h, num_a):
+    from phasemax.experiments import _geometry_checks
+
+    assert _geometry_checks(seed, num_h, num_a) == geometry_checks_reference(seed, num_h, num_a)
 
 
 def test_verify_closed_forms_is_deterministic_and_ignores_mc_draws():

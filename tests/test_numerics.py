@@ -121,6 +121,18 @@ def test_complex_gaussian_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_complex_gaussian_rows_are_calls_in_turn():
+    # Real part then imaginary part of each vector, as sqrt(1/2) (g_re + i g_im).
+    stack = sample_complex_gaussian(5, RngStream(112), rows=7)
+    one_at_a_time = RngStream(112)
+    g = one_at_a_time.generator
+    expected = [np.sqrt(0.5) * (g.standard_normal(5) + 1j * g.standard_normal(5)) for _ in range(7)]
+    assert stack.shape == (7, 5)
+    assert stack.tobytes() == np.array(expected).tobytes()
+    assert [sample_complex_gaussian(5, one_at_a_time).tobytes()] \
+        == [sample_complex_gaussian(5, RngStream(112), rows=8)[7].tobytes()]
+
+
 def test_rademacher_support_and_symmetry():
     draws = sample_rademacher(100_000, RngStream(110))
     assert np.all(draws.imag == 0.0)

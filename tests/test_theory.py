@@ -22,7 +22,7 @@ from phasemax import (
     sauer_bound_loose,
     vc_deviation_bound,
 )
-from support import cut_probability_reference
+from support import cut_hits_reference, cut_probability_reference
 
 
 def unit_vector(n, seed):
@@ -394,6 +394,37 @@ def test_cut_hits_shared_sample_matches_each_direction_alone():
         == [k / num_a for k in alone]
 
 
+def test_cut_hits_do_not_depend_on_the_sub_block():
+    from phasemax.theory import _CUT_CHUNK, _CUT_SUB, _cut_hits
+
+    num_a = 300_001  # two blocks of _CUT_CHUNK, neither a multiple of _CUT_SUB
+    assert _CUT_CHUNK < num_a < 2 * _CUT_CHUNK
+    assert _CUT_CHUNK % _CUT_SUB == 0 and (num_a - _CUT_CHUNK) % _CUT_SUB != 0
+    stream = RngStream(544)
+    ctx = GeometryContext(xstar=unit_vector(8, 545), delta=0.9, t=1.0, eta_inv=1e-3)
+    hs = np.array([cut_direction(kind, ctx.xstar, stream, norm)
+                   for kind in ("parallel", "perp", "general") for norm in (1e-3, 2e-3, 1e-2)])
+    hits = _cut_hits(ctx, hs, num_a, RngStream(546))
+    assert hits.tolist() == cut_hits_reference(ctx, hs, num_a, RngStream(546)).tolist()
+    assert 0 < hits.min() and hits.max() < num_a
+
+
+def test_scalar_predicates_are_their_batched_forms_row_by_row():
+    from phasemax.theory import _in_C, _in_Cprime, _in_R
+
+    stream = RngStream(547)
+    for delta in (0.1, 0.6, 0.99):
+        ctx = GeometryContext(xstar=sample_complex_gaussian(8, stream), delta=delta, t=1.0)
+        scales = stream.generator.uniform(0.01, 3.0, (300, 1))
+        hs = np.concatenate([sample_complex_gaussian(8, stream, rows=300) * scales,
+                             [ctx.xstar, 1j * ctx.xstar, -ctx.xstar]])
+        for scalar, batched in ((in_R_delta, _in_R), (in_C_delta, _in_C),
+                                (in_Cprime_delta, _in_Cprime)):
+            rows = batched(ctx, hs)
+            assert [scalar(h, ctx) for h in hs] == rows.tolist()
+            assert 0 < rows.sum() < len(hs)
+
+
 def test_empirical_pmin_dominates_lemma_bound_small_scale():
     xs = unit_vector(8, 525)
     ctx = GeometryContext(xstar=xs, delta=0.99, t=0.1, eta_inv=1e-3)
@@ -409,6 +440,45 @@ def test_empirical_pmin_determinism():
     a = empirical_pmin(ctx, num_h=10, num_a=5_000, rng=RngStream(528))
     b = empirical_pmin(ctx, num_h=10, num_a=5_000, rng=RngStream(528))
     assert a == b
+
+
+def test_empirical_pmin_gives_up_after_1000_attempts_a_direction():
+    # With n = 1 and xstar = 1, h - (x^H h) x is exactly 0, so R_delta holds
+    # only where Im(h) = 0, which no Gaussian draw hits. Each attempt draws
+    # two normals; the budget is 1000 attempts per direction.
+    ctx = GeometryContext(xstar=np.array([1.0]), delta=0.5, t=1.0, eta_inv=1e-3)
+    rng = RngStream(531)
+    with pytest.raises(RuntimeError, match="0/2 directions after 2000 attempts"):
+        empirical_pmin(ctx, num_h=2, num_a=100, rng=rng)
+    reference = RngStream(531)
+    reference.generator.standard_normal(4000)
+    assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+
+
+def test_empirical_pmin_stacks_stop_at_the_attempt_budget(monkeypatch):
+    # Only the very first attempt is accepted. The stacks then hold 3, then
+    # 2 attempts each, so after 2,999 one attempt of the 3,000 is left for
+    # two missing directions: the last stack must hold one.
+    from phasemax import theory
+
+    stacks = []
+
+    def first_attempt_only(ctx, hs):
+        keep = np.zeros(len(hs), dtype=bool)
+        keep[0] = not stacks
+        stacks.append(len(hs))
+        return keep
+
+    monkeypatch.setattr(theory, "_in_Cprime", lambda ctx, hs: np.ones(len(hs), dtype=bool))
+    monkeypatch.setattr(theory, "_in_R", first_attempt_only)
+    ctx = GeometryContext(xstar=unit_vector(8, 532), delta=0.5, t=1.0, eta_inv=1e-3)
+    rng = RngStream(533)
+    with pytest.raises(RuntimeError, match="1/3 directions after 3000 attempts"):
+        empirical_pmin(ctx, num_h=3, num_a=100, rng=rng)
+    assert stacks[0] == 3 and stacks[-1] == 1 and sum(stacks) == 3000
+    reference = RngStream(533)
+    reference.generator.standard_normal(3000 * 16)
+    assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
 
 
 def test_empirical_pmin_rejects_noiseless_context():
