@@ -8,7 +8,6 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -159,6 +158,11 @@ def run_sweep(cfg: SweepConfig) -> list:
     if workers > 1:
         workers = min(workers, _usable_cpus())
     if workers > 1:
+        # Imported here: the process pool and multiprocessing made importing
+        # phasemax.cli after numpy take 42 ms instead of 29 ms (medians of 25
+        # interpreter starts, 2-vCPU Xeon), and most calls run no pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_trial, *zip(*tasks)))
     else:
@@ -189,12 +193,13 @@ def ratio_summary(records) -> list:
 
 
 # The cap for demo solves that the crossover does not certify. Certified
-# ones stop at the solver's first matrix-free checkpoint, 20 iterations
-# (all 72 demo seeds listed at solver._CERT_CALLS; tools/step_scan.py
-# --polish --cdp), or at 50 after a search that missed at 20. Without the
-# crossover, 175 iterations from the rescaled anchor end below the error
-# that 250 from x = 0 reached, on each of 19 instances (tools/step_scan.py
-# --cdp measures them).
+# ones stop at the solver's first matrix-free checkpoint, 20 iterations (all
+# 72 demo seeds listed at solver._CERT_CALLS, and at L = 8 seeds 1, 2 and
+# 20260809; tools/step_scan.py --polish --cdp), or at 50 after a search that
+# missed at 20. Without the crossover, 175 iterations from the rescaled
+# anchor end at errors of 1.9e-8 to 1.4e-7 on criterion 7's instance and
+# cdp-image calls 5,000,000-5,000,002, below the 1.1e-7 to 1.1e-6 that 250
+# from x = 0 reached (tools/step_scan.py --cdp measures them).
 DEFAULT_CDP_CONFIG = SolverConfig(max_iters=175)
 
 
@@ -255,7 +260,7 @@ def run_cdp_demo(
     seed, numpy build and BLAS thread count write the same bytes. Across
     thread counts they may not: the anchor's Gram-Schmidt matmul and eigh
     go through BLAS. On a 2-vCPU host the 64x64 demo at L = 20 wrote
-    rel_error 3.2692e-15 with the default two threads and 3.2669e-15 with
+    rel_error 3.3153e-15 with the default two threads and 3.3185e-15 with
     one.
     """
     ens, obs, xstar, stream, shape, scale = _cdp_instance(image_path, num_masks, seed)

@@ -56,16 +56,12 @@ _FLUSH_EVERY = 16
 _TINY = np.finfo(np.float64).tiny
 # Crossover (see _polish): its checkpoints, in iterations (_checkpoints).
 # Ensembles that form the Gram matrix (dense) run it once, at _POLISH_FIRST.
-# On 180 gauss-sweep trials (call seeds s * 10^6 + k, s = 1..3, k < 30; one
-# BLAS thread, 2-vCPU Xeon) 50 iterations left the iterate close enough
-# that Gauss-Newton reached x* on all, and 178 were certified. There is no
-# retry: noisy b has no exact solution, so Gauss-Newton stalls at every
-# checkpoint. Of the 32 held-out trials at M/N = 4-12 (tools/step_scan.py
-# --polish --ratios 4 6 8 12 --trials 8), all 16 at M/N = 8 and 12 and
-# M/N = 6 t = 2 were certified at 50; the other 15 end at max_iters, at
-# errors of 0.02-0.59. A checkpoint at 20 made dense solves slower: on
-# gauss-sweep seeds 51-52 a call took 157-172 ms against 143-152, its
-# search 53-54 ms against 29-33 and Gauss-Newton 44-46 ms against 36-40.
+# There is no retry: noisy b has no exact solution, so Gauss-Newton stalls
+# at every checkpoint. On the 32 held-out trials at M/N = 4-12
+# (tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8) 50 certifies
+# all 24 at M/N = 6, 8 and 12, and the 8 at M/N = 4 run to max_iters; 40
+# certified the 24 in as much time (916 and 800 ms against 847 and 927 ms,
+# two rounds; one BLAS thread, 2-vCPU Xeon), and 30 left one uncertified.
 #
 # Ensembles that form none (CDP) run it at _POLISH_EARLY and, when
 # Gauss-Newton reached a feasible point there but the search missed, search
@@ -73,61 +69,55 @@ _TINY = np.finfo(np.float64).tiny
 # Gauss-Newton reaches x* on the CDP demo (64 x 64 gradient image, L = 20)
 # from iteration 1 on, but the search misses there: the loop runs only to
 # improve the dual that the search starts from. Kernel calls of the demo by
-# the iteration of a single checkpoint, medians over 8 seeds:
+# the iteration of a single checkpoint, medians over 8 of the seeds listed
+# at _CERT_CALLS, all certified there:
 #
 #     checkpoint   loop   Gauss-Newton   search
-#         50        102         67          63
-#         20         42         67          52
-#         15         32         89          77
-#         10         22         89          88
+#         50        100         67          46
+#         20         40         67          50
+#         15         30         89          64
+#         10         20         89          86
 #
-# At 20 all 72 demo instances of _CERT_CALLS were certified, among them
-# criterion 7's, 5,000,000, 3,000,001, 1,000,000, 6,000,002, 41,000,000,
-# 41,000,001 and 7-11, at errors of 2.3e-15-1.1e-14. A single checkpoint at
-# 20 was not enough: of the n = 16, L = 8 instances at anchor spread 0.75
-# (RngStream(450, seed), seed < 16) it certified 9 of the 11 that 50
-# certifies, and the search at 50 certifies the other two, seeds 5 and 12.
+# A single checkpoint at 20 was not enough: of the n = 16, L = 8 instances
+# at anchor spread 0.75 (RngStream(450, seed), seed < 16) it certified 9 of
+# the 11 that 50 certifies, and the search at 50 certifies the other two,
+# seeds 5 and 12.
 _POLISH_FIRST = 50
 _POLISH_EARLY = 20
 # Gauss-Newton stops at ||(|Ax|^2 - b)|| <= _GN_RTOL ||b||, after
 # _GN_MAX_STEPS steps, or when the residual fails to halve on two steps in a
 # row (a stall). Each step solves the normal equations by at most
-# _GN_CG_STEPS conjugate-gradient steps. On the trials above it took 6-10
-# steps; stopping the CG earlier, at a residual of 1e-2 or of sqrt(||r|| /
-# ||b||) times the start, took as many kernel calls in all. At M/N = 4 the
-# normal equations are ill-conditioned, the residual falls only about 3.5-fold
-# a step, and the step cap ends the attempt: 265 kernel calls, against about
+# _GN_CG_STEPS conjugate-gradient steps. On the 180 gauss-sweep trials at
+# _CERT_STEPS it took 5-8 steps (111-177 kernel calls); stopping the CG
+# earlier, at a residual of 1e-2 or of sqrt(||r|| / ||b||) times the start,
+# took as many kernel calls in all. At M/N = 4 the normal equations are
+# ill-conditioned, the residual falls only about 3.5-fold a step, and the step cap ends the attempt: 265 kernel calls, against about
 # 4,000 for the 2000 iterations that follow. On noisy data (uniform:1e-4 and
 # 1e-2, M/N = 12) it stalls after 89-111.
 _GN_RTOL = 1e-14
 _GN_MAX_STEPS = 12
 _GN_CG_STEPS = 10
 # Douglas-Rachford steps of the certificate search through the Gram matrix.
-# Certified held-out trials take 7-129 (23-42 at M/N = 8, 7-14 at M/N = 12,
-# 129 at M/N = 6), and the 180 gauss-sweep trials above 5,989 in all (6,356
-# from mu = 0). A search that finds nothing runs all of them, 600 kernel
-# calls; with Gauss-Newton's 265 that made the four noiseless trials at
-# n = 128, M/N = 6 where Gauss-Newton reaches x* but the relaxation is not
-# tight (RngStream(7, 600 + t), t = 0, 1, 4, 6; 2000 iterations) take
-# 272-382 ms a solve against 226-325 ms without the stage (best of 5; one
-# BLAS thread, 2-vCPU Xeon), 3-31% more.
+# Certified held-out trials take 4-51 (15-51 at M/N = 6, 6-10 at M/N = 8,
+# 4-5 at M/N = 12), and 180 gauss-sweep trials 3-13, 1,156 in all (call
+# seeds s * 10^6 + k, s = 1..3, k < 30, all certified at 50). A search that
+# finds nothing runs all of them, 600 kernel calls.
 _CERT_STEPS = 300
 # Kernel calls of the matrix-free search (CDP), and the tolerances of its
 # projections: each is solved to _CERT_CG_STEP_RTOL ||a0|| only, and the one
 # that is >= 0 is carried on to _CERT_CG_RTOL ||a0||, ten times below
 # _CERT_RTOL, before it is checked. On 72 CDP demo instances (64 x 64
-# gradient, L = 20; the 12 seeds above, s * 10^6 + k for s = 81, 82, 83,
-# k < 10, and 62 * 10^6 + k, k < 30; tools/step_scan.py --polish --cdp) all
-# were certified, the search taking 44-125 calls (mean 64) at iteration 50
-# and 48-159 (mean 79) at 20, besides the forward of A xhat. Step
-# tolerances of 1e-4, 1e-8 and 1e-11 took means of 61, 72 and 86 and at
-# most 197, 120 and 133 calls at 50, the forward included. A search that
-# finds nothing runs to the cap, on top of Gauss-Newton's 67-265 calls, and
-# a solve it cannot certify makes two: 200 is 1.25 times the demo's largest
-# search and two thirds of a cap of 300, which took 123-154 ms a search on
-# demo-size solves it cannot certify (L = 6 and 8). At n = 16, L = 8 and
-# anchor spread 0.75 (RngStream(450, seed), seed < 16), with one checkpoint
-# at 50, caps of 150, 200 and 300 certified 7, 11 and 11 instances.
+# gradient, L = 20; seeds 20260809, 5,000,000, 3,000,001, 1,000,000,
+# 6,000,002, 41,000,000, 41,000,001 and 7-11, s * 10^6 + k for s = 81, 82,
+# 83, k < 10, and 62 * 10^6 + k, k < 30; tools/step_scan.py --polish --cdp)
+# all are certified at 20, the search taking 46-176 calls (mean 64) besides
+# the forward of A xhat; at L = 8 (seeds 1, 2, 20260809) it takes 154-163.
+# On the first 12 seeds, step tolerances of 1e-4, 1e-6, 1e-8 and 1e-11 took
+# means of 54, 55, 58 and 63 calls and at most 78, 76, 91 and 112. A search
+# that finds nothing runs to the cap, on top of Gauss-Newton's 67-265 calls,
+# and a solve it cannot certify makes two. At n = 16, L = 8 and anchor
+# spread 0.75 (RngStream(450, seed), seed < 16), with one checkpoint at 50,
+# caps of 150, 200 and 300 certified 7, 11 and 11 instances.
 _CERT_CALLS = 200
 _CERT_CG_STEP_RTOL = 1e-6
 _CERT_CG_RTOL = 1e-11

@@ -299,19 +299,31 @@ def _polytope_box(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.abs(inv) @ s[list(best_idx)]
 
 
+def preprocessed_weights(b, n):
+    """Mondelli-Montanari's T(y) = (y - 1) / (y + sqrt(delta) - 1) of y =
+    b / mean(b), delta = len(b) / n, as one expression, the denominator
+    floored at the anchor's _T_FLOOR: the weights of Sigma_T, which
+    spectral_anchor must use bit for bit."""
+    from phasemax.anchor import _T_FLOOR
+
+    y = b / np.mean(b)
+    return (y - 1) / np.maximum(y + (np.sqrt(len(b) / n) - 1), _T_FLOOR)
+
+
 def spectral_anchor_reference(ens, obs, iters, rng):
-    """spectral_anchor's Lanczos iteration as plain expressions, each step with
-    a fresh forward and the basis kept as a list: (a0, Ritz value, steps),
-    which spectral_anchor must return bit for bit."""
+    """spectral_anchor's Lanczos iteration on Sigma_T as plain expressions,
+    each step with a fresh forward and the basis kept as a list: (a0, Ritz
+    value, steps), which spectral_anchor must return bit for bit."""
     from phasemax.anchor import _ANCHOR_RTOL
     from phasemax.numerics import real_inner, sample_complex_gaussian
 
+    weights = preprocessed_weights(obs.b, ens.n)
     v = sample_complex_gaussian(ens.n, rng)
     vectors = [v / np.linalg.norm(v)]
     alpha, beta = [], []
     cap = min(iters, ens.n)
     for k in range(cap):
-        w = ens.adjoint(obs.b * ens.forward(vectors[k])) / ens.m
+        w = ens.adjoint(weights * ens.forward(vectors[k])) / ens.m
         alpha.append(real_inner(vectors[k], w))
         krylov = np.array(vectors)
         for _ in range(2):

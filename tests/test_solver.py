@@ -457,7 +457,7 @@ def held_out_trial(ratio, t):
 @HELD_OUT_TRIALS
 def test_relaxation_shortens_noiseless_iterations(ratio, t, monkeypatch):
     # Held-out trials RngStream(7, 100 ratio + t) took 1244-1306 iterations
-    # without relaxation from x = 0; at 1.7 they take 646-748 from the
+    # without relaxation from x = 0; at 1.7 they take 550-630 from the
     # rescaled anchor. The polish stage would certify them at 50
     # (test_held_out_trials_are_certified).
     no_polish(monkeypatch)
@@ -470,7 +470,7 @@ def test_relaxation_shortens_noiseless_iterations(ratio, t, monkeypatch):
 @HELD_OUT_TRIALS
 def test_held_out_trials_are_certified(ratio, t):
     # The polish stage ends the same trials at the first checkpoint, with an
-    # error the loop alone reaches, 1.1e-12 - 2.4e-12, only after 646-748
+    # error the loop alone reaches, 1.3e-12 - 3.1e-12, only after 550-630
     # iterations.
     record = held_out_trial(ratio, t)
     assert record.stop_reason == "certified"
@@ -495,11 +495,13 @@ def test_hard_sweep_trial_stays_accurate():
     # Gauss-sweep call seed 3,000,010 at M/N = 8. Without relaxation it ends
     # at 1.2e-7 error at max_iters, and every fixed primal weight from 1.25
     # to 3 leaves it above 1e-6 (7.2e-5 at 2.5). At relaxation 1.7 it ran
-    # to max_iters, 2000, at 5.8e-11 from x = 0; from the rescaled anchor it
-    # converges in 1,396 iterations, at 4.5e-12 (the crossover finds no
-    # certificate).
+    # to max_iters, 2000, at 5.8e-11 from x = 0. From the rescaled b-weighted
+    # anchor it converged in 1,396 iterations, at 4.5e-12, because the
+    # crossover found no certificate; from the preprocessed anchor the
+    # crossover certifies it at 50, at 1.0e-14.
     [record] = run_sweep(SweepConfig(n=128, ratios=(8.0,), trials=1, seed=3_000_010))
     assert record.converged
+    assert record.stop_reason == "certified"
     assert record.rel_error <= 1e-9
 
 

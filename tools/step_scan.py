@@ -21,11 +21,14 @@ solver's current constants and without the crossover.
 
 With --anchor it checks the spectral anchor instead of the solve: on each
 CDP demo instance of --cdp (none by default) and each held-out trial, it
-prints the Lanczos steps that spectral_anchor takes at a cap of 50, the
-phase-aligned distance of its anchor to the top eigenvector of Sigma, and
-that distance for 50 power steps from the same start vector. The
-eigenvector comes from np.linalg.eigh of the dense Sigma for the trials, and
-from 200 Lanczos steps at no stop tolerance for the CDP instances.
+prints the Lanczos steps that spectral_anchor takes at a cap of 50 and the
+phase-aligned distance of its anchor to the top eigenvector of the
+preprocessed covariance Sigma_T, the matrix it targets; then the anchor's
+correlation with x*, and for contrast that of the anchor the same Lanczos
+iteration finds on the b-weighted Sigma = (1/M) sum_i b_i a_i a_i^H from
+the same start vector. The eigenvector comes from np.linalg.eigh of the
+dense Sigma_T for the trials, and from 200 Lanczos steps at no stop
+tolerance for the CDP instances.
 
 With --polish it checks the solver's crossover instead (solver._polish):
 on each held-out trial, or with --cdp on each CDP demo instance, solved
@@ -37,8 +40,8 @@ search (joined by +, - when none ran) its kernel calls and
 Douglas-Rachford steps, then the solve's wall time and the recovered
 error. Each checkpoint that searches also makes one forward, A xhat,
 which no column counts.
-With --masks 4, 6 or 8 the crossover certified neither seed 1 nor 2, so
-their wall times show what its failed attempts cost.
+With --masks 4 or 6 the crossover certifies neither seed 1 nor 2, so their
+wall times show what its failed attempts cost.
 --noise runs the trials on noisy data, where Gauss-Newton stalls. The
 kernel calls are counted by the tests' CountingEnsemble (tests/support.py);
 the anchor's are not included.
@@ -49,7 +52,7 @@ the anchor's are not included.
     python3 tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8
     python3 tools/step_scan.py --polish --ratios 12 --trials 4 --noise uniform:1e-4
     python3 tools/step_scan.py --polish --cdp 20260809 5000000 3000001
-    python3 tools/step_scan.py --polish --cdp 1 2 1 2 1 2 --masks 8
+    python3 tools/step_scan.py --polish --cdp 1 2 1 2 1 2 --masks 6
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ from phasemax.experiments import (  # noqa: E402
     run_cdp_demo,
 )
 from phasemax.measurements import NoiseModel  # noqa: E402
-from phasemax.numerics import RngStream, phase_align_error, sample_complex_gaussian  # noqa: E402
+from phasemax.numerics import RngStream, phase_align_error  # noqa: E402
 from support import CountingEnsemble, write_demo_image  # noqa: E402
 
 
@@ -116,15 +119,6 @@ def scan_cdp(seeds, caps, masks: int) -> None:
             print(f"{seed:10d} " + " ".join(f"{e:10.3e}" for e in errors), flush=True)
 
 
-def power_steps(ens, obs, steps: int, start):
-    """steps power iterations on Sigma from start, normalised each step."""
-    v = start / np.linalg.norm(start)
-    for _ in range(steps):
-        w = ens.adjoint(obs.b * ens.forward(v)) / ens.m
-        v = w / np.linalg.norm(w)
-    return v
-
-
 def long_lanczos(ens, obs, steps: int, rng):
     """The anchor after steps Lanczos steps with the stop tolerance at 0."""
     with mock.patch.object(anchor, "_ANCHOR_RTOL", 0.0):
@@ -132,13 +126,14 @@ def long_lanczos(ens, obs, steps: int, rng):
 
 
 def anchor_instances(cdp_seeds, masks: int, n: int, ratios, trials: int, seed: int):
-    """(name, ens, obs, stream at the anchor's draw, top eigenvector), one
-    instance at a time."""
-    for cdp_seed, (name, ens, obs, _, stream) in zip(cdp_seeds, cdp_instances(cdp_seeds, masks)):
-        yield name, ens, obs, stream, long_lanczos(ens, obs, 200, RngStream(cdp_seed, 1))
-    for name, ens, obs, _, stream in held_out_trials(n, ratios, trials, seed, NoiseModel.none()):
-        sigma = (ens.rows.T * obs.b) @ ens.rows.conj() / ens.m
-        yield name, ens, obs, stream, np.linalg.eigh(sigma)[1][:, -1]
+    """(name, ens, obs, xstar, stream at the anchor's draw, top eigenvector
+    of Sigma_T), one instance at a time."""
+    for cdp_seed, (name, ens, obs, xs, stream) in zip(cdp_seeds, cdp_instances(cdp_seeds, masks)):
+        yield name, ens, obs, xs, stream, long_lanczos(ens, obs, 200, RngStream(cdp_seed, 1))
+    for name, ens, obs, xs, stream in held_out_trials(n, ratios, trials, seed, NoiseModel.none()):
+        weights = anchor._preprocess(obs.b, ens.n)
+        sigma = (ens.rows.T * weights) @ ens.rows.conj() / ens.m
+        yield name, ens, obs, xs, stream, np.linalg.eigh(sigma)[1][:, -1]
 
 
 def cdp_instances(seeds, masks: int):
@@ -209,13 +204,16 @@ def attempts(counts) -> str:
 
 def scan_anchor(cdp_seeds, masks: int, n: int, ratios, trials: int, seed: int) -> None:
     print(f"spectral anchor at a cap of 50 steps, _ANCHOR_RTOL={anchor._ANCHOR_RTOL:g}; "
-          "distances to the top eigenvector of Sigma")
-    print(f"{'instance':>22} {'steps':>6} {'lanczos':>10} {'power_50':>10}")
-    for name, ens, obs, stream, top in anchor_instances(cdp_seeds, masks, n, ratios, trials, seed):
-        start = sample_complex_gaussian(ens.n, copy.deepcopy(stream))
+          "distance to the top eigenvector of Sigma_T, and correlation with x* of the anchors "
+          "of Sigma_T and of the b-weighted Sigma")
+    print(f"{'instance':>22} {'steps':>6} {'distance':>10} {'corr_T':>7} {'corr_b':>7}")
+    for name, ens, obs, xs, stream, top in anchor_instances(cdp_seeds, masks, n, ratios, trials,
+                                                            seed):
+        b_weighted = anchor._lanczos(ens, obs.b, 50, copy.deepcopy(stream)).a0
         report = anchor.spectral_anchor(ens, obs, 50, stream)
         print(f"{name:>22} {report.steps:6d} {phase_align_error(report.a0, top):10.2e} "
-              f"{phase_align_error(power_steps(ens, obs, 50, start), top):10.2e}", flush=True)
+              f"{anchor.anchor_correlation(report.a0, xs):7.3f} "
+              f"{anchor.anchor_correlation(b_weighted, xs):7.3f}", flush=True)
 
 
 def main(argv=None) -> int:
