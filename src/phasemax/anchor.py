@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurements import MeasurementEnsemble, Observations
-from .numerics import RngStream, as_signal, real_inner, sample_complex_gaussian
+from .numerics import RngStream, as_signal, sample_complex_gaussian
 
 __all__ = ["AnchorReport", "spectral_anchor", "anchor_correlation"]
 
@@ -117,7 +117,7 @@ def _lanczos(ens: MeasurementEnsemble, weights: np.ndarray, iters: int,
         w *= weights
         w = ens.adjoint(w)
         w /= ens.m
-        alpha.append(real_inner(basis[k], w))
+        alpha.append(np.vdot(basis[k], w).real)
         krylov = basis[:k + 1]
         for _ in range(2):
             w -= np.conj(krylov @ w.conj()) @ krylov

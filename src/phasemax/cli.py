@@ -86,8 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Anchored convex relaxation for phase retrieval: benchmarks and checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The anchor and solver options that sweep and cdp share.
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--anchor-iters", type=int, default=50,
+                       help="cap on the spectral anchor's Lanczos steps; it stops sooner "
+                            "once its top Ritz pair has converged")
+    solve.add_argument("--max-iters", type=int, default=None)
+    solve.add_argument("--tol", type=float, default=None,
+                       help="sets both the relative-change and feasibility tolerances")
+    solve.add_argument("--seed", type=int, default=0)
 
-    sweep = sub.add_parser("sweep", help="Gaussian phase-transition sweep, writes CSV")
+    sweep = sub.add_parser("sweep", parents=[solve],
+                           help="Gaussian phase-transition sweep, writes CSV")
     sweep.add_argument("--n", type=int, default=128, help="signal length")
     sweep.add_argument("--ratios", type=parse_ratios, default=[2, 4, 6, 8, 10, 12],
                        help="comma list or lo:hi:step of M/N values")
@@ -95,27 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--noise", type=parse_noise, default=NoiseModel.none(),
                        help="none | uniform:<eta_inv> | gaussian:<snr_db>, where snr_db is "
                             "the target input SNR; the number is the CSV's noise_param")
-    sweep.add_argument("--anchor-iters", type=int, default=50,
-                       help="cap on the spectral anchor's Lanczos steps; it stops sooner "
-                            "once its top Ritz pair has converged")
-    sweep.add_argument("--max-iters", type=int, default=None)
-    sweep.add_argument("--tol", type=float, default=None,
-                       help="sets both the relative-change and feasibility tolerances")
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default="sweep.csv", help="CSV output path")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes, at most one per trial and per usable CPU")
 
-    cdp = sub.add_parser("cdp", help="coded-diffraction recovery of a PGM image")
+    cdp = sub.add_parser("cdp", parents=[solve], help="coded-diffraction recovery of a PGM image")
     cdp.add_argument("--image", required=True, help="input 8-bit binary PGM (P5)")
     cdp.add_argument("--masks", type=int, default=20, help="number of modulation patterns L")
-    cdp.add_argument("--anchor-iters", type=int, default=50,
-                     help="cap on the spectral anchor's Lanczos steps; it stops sooner "
-                          "once its top Ritz pair has converged")
-    cdp.add_argument("--max-iters", type=int, default=None)
-    cdp.add_argument("--tol", type=float, default=None,
-                     help="sets both the relative-change and feasibility tolerances")
-    cdp.add_argument("--seed", type=int, default=0)
     cdp.add_argument("--out-prefix", default="cdp")
 
     verify = sub.add_parser("verify", help="run the theory-verification suites")

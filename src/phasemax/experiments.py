@@ -193,13 +193,13 @@ def ratio_summary(records) -> list:
 
 
 # The cap for demo solves that the crossover does not certify. Certified
-# ones stop at the solver's first matrix-free checkpoint, 20 iterations (all
-# 72 demo seeds listed at solver._CERT_CALLS, and at L = 8 seeds 1, 2 and
-# 20260809; tools/step_scan.py --polish --cdp), or at 50 after a search that
-# missed at 20. Without the crossover, 175 iterations from the rescaled
-# anchor end at errors of 1.9e-8 to 1.4e-7 on criterion 7's instance and
-# cdp-image calls 5,000,000-5,000,002, below the 1.1e-7 to 1.1e-6 that 250
-# from x = 0 reached (tools/step_scan.py --cdp measures them).
+# ones stop at the solver's matrix-free checkpoint, 20 iterations (all 72
+# demo seeds listed at solver._CERT_CALLS, and at L = 8 seeds 1, 2 and
+# 20260809; tools/step_scan.py --polish --cdp). Without the crossover, 175
+# iterations from the rescaled anchor end at errors of 1.9e-8 to 1.4e-7 on
+# criterion 7's instance and cdp-image calls 5,000,000-5,000,002, below the
+# 1.1e-7 to 1.1e-6 that 250 from x = 0 reached (tools/step_scan.py --cdp
+# measures them).
 DEFAULT_CDP_CONFIG = SolverConfig(max_iters=175)
 
 
@@ -252,10 +252,10 @@ def run_cdp_demo(
     starts from the spectral anchor, built in at most anchor_iters Lanczos
     steps, rescaled to exactly ||xstar||. cfg defaults to
     DEFAULT_CDP_CONFIG: solves the crossover certifies stop at its
-    checkpoint, 20 iterations or, after a search that missed there, 50;
-    175 iterations cap the others. The recovered estimate is phase-aligned,
-    rescaled, and its real part written both as a clamped 8-bit PGM and as
-    a raw float64 sidecar for bit-exact error computation. Wall time is
+    checkpoint, 20 iterations; 175 iterations cap the others. The
+    recovered estimate is phase-aligned, rescaled, and its real part
+    written both as a clamped 8-bit PGM and as a raw float64 sidecar for
+    bit-exact error computation. Wall time is
     reported on the return value only, so two runs with the same inputs,
     seed, numpy build and BLAS thread count write the same bytes. Across
     thread counts they may not: the anchor's Gram-Schmidt matmul and eigh

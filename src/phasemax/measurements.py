@@ -69,7 +69,7 @@ class MeasurementEnsemble:
         """The real 2n x 2n matrix C C^T, or None when the ensemble does not
         form it, as here. The solver asks only ensembles that override this
         (solver._forms_gram), and runs its crossover on every other ensemble
-        matrix-free, through forward and adjoint alone (solver._checkpoints):
+        matrix-free, through forward and adjoint alone (solver._checkpoint):
         a subclass that gives just those two kernels is polished as CDP is.
         Column i of C is a_i z_i for z = A x, as a real
         2n-vector in the layout of a complex128 vector viewed as float64,

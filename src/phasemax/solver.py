@@ -3,7 +3,7 @@
 by a certified Gauss-Newton crossover: through the lifted Gram matrix at
 iteration 50 on dense ensembles where it fits in the operator's own memory,
 and matrix-free on ensembles that form none, such as coded diffraction
-patterns, at iteration 20 with one more search at 50."""
+patterns, at iteration 20."""
 
 from __future__ import annotations
 
@@ -54,34 +54,26 @@ _SCREEN_RTOL = 1e-12
 _DUAL_FLOOR = 1e-100
 _FLUSH_EVERY = 16
 _TINY = np.finfo(np.float64).tiny
-# Crossover (see _polish): its checkpoints, in iterations (_checkpoints).
-# Ensembles that form the Gram matrix (dense) run it once, at _POLISH_FIRST.
-# There is no retry: noisy b has no exact solution, so Gauss-Newton stalls
-# at every checkpoint. On the 32 held-out trials at M/N = 4-12
+# Crossover (see _polish): the one iteration at which a solve runs it
+# (_checkpoint). Ensembles that form the Gram matrix (dense) run it at
+# _POLISH_FIRST. On the 32 held-out trials at M/N = 4-12
 # (tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8) 50 certifies
 # all 24 at M/N = 6, 8 and 12, and the 8 at M/N = 4 run to max_iters; 40
 # certified the 24 in as much time (916 and 800 ms against 847 and 927 ms,
 # two rounds; one BLAS thread, 2-vCPU Xeon), and 30 left one uncertified.
 #
-# Ensembles that form none (CDP) run it at _POLISH_EARLY and, when
-# Gauss-Newton reached a feasible point there but the search missed, search
-# once more at _POLISH_FIRST, from the point held and the newer dual.
-# Gauss-Newton reaches x* on the CDP demo (64 x 64 gradient image, L = 20)
-# from iteration 1 on, but the search misses there: the loop runs only to
+# Ensembles that form none (CDP) run it at _POLISH_EARLY. Gauss-Newton
+# reaches x* on the CDP demo (64 x 64 gradient image, L = 20) from
+# iteration 1 on, but the search misses there: the loop runs only to
 # improve the dual that the search starts from. Kernel calls of the demo by
-# the iteration of a single checkpoint, medians over 8 of the seeds listed
-# at _CERT_CALLS, all certified there:
+# the checkpoint's iteration, medians over 8 of the seeds listed at
+# _CERT_CALLS, all certified there:
 #
 #     checkpoint   loop   Gauss-Newton   search
 #         50        100         67          46
 #         20         40         67          50
 #         15         30         89          64
 #         10         20         89          86
-#
-# A single checkpoint at 20 was not enough: of the n = 16, L = 8 instances
-# at anchor spread 0.75 (RngStream(450, seed), seed < 16) it certified 9 of
-# the 11 that 50 certifies, and the search at 50 certifies the other two,
-# seeds 5 and 12.
 _POLISH_FIRST = 50
 _POLISH_EARLY = 20
 # Gauss-Newton stops at ||(|Ax|^2 - b)|| <= _GN_RTOL ||b||, after
@@ -91,9 +83,10 @@ _POLISH_EARLY = 20
 # _CERT_STEPS it took 5-8 steps (111-177 kernel calls); stopping the CG
 # earlier, at a residual of 1e-2 or of sqrt(||r|| / ||b||) times the start,
 # took as many kernel calls in all. At M/N = 4 the normal equations are
-# ill-conditioned, the residual falls only about 3.5-fold a step, and the step cap ends the attempt: 265 kernel calls, against about
-# 4,000 for the 2000 iterations that follow. On noisy data (uniform:1e-4 and
-# 1e-2, M/N = 12) it stalls after 89-111.
+# ill-conditioned, the residual falls only about 3.5-fold a step, and the
+# step cap ends the attempt: 265 kernel calls, against about 4,000 for the
+# 2000 iterations that follow. On noisy data (uniform:1e-4 and 1e-2,
+# M/N = 12) it stalls after 89-111.
 _GN_RTOL = 1e-14
 _GN_MAX_STEPS = 12
 _GN_CG_STEPS = 10
@@ -114,11 +107,12 @@ _CERT_STEPS = 300
 # the forward of A xhat; at L = 8 (seeds 1, 2, 20260809) it takes 154-163.
 # On the first 12 seeds, step tolerances of 1e-4, 1e-6, 1e-8 and 1e-11 took
 # means of 54, 55, 58 and 63 calls and at most 78, 76, 91 and 112. A search
-# that finds nothing runs to the cap, on top of Gauss-Newton's 67-265 calls,
-# and a solve it cannot certify makes two. At n = 16, L = 8 and anchor
-# spread 0.75 (RngStream(450, seed), seed < 16), with one checkpoint at 50,
-# caps of 150, 200 and 300 certified 7, 11 and 11 instances.
-_CERT_CALLS = 200
+# that finds nothing runs to the cap, on top of Gauss-Newton's 67-265 calls
+# (the demo at L = 6 misses in 398-399). On 224 poorly anchored instances,
+# RngStream(450, seed) at 150 iterations (n = 16, L = 6 and 8, anchor
+# spread 0.5, 0.75 and 1.0, seed < 32; n = 64, L = 6 and 8, spread 0.75,
+# seed < 16), caps of 200, 300, 400 and 600 certified 72, 94, 111 and 137.
+_CERT_CALLS = 400
 _CERT_CG_STEP_RTOL = 1e-6
 _CERT_CG_RTOL = 1e-11
 # A certificate mu must leave ||A^H(mu o A xhat) - a0|| <= _CERT_RTOL ||a0||,
@@ -156,9 +150,8 @@ class Solution:
       with a KKT certificate: mu >= 0 with A^H(mu o A xhat) = a0 to
       _CERT_RTOL. That proves xhat maximizes <a0, x> over the slabs through
       it, |a_i^H x|^2 <= |a_i^H xhat|^2, which Gauss-Newton put within
-      _GN_RTOL ||b|| of b. iters_used is then the checkpoint that found it:
-      _POLISH_FIRST on dense ensembles, _POLISH_EARLY or _POLISH_FIRST on
-      the others;
+      _GN_RTOL ||b|| of b. iters_used is then the checkpoint:
+      _POLISH_FIRST on dense ensembles, _POLISH_EARLY on the others;
     - "max_iters": neither happened within cfg.max_iters.
     converged is True for the first two.
 
@@ -229,19 +222,19 @@ def _forms_gram(ens: MeasurementEnsemble) -> bool:
     return ens.lifted_gram.__func__ is not MeasurementEnsemble.lifted_gram
 
 
-def _checkpoints(ens: MeasurementEnsemble) -> tuple:
-    """The iterations at which solves on ens run the crossover (_polish).
-    An ensemble that forms the lifted Gram matrix runs it at _POLISH_FIRST
-    when the matrix with its eigenvectors, 2 (2n)^2 floats, fits in the
-    operator's own bytes: 1.0 MB against 2.1 MB of rows at n = 128, M/N = 8
-    (dense ensembles with M/N >= 4 pass), and never when it does not. Every
-    other ensemble (CDP, or any subclass that gives only forward and
-    adjoint) runs it at _POLISH_EARLY and _POLISH_FIRST, through those two
-    kernels alone: Gauss-Newton is matrix-free anyway, and the certificate
-    search projects by conjugate gradients instead (see _certificate)."""
+def _checkpoint(ens: MeasurementEnsemble):
+    """The iteration at which solves on ens run the crossover (_polish), or
+    None. An ensemble that forms the lifted Gram matrix runs it at
+    _POLISH_FIRST when the matrix with its eigenvectors, 2 (2n)^2 floats,
+    fits in the operator's own bytes: 1.0 MB against 2.1 MB of rows at
+    n = 128, M/N = 8 (dense ensembles with M/N >= 4 pass), and never when it
+    does not. Every other ensemble (CDP, or any subclass that gives only
+    forward and adjoint) runs it at _POLISH_EARLY, through those two kernels
+    alone: Gauss-Newton is matrix-free anyway, and the certificate search
+    projects by conjugate gradients instead (see _certificate)."""
     if not _forms_gram(ens):
-        return (_POLISH_EARLY, _POLISH_FIRST)
-    return (_POLISH_FIRST,) if 64 * ens.n * ens.n <= ens.nbytes else ()
+        return _POLISH_EARLY
+    return _POLISH_FIRST if 64 * ens.n * ens.n <= ens.nbytes else None
 
 
 def _lifted(ens: MeasurementEnsemble, z: np.ndarray, u: np.ndarray, scratch: np.ndarray):
@@ -425,7 +418,7 @@ def _certificate(ens: MeasurementEnsemble, z: np.ndarray, a0: np.ndarray, mu0: n
 
 
 def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: float,
-            x: np.ndarray, y: np.ndarray, buf: np.ndarray, held=None):
+            x: np.ndarray, y: np.ndarray, buf: np.ndarray):
     """Crossover from the primal-dual iterate (x, y) to a certified vertex, as
     LP and QP solvers end a first-order solve (OSQP's solution polishing,
     Stellato et al., arXiv:1711.08013). With noiseless data every slab is
@@ -436,39 +429,28 @@ def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: f
     with A^H(mu o A x) = a0, which by convexity makes x the maximizer of
     <a0, x> over the slabs through it (see _certificate). At the KKT point
     y_i = mu_i z_i for z = A x, so the search starts from the loop's dual,
-    mu0 = max(Re(conj(z) o y), 0) / |z|^2. Returns None when Gauss-Newton
-    stalls or its point is 0 or infeasible, else (xhat, feasibility residual,
-    whether the search certified xhat).
+    mu0 = max(Re(conj(z) o y), 0) / |z|^2. Returns (xhat, feasibility
+    residual) when the search certifies xhat, else None.
 
-    The solver calls it at each checkpoint of _checkpoints(ens) until it
-    returns None or a certified point: once on dense ensembles, at
-    _POLISH_FIRST, and on the others at _POLISH_EARLY and, after a search
-    that missed, again at _POLISH_FIRST with that result as held. A call
-    with held runs no Gauss-Newton: it searches from held's xhat, with
-    z = A xhat from one forward, and from the newer y. It reads x and y and
-    writes only buf, the loop's real m-vector of scratch, so a solve it
-    does not end is the solve without it. Its own m-sized arrays are A x,
-    one complex m-vector that every forward writes and every adjoint reads,
-    and two real ones for the search; each adjoint also allocates its
-    kernel's own temporary, as in the loop. Between calls the solve keeps
-    only held, an n-vector and two scalars.
+    The solver calls it once, at the iteration _checkpoint(ens). It reads x
+    and y and writes only buf, the loop's real m-vector of scratch, so a
+    solve it does not end is the solve without it. Its own m-sized arrays
+    are A x, one complex m-vector that every forward writes and every
+    adjoint reads, and two real ones for the search; each adjoint also
+    allocates its kernel's own temporary, as in the loop.
     """
     z, scratch = np.empty(ens.m, dtype=np.complex128), np.empty(ens.m, dtype=np.complex128)
-    if held is None:
-        solved = _gauss_newton(ens, b, x, z, scratch, buf)
-        if solved is None:
-            return None
-        overlap = np.vdot(solved, a0)
-        if overlap == 0:  # x = 0, e.g. for b = 0, has no phase to align
-            return None
-        x = solved * (overlap / abs(overlap))
-        ens.forward(x, out=z)
-        feas = _max_violation(z, b, out=buf)  # feasibility_residual of x
-        if feas > tol_feas:
-            return None
-    else:
-        x, feas, _ = held
-        ens.forward(x, out=z)
+    solved = _gauss_newton(ens, b, x, z, scratch, buf)
+    if solved is None:
+        return None
+    overlap = np.vdot(solved, a0)
+    if overlap == 0:  # x = 0, e.g. for b = 0, has no phase to align
+        return None
+    x = solved * (overlap / abs(overlap))
+    ens.forward(x, out=z)
+    feas = _max_violation(z, b, out=buf)  # feasibility_residual of x
+    if feas > tol_feas:
+        return None
     np.conjugate(z, out=scratch)
     scratch *= y
     mu0 = np.maximum(scratch.real, 0.0)
@@ -477,7 +459,9 @@ def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: f
     np.maximum(buf, _TINY, out=buf)
     mu0 /= buf
     gram = ens.lifted_gram(z) if _forms_gram(ens) else None
-    return x, feas, _certificate(ens, z, a0, mu0, scratch, buf, gram)[0] is not None
+    if _certificate(ens, z, a0, mu0, scratch, buf, gram)[0] is None:
+        return None
+    return x, feas
 
 
 def solve_phasemax(
@@ -515,15 +499,13 @@ def solve_phasemax(
     every stop, so the stop decisions are those of an exact check made
     whenever the relative change passes.
 
-    At the checkpoints of _checkpoints(ens) (none on dense ensembles with
-    M/N < 4), the crossover _polish runs from T(z): Gauss-Newton on
+    At the checkpoint _checkpoint(ens) (none on dense ensembles with
+    M/N < 4), the crossover _polish runs once from T(z): Gauss-Newton on
     |Ax|^2 = b from T(z)_x, then a search for a KKT certificate started from
-    T(z)_y. Dense ensembles run it once, after _POLISH_FIRST steps,
-    searching through the Gram matrix. The others run it after
-    _POLISH_EARLY steps, matrix-free; when Gauss-Newton reached a feasible
-    point there but the search missed, they search once more after
-    _POLISH_FIRST steps, from that point and the newer T(z)_y. A certified
-    point ends the solve ("certified"; see Solution for what that proves).
+    T(z)_y. Dense ensembles run it after _POLISH_FIRST steps, searching
+    through the Gram matrix; the others after _POLISH_EARLY steps,
+    matrix-free. A certified point ends the solve ("certified"; see
+    Solution for what that proves).
     Otherwise the loop goes on from the state it left, so the Solution is
     the one the loop alone returns.
 
@@ -568,10 +550,8 @@ def _iterate(ens, b, x, steps, y_floor: float, cfg, polish):
     array and is written in place. Returns (x, iters_used, feasibility
     residual of x, stop reason), the residual None when the solve ran to
     max_iters. Every _FLUSH_EVERY steps, dual entries below y_floor are set
-    to 0. When the count of steps reaches a checkpoint of _checkpoints(ens),
-    polish reads T(z) = (x, y) and the point held from the last checkpoint,
-    may use buf as scratch, and may end the solve; once it returns None, no
-    later checkpoint calls it.
+    to 0. When the count of steps reaches _checkpoint(ens), polish reads
+    T(z) = (x, y), may use buf as scratch, and may end the solve.
 
     The stop test's screen tracks sax = sigma A x: A x_half is the mean of
     A (2 x_half - x), which the step computes, and A x, so the relaxed x has
@@ -587,8 +567,7 @@ def _iterate(ens, b, x, steps, y_floor: float, cfg, polish):
     small = np.empty(m, dtype=bool)
     rho = _RELAXATION
     screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
-    checkpoints = _checkpoints(ens)
-    held = None  # polish's point from a checkpoint whose search missed
+    checkpoint = _checkpoint(ens)
     for k in range(cfg.max_iters):
         # x_half = x + tau a0 - tau A^H y and xbar = sigma (2 x_half - x).
         x_half = ens.adjoint(y)
@@ -630,12 +609,10 @@ def _iterate(ens, b, x, steps, y_floor: float, cfg, polish):
                 feas = math.inf
             if feas <= cfg.tol_feas:
                 return x, k + 1, feas, "optimal"
-        if k + 1 in checkpoints:
-            held = polish(x, y, buf, held)
-            if held is None:
-                checkpoints = ()
-            elif held[2]:
-                return held[0], k + 1, held[1], "certified"
+        if k + 1 == checkpoint:
+            certified = polish(x, y, buf)
+            if certified is not None:
+                return certified[0], k + 1, certified[1], "certified"
         if k % _FLUSH_EVERY == 0:
             _flush_dual(y, y_floor, buf, small)
     return x, cfg.max_iters, None, "max_iters"

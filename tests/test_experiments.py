@@ -279,12 +279,12 @@ def test_sweep_trials_are_the_library_pipeline():
 def test_cdp_demo_is_the_library_pipeline(tmp_path):
     # The demo written out plainly: the image as a unit-energy signal, masks
     # and observations from RngStream(seed), the anchor from the same
-    # stream, the solve at DEFAULT_CDP_CONFIG (certified here at 50, after a
-    # search that missed at 20), then the phase-aligned, rescaled real part.
-    # The sidecar must hold the same bits.
+    # stream, the solve at DEFAULT_CDP_CONFIG (certified here at 20), then
+    # the phase-aligned, rescaled real part. The sidecar must hold the same
+    # bits.
     img_path = gradient_image(tmp_path / "in.pgm", 16, 16)
     report = run_cdp_demo(img_path, num_masks=6, seed=2, out_prefix=str(tmp_path / "cdp"))
-    assert report.iters_used == solver._POLISH_FIRST
+    assert report.iters_used == solver._POLISH_EARLY
     flat = read_pgm(img_path).astype(np.float64).ravel()
     xstar = (flat / np.linalg.norm(flat)).astype(np.complex128)
     stream = RngStream(2)
@@ -299,17 +299,19 @@ def test_cdp_demo_is_the_library_pipeline(tmp_path):
 
 
 def test_cdp_demo_report_file_is_deterministic(tmp_path):
+    # Both kinds of report: at L = 6 the crossover certifies the solve at 20,
+    # and at L = 4 Gauss-Newton stalls and the solve runs to the cap.
     img_path = gradient_image(tmp_path / "in.pgm", 16, 16)
     cfg = SolverConfig(max_iters=60)
-    r1 = run_cdp_demo(img_path, num_masks=6, cfg=cfg, seed=4,
-                      out_prefix=str(tmp_path / "a"))
-    r2 = run_cdp_demo(img_path, num_masks=6, cfg=cfg, seed=4,
-                      out_prefix=str(tmp_path / "b"))
-    assert (tmp_path / "a_report.txt").read_text() == (tmp_path / "b_report.txt").read_text()
-    assert "stop_reason=max_iters" in (tmp_path / "a_report.txt").read_text().splitlines()
-    assert (tmp_path / "a_recovered.pgm").read_bytes() == (tmp_path / "b_recovered.pgm").read_bytes()
-    assert (tmp_path / "a_recovered.f64").read_bytes() == (tmp_path / "b_recovered.f64").read_bytes()
-    assert r1.rel_error == r2.rel_error
+    for masks, stop_reason in ((6, "certified"), (4, "max_iters")):
+        r1, r2 = (run_cdp_demo(img_path, num_masks=masks, cfg=cfg, seed=4,
+                               out_prefix=str(tmp_path / f"{run}{masks}")) for run in "ab")
+        report = Path(r1.report_path).read_text()
+        assert report == Path(r2.report_path).read_text()
+        assert f"stop_reason={stop_reason}" in report.splitlines()
+        for field in ("recovered_pgm", "recovered_f64"):
+            assert Path(getattr(r1, field)).read_bytes() == Path(getattr(r2, field)).read_bytes()
+        assert r1.rel_error == r2.rel_error
 
 
 def test_cdp_demo_rejects_zero_image(tmp_path):

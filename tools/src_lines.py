@@ -46,8 +46,9 @@ def count(source: str) -> tuple:
     return len(lines), len(code - skip)
 
 
-def main(argv) -> int:
-    roots = [Path(arg) for arg in argv[1:]] or [REPO / "src", REPO / "tests"]
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    roots = [Path(arg) for arg in args] or [REPO / "src", REPO / "tests"]
     for root in roots:
         if not root.is_dir():
             print(f"src_lines.py: {root} is not a directory", file=sys.stderr)
@@ -65,4 +66,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())

@@ -35,13 +35,12 @@ on each held-out trial, or with --cdp on each CDP demo instance, solved
 from the spectral anchor as _run_trial and run_cdp_demo solve them, it
 prints the stop reason and iterations, the checkpoint that certified it
 (- when none did), the kernel calls of the loop (with the dense
-operator-norm estimate) and of Gauss-Newton, and for each certificate
-search (joined by +, - when none ran) its kernel calls and
-Douglas-Rachford steps, then the solve's wall time and the recovered
-error. Each checkpoint that searches also makes one forward, A xhat,
-which no column counts.
+operator-norm estimate) and of Gauss-Newton, and the certificate search's
+kernel calls and Douglas-Rachford steps (- when none ran), then the
+solve's wall time and the recovered error. A checkpoint that searches
+also makes one forward, A xhat, which no column counts.
 With --masks 4 or 6 the crossover certifies neither seed 1 nor 2, so their
-wall times show what its failed attempts cost.
+wall times show what its failed attempt costs.
 --noise runs the trials on noisy data, where Gauss-Newton stalls. The
 kernel calls are counted by the tests' CountingEnsemble (tests/support.py);
 the anchor's are not included.
@@ -104,7 +103,7 @@ def scan(relaxations, n: int, ratios, trials: int, seed: int) -> None:
 def polish_off():
     """Solves without the crossover (solver._polish), so that they measure the
     loop that a scan varies rather than end at the checkpoint."""
-    return mock.patch.object(solver, "_checkpoints", lambda ens: ())
+    return mock.patch.object(solver, "_checkpoint", lambda ens: None)
 
 
 def scan_cdp(seeds, caps, masks: int) -> None:
@@ -156,8 +155,8 @@ def held_out_trials(n: int, ratios, trials: int, seed: int, noise):
 
 
 def scan_polish(instances, noise, cfg) -> None:
-    print(f"crossover at iterations {solver._POLISH_FIRST} with the Gram and "
-          f"{solver._POLISH_EARLY}, {solver._POLISH_FIRST} without, noise "
+    print(f"crossover at iteration {solver._POLISH_FIRST} with the Gram and "
+          f"{solver._POLISH_EARLY} without, noise "
           f"{noise.kind}:{noise.param:g}; search cap {solver._CERT_STEPS} steps with the Gram, "
           f"{solver._CERT_CALLS} kernel calls without")
     print(f"{'instance':>18} {'stop_reason':>12} {'iters':>6} {'cert_at':>7} {'loop_calls':>10} "
@@ -191,15 +190,10 @@ def scan_polish(instances, noise, cfg) -> None:
             solve_ms = (time.perf_counter() - t0) * 1e3
         loop_calls = counted.forwards + counted.adjoints - sum(polish_calls)
         cert_at = sol.iters_used if sol.stop_reason == "certified" else "-"
+        search = (search_calls[0], dr_steps[0]) if search_calls else ("-", "-")
         print(f"{name:>18} {sol.stop_reason:>12} {sol.iters_used:6d} {cert_at:>7} "
-              f"{loop_calls:10d} {sum(gn_calls):9d} {attempts(search_calls):>12} "
-              f"{attempts(dr_steps):>9} {solve_ms:9.1f} "
-              f"{phase_align_error(sol.xhat, xs):10.2e}", flush=True)
-
-
-def attempts(counts) -> str:
-    """One count per search attempt, joined by +, or - when none ran."""
-    return "+".join(map(str, counts)) or "-"
+              f"{loop_calls:10d} {sum(gn_calls):9d} {search[0]:>12} {search[1]:>9} "
+              f"{solve_ms:9.1f} {phase_align_error(sol.xhat, xs):10.2e}", flush=True)
 
 
 def scan_anchor(cdp_seeds, masks: int, n: int, ratios, trials: int, seed: int) -> None:
