@@ -147,8 +147,22 @@ def run_sweep(cfg: SweepConfig) -> list:
     Each (ratio, trial) pair owns RngStream(seed, stream_id) with a distinct
     stream_id, so results are reproducible and independent of worker count or
     scheduling. Records are returned in (ratio, trial) order and written as
-    CSV when cfg.out_path is set.
+    CSV when cfg.out_path is set. The file is created and its header written
+    before the first trial, so a path that cannot be written fails at once.
     """
+    if cfg.out_path is None:
+        return _run_trials(cfg)
+    with open(cfg.out_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        records = _run_trials(cfg)
+        # csv writes snr_db = None as an empty field.
+        writer.writerows(astuple(r) for r in records)
+    return records
+
+
+def _run_trials(cfg: SweepConfig) -> list:
+    """run_sweep's records, in (ratio, trial) order."""
     tasks = [(ratio, ri * cfg.trials + trial, trial)
              for ri, ratio in enumerate(cfg.ratios) for trial in range(cfg.trials)]
     run_trial = functools.partial(_run_trial, cfg)
@@ -164,20 +178,8 @@ def run_sweep(cfg: SweepConfig) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trial, *zip(*tasks)))
-    else:
-        records = list(map(run_trial, *zip(*tasks)))
-    if cfg.out_path is not None:
-        write_records_csv(cfg.out_path, records)
-    return records
-
-
-def write_records_csv(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        # csv writes snr_db = None as an empty field.
-        writer.writerows(astuple(r) for r in records)
+            return list(pool.map(run_trial, *zip(*tasks)))
+    return list(map(run_trial, *zip(*tasks)))
 
 
 def ratio_summary(records) -> list:

@@ -1,5 +1,7 @@
 """Measurement ensembles (dense rows and coded diffraction patterns), the noisy
-squared-magnitude observation process, and the operator norm."""
+squared-magnitude observation process, and the Lanczos core on
+Sigma_w = (1/M) sum_i w_i a_i a_i^H that gives both the spectral anchor
+(weights T(y)) and the operator norm (unit weights: A^H A / M)."""
 
 from __future__ import annotations
 
@@ -62,7 +64,8 @@ class MeasurementEnsemble:
         raise NotImplementedError
 
     def exact_norm(self) -> Optional[float]:
-        """||A|| in closed form, or None when it has to be estimated."""
+        """||A|| in closed form, or None when it has none; operator_norm then
+        estimates it by Lanczos on A^H A / M."""
         return None
 
     def lifted_gram(self, z: np.ndarray) -> Optional[np.ndarray]:
@@ -316,28 +319,123 @@ def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) 
     return Observations(b=b, snr_db=snr_db)
 
 
-def operator_norm(ens: MeasurementEnsemble, iters: int, rng: RngStream) -> float:
-    """||A|| (largest singular value): exact when the ensemble knows it in
-    closed form (CDP), otherwise estimated by power iteration on A^H A.
+# The Lanczos iteration stops once its top Ritz pair (theta, y) has residual
+# ||Sigma_w y - theta y|| <= _LANCZOS_RTOL * |theta|. At 1e-7 the spectral
+# anchor stops after 15-26 steps on the CDP demo (L = 20) and on dense
+# n = 128 trials at M/N 6-12, within 6e-8 of the top eigenvector of Sigma_T
+# (tools/step_scan.py --anchor).
+_LANCZOS_RTOL = 1e-7
+# operator_norm's Lanczos estimate on dense ensembles: at most _NORM_STEPS
+# steps from a fixed stream, so one ensemble always gives one norm. On the
+# 48 ensembles of gauss-sweep calls 0-7 at run seeds 1-3 (n = 128, M/N 8
+# and 12) 20 steps were at most 7.3e-5 low (15 steps: 2.4e-3), and on 300
+# other n = 128 Gaussian ensembles at M/N 6-12 2e-6 at the median and
+# 6.5e-3 at worst, against 5e-3 and 2.1e-2 for the 30 power steps they
+# replace, at about their cost (medians 5.4 against 5.8 ms on the 48, one
+# BLAS thread, 2-vCPU Xeon).
+_NORM_STEPS = 20
+_NORM_SEED = 0x5EED
 
-    The estimate runs `iters` iterations from a random complex start and
-    reports ||A v|| for the final unit iterate v.
+
+@dataclass(frozen=True)
+class AnchorReport:
+    """Unit-norm top Ritz vector a0 of Sigma_w = (1/M) sum_i w_i a_i a_i^H
+    plus diagnostics of the Lanczos iteration that built it (see _lanczos):
+    rayleigh_quotient is the top Ritz value theta, the estimate of the
+    largest algebraic eigenvalue of Sigma_w, and steps the number of
+    applications of Sigma_w. For the spectral anchor, w holds the
+    preprocessed weights T(y) (anchor.spectral_anchor)."""
+
+    a0: np.ndarray
+    rayleigh_quotient: float
+    steps: int
+
+
+def _lanczos(ens: MeasurementEnsemble, weights, iters: int, rng: RngStream) -> AnchorReport:
+    """The top eigenpair of Sigma_w = (1/M) sum_i w_i a_i a_i^H by the
+    Hermitian Lanczos method, taking at most iters steps. weights is the
+    m-vector w, or a scalar for equal weights (operator_norm's 1.0), which
+    saves an m-sized array.
+
+    Sigma_w is applied matrix-free as v -> adjoint(w o forward(v)) / M, once
+    a step, from a random complex start vector; every step writes its forward
+    into one m-vector (see MeasurementEnsemble). Each new Krylov vector is
+    orthogonalised against the stored ones by classical Gram-Schmidt, twice,
+    and the top eigenpair (theta, s) of the k x k tridiagonal, by
+    np.linalg.eigh, gives the Ritz pair (theta, y = V_k s), its sign chosen so
+    that y has a positive overlap with the start vector, as power iterates
+    have. theta estimates the largest algebraic eigenvalue, which needs no
+    shift when Sigma_w is indefinite. The iteration stops when the Ritz
+    residual beta_k |s_k| is at most _LANCZOS_RTOL * |theta|, which a
+    breakdown (beta_k = 0, as for a rank-one Sigma_w) meets, or after
+    min(iters, n) steps.
+
+    The returned anchor is Sigma_w y / ||Sigma_w y||, with Sigma_w y =
+    theta y + beta_k s_k v_{k+1} taken from the Lanczos relation, so at no
+    further application of Sigma_w; it is y itself when Sigma_w y = 0. This
+    power step on the Ritz vector moves a converged one by at most
+    _LANCZOS_RTOL. At a cap of 1, where y is the start vector, it is a plain
+    power step, which on an indefinite Sigma_w can favour the eigenvector of
+    a large negative eigenvalue; from 2 steps on, the anchor is no further
+    from the top eigenvector than as many power steps on Sigma_w shifted by
+    its smallest eigenvalue (tests/test_anchor.py measures both). The basis
+    grows with the steps taken, not with iters. Raises ValueError when the
+    operator maps the start vector to zero.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    n = ens.n
+    cap = min(iters, n)
+    buf = np.empty(ens.m, dtype=np.complex128)
+    v = sample_complex_gaussian(n, rng)
+    basis = np.empty((min(cap, 8), n), dtype=np.complex128)
+    np.divide(v, np.linalg.norm(v), out=basis[0])
+    alpha, beta = [], []
+    for k in range(cap):
+        w = ens.forward(basis[k], out=buf)
+        if k == 0 and not np.any(w):
+            raise ValueError("the measurement operator maps the start vector to zero")
+        w *= weights
+        w = ens.adjoint(w)
+        w /= ens.m
+        alpha.append(np.vdot(basis[k], w).real)
+        krylov = basis[:k + 1]
+        for _ in range(2):
+            w -= np.conj(krylov @ w.conj()) @ krylov
+        beta_k = float(np.linalg.norm(w))
+        values, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta, s = float(values[-1]), vectors[:, -1]
+        if s[0] < 0:
+            s = -s
+        if beta_k * abs(s[-1]) <= _LANCZOS_RTOL * abs(theta) or k + 1 == cap:
+            break
+        if k + 1 == len(basis):  # doubling: rows for the steps taken, not for iters
+            grown = np.empty((min(2 * len(basis), cap), n), dtype=np.complex128)
+            grown[:k + 1] = basis
+            basis = grown
+        beta.append(beta_k)
+        np.divide(w, beta_k, out=basis[k + 1])
+    a0 = theta * (s @ krylov) + s[-1] * w
+    if not np.any(a0):  # Sigma_w y = 0, as when w = 0
+        a0 = s @ krylov
+    a0 /= np.linalg.norm(a0)
+    return AnchorReport(a0=a0, rayleigh_quotient=theta, steps=k + 1)
+
+
+def operator_norm(ens: MeasurementEnsemble) -> float:
+    """||A|| (largest singular value): exact when the ensemble knows it in
+    closed form (CDP), otherwise sqrt(M theta) for the top Ritz value theta
+    of A^H A / M, the Lanczos core (_lanczos) with unit weights, at most
+    _NORM_STEPS steps from the fixed stream RngStream(_NORM_SEED). theta is
+    never above the top eigenvalue, so the estimate is at most ||A||; it is
+    the same for every call on one ensemble.
+
+    Raises ValueError for a zero operator: the closed form 0 falls through
+    to the core, which rejects an operator that maps its start vector to
+    zero.
+    """
     exact = ens.exact_norm()
-    if exact is not None:
+    if exact:
         return exact
-    v = sample_complex_gaussian(ens.n, rng)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        v = np.ones(ens.n, dtype=np.complex128)
-        nv = np.linalg.norm(v)
-    v = v / nv
-    for _ in range(iters):
-        w = ens.adjoint(ens.forward(v))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(ens.forward(v)))
+    report = _lanczos(ens, 1.0, _NORM_STEPS, RngStream(_NORM_SEED))
+    return math.sqrt(ens.m * report.rayleigh_quotient)

@@ -3,10 +3,10 @@ calls, an independent brute-force oracle for the relaxation in dimension
 n <= 3, the disk projection the solver's dual shrink is checked against,
 one-expression references for the CDP kernels, the full-dimensional
 cut-probability sampler, the geometry suite and its p_min sampler testing
-one vector at a time, the spectral anchor's Lanczos iteration and the
-dense Gaussian sampler written plainly, the solver loop with an exact stop
-check, a Lawson-Hanson NNLS for KKT certificates, CSV comparison without
-the wall-clock column, and the CDP demo's image."""
+one vector at a time, the Lanczos core's iteration on the spectral anchor's
+Sigma_T and the dense Gaussian sampler written plainly, the solver loop
+with an exact stop check, a Lawson-Hanson NNLS for KKT certificates, CSV
+comparison without the wall-clock column, and the CDP demo's image."""
 
 import math
 from itertools import combinations, product
@@ -314,7 +314,7 @@ def spectral_anchor_reference(ens, obs, iters, rng):
     """spectral_anchor's Lanczos iteration on Sigma_T as plain expressions,
     each step with a fresh forward and the basis kept as a list: (a0, Ritz
     value, steps), which spectral_anchor must return bit for bit."""
-    from phasemax.anchor import _ANCHOR_RTOL
+    from phasemax.measurements import _LANCZOS_RTOL
     from phasemax.numerics import real_inner, sample_complex_gaussian
 
     weights = preprocessed_weights(obs.b, ens.n)
@@ -334,7 +334,7 @@ def spectral_anchor_reference(ens, obs, iters, rng):
         theta, s = float(values[-1]), eigvecs[:, -1]
         if s[0] < 0:
             s = -s
-        if beta_k * abs(s[-1]) <= _ANCHOR_RTOL * abs(theta) or k + 1 == cap:
+        if beta_k * abs(s[-1]) <= _LANCZOS_RTOL * abs(theta) or k + 1 == cap:
             a0 = theta * (s @ krylov) + s[-1] * w
             return a0 / np.linalg.norm(a0), theta, k + 1
         beta.append(beta_k)
@@ -357,12 +357,12 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
     the loop alone."""
     from phasemax import solver
     from phasemax.measurements import operator_norm
-    from phasemax.numerics import RngStream, real_inner
+    from phasemax.numerics import real_inner
 
     a0 = np.asarray(a0, dtype=np.complex128)
     a0_norm = np.linalg.norm(a0)
     radii = np.sqrt(obs.b)
-    op_norm = operator_norm(ens, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
+    op_norm = operator_norm(ens)
     # The solve starts at y = 0 and x0, the anchor rescaled to ||r|| / ||A||.
     balance = start = np.linalg.norm(radii) / (op_norm * a0_norm)
     if not 0 < balance < np.inf:

@@ -105,6 +105,22 @@ def test_sweep_csv_deterministic(tmp_path):
     assert all(row.split(",")[-1] in ("optimal", "certified", "max_iters") for row in rows[1:])
 
 
+def test_sweep_unwritable_out_path_fails_before_any_trial(tmp_path, monkeypatch):
+    calls = []
+    run_trial = experiments._run_trial
+
+    def counting(*args):
+        calls.append(args)
+        return run_trial(*args)
+
+    monkeypatch.setattr(experiments, "_run_trial", counting)
+    cfg = SweepConfig(n=8, ratios=(4.0,), trials=3, seed=5, solver=SolverConfig(max_iters=20),
+                      out_path=str(tmp_path / "missing" / "x.csv"))
+    with pytest.raises(OSError):
+        run_sweep(cfg)
+    assert calls == []
+
+
 def test_sweep_matches_across_worker_counts():
     base = dict(n=12, ratios=(3.0,), trials=4, seed=3,
                 solver=SolverConfig(max_iters=150))

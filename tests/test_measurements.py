@@ -15,6 +15,7 @@ from phasemax import (
     sample_complex_gaussian,
     sample_rademacher,
 )
+from phasemax.experiments import _gaussian_instance
 from support import (
     cdp_adjoint_reference,
     cdp_forward_reference,
@@ -329,14 +330,14 @@ def test_operator_norm_single_unit_row():
     row = sample_complex_gaussian(7, rng)
     row = row / np.linalg.norm(row)
     ens = DenseEnsemble(row[None, :])
-    est = operator_norm(ens, 30, RngStream(216))
+    est = operator_norm(ens)
     assert est == pytest.approx(1.0, abs=1e-8)
 
 
 def test_operator_norm_cdp_is_sqrt_l():
     for num_masks in (1, 4, 9):
         ens = CodedDiffractionEnsemble.rademacher(16, num_masks, RngStream(217))
-        est = operator_norm(ens, 5, RngStream(218))
+        est = operator_norm(ens)
         assert est == pytest.approx(np.sqrt(num_masks), abs=1e-6)
 
 
@@ -344,8 +345,26 @@ def test_operator_norm_matches_svd_oracle():
     rng = RngStream(219)
     ens = DenseEnsemble.gaussian(8, 16, rng)
     top_singular = np.linalg.svd(ens.rows.conj(), compute_uv=False)[0]
-    est = operator_norm(ens, 500, RngStream(220))
+    est = operator_norm(ens)
     assert est == pytest.approx(top_singular, abs=1e-6)
+
+
+@pytest.mark.parametrize("ratio_index, ratio", [(0, 8), (1, 12)])
+def test_operator_norm_at_sweep_scale_matches_svd_oracle(ratio_index, ratio):
+    # The ensembles of the gauss-sweep benchmark's first call at run seeds
+    # 1-3, on run_sweep's streams. n = 128 takes the estimate's full step
+    # cap (20 < n), unlike n = 8 above.
+    for seed in (1_000_000, 2_000_000, 3_000_000):
+        ens = _gaussian_instance(128, ratio, NoiseModel.none(), RngStream(seed, ratio_index))[0]
+        assert operator_norm(ens) == pytest.approx(np.linalg.norm(ens.rows, 2), rel=1e-4)
+
+
+@pytest.mark.parametrize("ens", [DenseEnsemble(np.zeros((6, 3))),
+                                 CodedDiffractionEnsemble(np.zeros((2, 3)))],
+                         ids=["dense", "cdp"])
+def test_operator_norm_rejects_a_zero_operator(ens):
+    with pytest.raises(ValueError, match="start vector to zero"):
+        operator_norm(ens)
 
 
 def test_operator_norm_cdp_exact_matches_svd_oracle():
@@ -353,7 +372,7 @@ def test_operator_norm_cdp_exact_matches_svd_oracle():
     # the top singular value of the materialized operator.
     masks = sample_complex_gaussian(3 * 16, RngStream(222)).reshape(3, 16)
     top_singular = np.linalg.svd(materialize_cdp_rows(masks).conj(), compute_uv=False)[0]
-    est = operator_norm(CodedDiffractionEnsemble(masks), 1, RngStream(223))
+    est = operator_norm(CodedDiffractionEnsemble(masks))
     assert est == pytest.approx(top_singular, rel=1e-12)
 
 

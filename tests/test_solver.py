@@ -87,6 +87,8 @@ def test_solver_rejects_degenerate_inputs():
         solve_phasemax(ens, obs, np.zeros(ens.n, dtype=complex))
     with pytest.raises(ValueError):
         solve_phasemax(ens, obs, np.full(ens.n, np.nan + 0j))
+    with pytest.raises(ValueError, match="start vector to zero"):
+        solve_phasemax(DenseEnsemble(np.zeros((ens.m, ens.n))), obs, xs)
 
 
 @pytest.mark.parametrize("bad", ["nan", "length"])
@@ -301,7 +303,7 @@ def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
     solve_phasemax_reference(ens, obs, a0, SolverConfig())
     assert len(checks) >= 100
     norm = CountingEnsemble(ens)
-    operator_norm(norm, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
+    operator_norm(norm)
     counted = CountingEnsemble(ens)
     # The polish stage's forwards are counted apart: it runs once, at
     # _POLISH_FIRST, not every iteration (here Gauss-Newton stalls).
@@ -434,7 +436,7 @@ def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
     iters = 60
     sol = solve_phasemax(ens, obs, a0, SolverConfig(max_iters=iters, tol_rel_change=1e-300))
     radii = np.sqrt(obs.b)
-    op_norm = operator_norm(ens, solver._NORM_EST_ITERS, RngStream(solver._NORM_EST_SEED))
+    op_norm = operator_norm(ens)
     c = np.linalg.norm(radii) / op_norm
     tau, sigma = c * solver._STEP_SCALE / op_norm, solver._STEP_SCALE / (c * op_norm)
     x = c * a0

@@ -35,9 +35,9 @@ on each held-out trial, or with --cdp on each CDP demo instance, solved
 from the spectral anchor as _run_trial and run_cdp_demo solve them, it
 prints the stop reason and iterations, the checkpoint that certified it
 (- when none did), the kernel calls of the loop (with the dense
-operator-norm estimate) and of Gauss-Newton, and the certificate search's
-kernel calls and Douglas-Rachford steps (- when none ran), then the
-solve's wall time and the recovered error. A checkpoint that searches
+operator-norm estimate's 40 at n = 128) and of Gauss-Newton, and the
+certificate search's kernel calls and Douglas-Rachford steps (- when none
+ran), then the solve's wall time and the recovered error. A checkpoint that searches
 also makes one forward, A xhat, which no column counts.
 With --masks 4 or 6 the crossover certifies neither seed 1 nor 2, so their
 wall times show what its failed attempt costs.
@@ -70,7 +70,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from phasemax import anchor, solver  # noqa: E402
+from phasemax import anchor, measurements, solver  # noqa: E402
 from phasemax.cli import parse_noise  # noqa: E402
 from phasemax.experiments import (  # noqa: E402
     DEFAULT_CDP_CONFIG,
@@ -120,7 +120,7 @@ def scan_cdp(seeds, caps, masks: int) -> None:
 
 def long_lanczos(ens, obs, steps: int, rng):
     """The anchor after steps Lanczos steps with the stop tolerance at 0."""
-    with mock.patch.object(anchor, "_ANCHOR_RTOL", 0.0):
+    with mock.patch.object(measurements, "_LANCZOS_RTOL", 0.0):
         return anchor.spectral_anchor(ens, obs, steps, rng).a0
 
 
@@ -197,13 +197,13 @@ def scan_polish(instances, noise, cfg) -> None:
 
 
 def scan_anchor(cdp_seeds, masks: int, n: int, ratios, trials: int, seed: int) -> None:
-    print(f"spectral anchor at a cap of 50 steps, _ANCHOR_RTOL={anchor._ANCHOR_RTOL:g}; "
+    print(f"spectral anchor at a cap of 50 steps, _LANCZOS_RTOL={measurements._LANCZOS_RTOL:g}; "
           "distance to the top eigenvector of Sigma_T, and correlation with x* of the anchors "
           "of Sigma_T and of the b-weighted Sigma")
     print(f"{'instance':>22} {'steps':>6} {'distance':>10} {'corr_T':>7} {'corr_b':>7}")
     for name, ens, obs, xs, stream, top in anchor_instances(cdp_seeds, masks, n, ratios, trials,
                                                             seed):
-        b_weighted = anchor._lanczos(ens, obs.b, 50, copy.deepcopy(stream)).a0
+        b_weighted = measurements._lanczos(ens, obs.b, 50, copy.deepcopy(stream)).a0
         report = anchor.spectral_anchor(ens, obs, 50, stream)
         print(f"{name:>22} {report.steps:6d} {phase_align_error(report.a0, top):10.2e} "
               f"{anchor.anchor_correlation(report.a0, xs):7.3f} "
