@@ -1,7 +1,7 @@
-"""Measurement ensembles (dense rows and coded diffraction patterns), the noisy
-squared-magnitude observation process, and the Lanczos core on
-Sigma_w = (1/M) sum_i w_i a_i a_i^H that gives both the spectral anchor
-(weights T(y)) and the operator norm (unit weights: A^H A / M)."""
+"""Measurement ensembles (dense rows and coded diffraction patterns), each with
+its exact operator norm, the noisy squared-magnitude observation process,
+and the Lanczos core on Sigma_w = (1/M) sum_i w_i a_i a_i^H that gives the
+spectral anchor (weights T(y))."""
 
 from __future__ import annotations
 
@@ -52,10 +52,26 @@ class MeasurementEnsemble:
     in, 31,040 minor faults an anchor in the cdp-image benchmark process
     against 320 with the buffer. The solver's loop does not pass it; its
     crossover (solver._polish) passes one of two buffers to every call.
+
+    The constructor sets n, m and norm, the exact ||A|| (largest singular
+    value), which fixes the solver's step sizes (operator_norm).
+
+    lifted_gram is None, as here, or a method z -> the real 2n x 2n matrix
+    C C^T. Column i of C is a_i z_i for z = A x, as a real 2n-vector in the
+    layout of a complex128 vector viewed as float64, (Re, Im) of each entry
+    in turn: C u = A^H(z o u) for real u, and C^T w = Re(conj(z) o A w). It
+    is the Gauss-Newton normal matrix of |Ax|^2 = b at x, up to a factor 4,
+    and the solver's optimality certificate solves with it
+    (solver._certificate). The solver runs its crossover on an ensemble
+    without one matrix-free, through forward and adjoint alone
+    (solver._checkpoint): a subclass that gives just those two kernels and
+    norm is polished as CDP is.
     """
 
     n: int
     m: int
+    norm: float
+    lifted_gram = None
 
     def forward(self, x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
@@ -63,35 +79,10 @@ class MeasurementEnsemble:
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def exact_norm(self) -> Optional[float]:
-        """||A|| in closed form, or None when it has none; operator_norm then
-        estimates it by Lanczos on A^H A / M."""
-        return None
-
-    def lifted_gram(self, z: np.ndarray) -> Optional[np.ndarray]:
-        """The real 2n x 2n matrix C C^T, or None when the ensemble does not
-        form it, as here. The solver asks only ensembles that override this
-        (solver._forms_gram), and runs its crossover on every other ensemble
-        matrix-free, through forward and adjoint alone (solver._checkpoint):
-        a subclass that gives just those two kernels is polished as CDP is.
-        Column i of C is a_i z_i for z = A x, as a real
-        2n-vector in the layout of a complex128 vector viewed as float64,
-        (Re, Im) of each entry in turn: C u = A^H(z o u) for real u, and
-        C^T w = Re(conj(z) o A w). It is the Gauss-Newton normal matrix of
-        |Ax|^2 = b at x, up to a factor 4, and the solver's optimality
-        certificate solves with it (solver._certificate)."""
-        return None
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays that define the operator; the solver keeps its
-        extra working memory below this (0: none known)."""
-        return 0
-
 
 def _as_matrix(a, name: str) -> np.ndarray:
     """Coerce to a nonempty, finite, 2-D complex128 array."""
-    arr = np.atleast_2d(np.asarray(a, dtype=np.complex128))
+    arr = np.ascontiguousarray(np.atleast_2d(np.asarray(a, dtype=np.complex128)))
     if arr.ndim != 2 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 2-D array")
     if not np.all(np.isfinite(arr)):
@@ -113,6 +104,7 @@ class DenseEnsemble(MeasurementEnsemble):
         rows = _as_matrix(rows, "rows")
         self.rows = rows
         self.m, self.n = rows.shape
+        self.norm = _dense_norm(rows)
 
     @classmethod
     def gaussian(cls, n: int, m: int, rng: RngStream) -> "DenseEnsemble":
@@ -149,9 +141,21 @@ class DenseEnsemble(MeasurementEnsemble):
             gram += lifted.T @ lifted
         return gram
 
-    @property
-    def nbytes(self) -> int:
-        return self.rows.nbytes
+
+def _dense_norm(rows: np.ndarray) -> float:
+    """||A|| = sqrt of the top eigenvalue of A^H A = H = sum_i a_i a_i^H, a_i
+    being row i of rows. H is read off the real Gram G = R^T R of R = rows
+    viewed as float64 (columns Re, Im of each entry in turn):
+    Re H = G[0::2, 0::2] + G[1::2, 1::2] and Im H = G[1::2, 0::2] - G[0::2, 1::2].
+    The real Gram takes half the flops of the complex one and no conjugated
+    copy of the rows. Raises ValueError when ||A||^2 overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on top below
+        gram = rows.view(np.float64).T @ rows.view(np.float64)
+        top = np.linalg.eigvalsh(gram[0::2, 0::2] + gram[1::2, 1::2]
+                                 + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2]))[-1]
+    if not math.isfinite(top):
+        raise ValueError("rows are too large: ||A||^2 overflows")
+    return math.sqrt(top)
 
 
 class CodedDiffractionEnsemble(MeasurementEnsemble):
@@ -177,6 +181,8 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         self.num_masks, self.n = masks.shape
         self.m = self.num_masks * self.n
         self._unitary_scale = 1.0 / math.sqrt(self.n)
+        # A^H A = diag(sum_l |phi_l|^2), so ||A|| = sqrt(max_j sum_l |phi_l[j]|^2).
+        self.norm = float(np.sqrt(np.max(np.sum(np.abs(masks) ** 2, axis=0))))
 
     @classmethod
     def rademacher(cls, n: int, num_masks: int, rng: RngStream) -> "CodedDiffractionEnsemble":
@@ -200,14 +206,6 @@ class CodedDiffractionEnsemble(MeasurementEnsemble):
         out = blocks.sum(axis=0)
         out *= self._unitary_scale
         return out
-
-    def exact_norm(self) -> float:
-        """A^H A = diag(sum_l |phi_l|^2), so ||A|| = sqrt(max_j sum_l |phi_l[j]|^2)."""
-        return float(np.sqrt(np.max(np.sum(np.abs(self.masks) ** 2, axis=0))))
-
-    @property
-    def nbytes(self) -> int:
-        return self.masks.nbytes + self._masks_conj.nbytes
 
 
 # Largest magnitude whose square is a finite float64.
@@ -325,16 +323,6 @@ def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) 
 # n = 128 trials at M/N 6-12, within 6e-8 of the top eigenvector of Sigma_T
 # (tools/step_scan.py --anchor).
 _LANCZOS_RTOL = 1e-7
-# operator_norm's Lanczos estimate on dense ensembles: at most _NORM_STEPS
-# steps from a fixed stream, so one ensemble always gives one norm. On the
-# 48 ensembles of gauss-sweep calls 0-7 at run seeds 1-3 (n = 128, M/N 8
-# and 12) 20 steps were at most 7.3e-5 low (15 steps: 2.4e-3), and on 300
-# other n = 128 Gaussian ensembles at M/N 6-12 2e-6 at the median and
-# 6.5e-3 at worst, against 5e-3 and 2.1e-2 for the 30 power steps they
-# replace, at about their cost (medians 5.4 against 5.8 ms on the 48, one
-# BLAS thread, 2-vCPU Xeon).
-_NORM_STEPS = 20
-_NORM_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -354,8 +342,7 @@ class AnchorReport:
 def _lanczos(ens: MeasurementEnsemble, weights, iters: int, rng: RngStream) -> AnchorReport:
     """The top eigenpair of Sigma_w = (1/M) sum_i w_i a_i a_i^H by the
     Hermitian Lanczos method, taking at most iters steps. weights is the
-    m-vector w, or a scalar for equal weights (operator_norm's 1.0), which
-    saves an m-sized array.
+    m-vector w.
 
     Sigma_w is applied matrix-free as v -> adjoint(w o forward(v)) / M, once
     a step, from a random complex start vector; every step writes its forward
@@ -423,19 +410,8 @@ def _lanczos(ens: MeasurementEnsemble, weights, iters: int, rng: RngStream) -> A
 
 
 def operator_norm(ens: MeasurementEnsemble) -> float:
-    """||A|| (largest singular value): exact when the ensemble knows it in
-    closed form (CDP), otherwise sqrt(M theta) for the top Ritz value theta
-    of A^H A / M, the Lanczos core (_lanczos) with unit weights, at most
-    _NORM_STEPS steps from the fixed stream RngStream(_NORM_SEED). theta is
-    never above the top eigenvalue, so the estimate is at most ||A||; it is
-    the same for every call on one ensemble.
-
-    Raises ValueError for a zero operator: the closed form 0 falls through
-    to the core, which rejects an operator that maps its start vector to
-    zero.
-    """
-    exact = ens.exact_norm()
-    if exact:
-        return exact
-    report = _lanczos(ens, 1.0, _NORM_STEPS, RngStream(_NORM_SEED))
-    return math.sqrt(ens.m * report.rayleigh_quotient)
+    """||A|| (largest singular value), the ensemble's exact norm. Raises
+    ValueError for a zero operator, which admits no step size."""
+    if not ens.norm > 0:
+        raise ValueError("the measurement operator is zero")
+    return ens.norm

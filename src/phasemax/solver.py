@@ -1,9 +1,8 @@
 """First-order solver for the anchored relaxation: maximize <a0, x> subject to
 |a_i^H x|^2 <= b_i, by over-relaxed primal-dual proximal splitting, ended
 by a certified Gauss-Newton crossover: through the lifted Gram matrix at
-iteration 50 on dense ensembles where it fits in the operator's own memory,
-and matrix-free on ensembles that form none, such as coded diffraction
-patterns, at iteration 20."""
+iteration 50 on dense ensembles with M/N >= 4, and matrix-free on ensembles
+that form none, such as coded diffraction patterns, at iteration 20."""
 
 from __future__ import annotations
 
@@ -24,11 +23,7 @@ __all__ = [
 ]
 
 # Fraction of the step-size stability bound: tau = c _STEP_SCALE / ||A|| and
-# sigma = _STEP_SCALE / (c ||A||), so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1
-# for the exact norm, which CDP takes. On dense ensembles ||A|| is
-# operator_norm's Lanczos estimate, at most 7.3e-5 low on the 48 gauss-sweep
-# ensembles of measurements._NORM_STEPS and 6.5e-3 on 300 others, so the
-# realised tau * sigma * ||A||^2 is at most 0.914.
+# sigma = _STEP_SCALE / (c ||A||), so tau * sigma * ||A||^2 = _STEP_SCALE^2 < 1.
 _STEP_SCALE = 0.95
 # Over-relaxation: each primal-dual step is stretched by this factor,
 # (x, y) <- (x, y) + rho (T(x, y) - (x, y)) for the plain step T, which
@@ -43,77 +38,46 @@ _RELAXATION = 1.7
 # would accept.
 _SCREEN_RTOL = 1e-12
 # The dual entries of inactive slabs decay geometrically towards 0 (by
-# rho - 1 = 0.7 a step). Left alone they reach subnormal values after
-# about 2,000 steps, where arithmetic is many times slower (an adjoint took
-# 1.8 ms instead of 0.2 ms at m = 1536). So every _FLUSH_EVERY steps the
-# solver sets entries below _DUAL_FLOOR * ||a0|| / ||A|| to 0; a dual optimum
-# has ||y|| >= ||a0|| / ||A||.
+# rho - 1 = 0.7 a step) and reach subnormal values after about 2,000 steps,
+# where an adjoint took 1.8 ms instead of 0.2 ms (m = 1536). So every
+# _FLUSH_EVERY steps the solver sets entries below _DUAL_FLOOR * ||a0|| / ||A||
+# to 0; a dual optimum has ||y|| >= ||a0|| / ||A||.
 _DUAL_FLOOR = 1e-100
 _FLUSH_EVERY = 16
 _TINY = np.finfo(np.float64).tiny
-# Crossover (see _polish): the one iteration at which a solve runs it
-# (_checkpoint). Ensembles that form the Gram matrix (dense) run it at
-# _POLISH_FIRST. On the 32 held-out trials at M/N = 4-12
-# (tools/step_scan.py --polish --ratios 4 6 8 12 --trials 8) 50 certifies
-# all 24 at M/N = 6, 8 and 12, and the 8 at M/N = 4 run to max_iters; 40
-# certified the 24 in as much time (916 and 800 ms against 847 and 927 ms,
-# two rounds; one BLAS thread, 2-vCPU Xeon), and 30 left one uncertified.
-#
-# Ensembles that form none (CDP) run it at _POLISH_EARLY. Gauss-Newton
-# reaches x* on the CDP demo (64 x 64 gradient image, L = 20) from
-# iteration 1 on, but the search misses there: the loop runs only to
-# improve the dual that the search starts from. Kernel calls of the demo by
-# the checkpoint's iteration, medians over 8 of the seeds listed at
-# _CERT_CALLS, all certified there:
-#
-#     checkpoint   loop   Gauss-Newton   search
-#         50        100         67          46
-#         20         40         67          50
-#         15         30         89          64
-#         10         20         89          86
+# The iteration at which a solve runs the crossover (_polish, _checkpoint).
+# _POLISH_FIRST with the Gram matrix: it certifies all 24 held-out trials at
+# M/N = 6-12 (tools/step_scan.py --polish), as 40 does in as much time, and
+# 30 missed one. _POLISH_EARLY without: Gauss-Newton reaches x* on the CDP
+# demo (L = 20) from iteration 1, and the loop only improves the dual that
+# the search starts from; 20 takes the fewest kernel calls, 157 against 213
+# at 50 and 195 at 10.
 _POLISH_FIRST = 50
 _POLISH_EARLY = 20
 # Gauss-Newton stops at ||(|Ax|^2 - b)|| <= _GN_RTOL ||b||, after
 # _GN_MAX_STEPS steps, or when the residual fails to halve on two steps in a
 # row (a stall). Each step solves the normal equations by at most
-# _GN_CG_STEPS conjugate-gradient steps. On the 180 gauss-sweep trials at
-# _CERT_STEPS it took 5-8 steps (111-177 kernel calls); stopping the CG
-# earlier, at a residual of 1e-2 or of sqrt(||r|| / ||b||) times the start,
-# took as many kernel calls in all. At M/N = 4 the normal equations are
-# ill-conditioned, the residual falls only about 3.5-fold a step, and the
-# step cap ends the attempt: 265 kernel calls, against about 4,000 for the
-# 2000 iterations that follow. On noisy data (uniform:1e-4 and 1e-2,
-# M/N = 12) it stalls after 89-111.
+# _GN_CG_STEPS conjugate-gradient steps; the 180 gauss-sweep trials take
+# 5-8 steps (111-177 kernel calls), and fewer CG steps cost as many calls.
 _GN_RTOL = 1e-14
 _GN_MAX_STEPS = 12
 _GN_CG_STEPS = 10
-# Douglas-Rachford steps of the certificate search through the Gram matrix.
-# Certified held-out trials take 4-51 (15-51 at M/N = 6, 6-10 at M/N = 8,
-# 4-5 at M/N = 12), and 180 gauss-sweep trials 3-13, 1,156 in all (call
-# seeds s * 10^6 + k, s = 1..3, k < 30, all certified at 50). A search that
-# finds nothing runs all of them, 600 kernel calls.
+# Douglas-Rachford steps of the certificate search through the Gram matrix:
+# the certified held-out trials take 4-51 and the 180 gauss-sweep trials
+# 3-13. A search that finds nothing runs all of them, 600 kernel calls.
 _CERT_STEPS = 300
 # Kernel calls of the matrix-free search (CDP), and the tolerances of its
 # projections: each is solved to _CERT_CG_STEP_RTOL ||a0|| only, and the one
 # that is >= 0 is carried on to _CERT_CG_RTOL ||a0||, ten times below
-# _CERT_RTOL, before it is checked. On 72 CDP demo instances (64 x 64
-# gradient, L = 20; seeds 20260809, 5,000,000, 3,000,001, 1,000,000,
-# 6,000,002, 41,000,000, 41,000,001 and 7-11, s * 10^6 + k for s = 81, 82,
-# 83, k < 10, and 62 * 10^6 + k, k < 30; tools/step_scan.py --polish --cdp)
-# all are certified at 20, the search taking 46-176 calls (mean 64) besides
-# the forward of A xhat; at L = 8 (seeds 1, 2, 20260809) it takes 154-163.
-# On the first 12 seeds, step tolerances of 1e-4, 1e-6, 1e-8 and 1e-11 took
-# means of 54, 55, 58 and 63 calls and at most 78, 76, 91 and 112. A search
-# that finds nothing runs to the cap, on top of Gauss-Newton's 67-265 calls
-# (the demo at L = 6 misses in 398-399). On 224 poorly anchored instances,
-# RngStream(450, seed) at 150 iterations (n = 16, L = 6 and 8, anchor
-# spread 0.5, 0.75 and 1.0, seed < 32; n = 64, L = 6 and 8, spread 0.75,
-# seed < 16), caps of 200, 300, 400 and 600 certified 72, 94, 111 and 137.
+# _CERT_RTOL, before it is checked. On 224 poorly anchored CDP instances
+# (RngStream(450, seed), n = 16 and 64, L = 6 and 8) caps of 200, 300, 400
+# and 600 certified 72, 94, 111 and 137; a search that finds nothing pays
+# the whole cap.
 _CERT_CALLS = 400
 _CERT_CG_STEP_RTOL = 1e-6
 _CERT_CG_RTOL = 1e-11
 # A certificate mu must leave ||A^H(mu o A xhat) - a0|| <= _CERT_RTOL ||a0||,
-# checked with a fresh adjoint; 24 certified gauss-sweep trials read 5e-16 to
+# checked with a fresh adjoint; certified gauss-sweep trials read 5e-16 to
 # 9e-16.
 _CERT_RTOL = 1e-10
 
@@ -142,8 +106,8 @@ class Solution:
 
     stop_reason says why the solve stopped:
     - "optimal": the primal-dual stop test passed (see solve_phasemax);
-    - "certified": the crossover (see _polish; dense ensembles whose Gram
-      matrix fits, and ensembles that form none, such as CDP) found a point
+    - "certified": the crossover (see _polish; dense ensembles with
+      M/N >= 4, and ensembles that form no Gram, such as CDP) found a point
       with a KKT certificate: mu >= 0 with A^H(mu o A xhat) = a0 to
       _CERT_RTOL. That proves xhat maximizes <a0, x> over the slabs through
       it, |a_i^H x|^2 <= |a_i^H xhat|^2, which Gauss-Newton put within
@@ -213,25 +177,18 @@ def _max_violation(ax: np.ndarray, b: np.ndarray, scale: float = 1.0, out=None) 
     return float(max(np.max(viol, initial=0.0), 0.0))
 
 
-def _forms_gram(ens: MeasurementEnsemble) -> bool:
-    """Whether ens forms the lifted Gram matrix: its lifted_gram is not the
-    base class's."""
-    return ens.lifted_gram.__func__ is not MeasurementEnsemble.lifted_gram
-
-
 def _checkpoint(ens: MeasurementEnsemble):
     """The iteration at which solves on ens run the crossover (_polish), or
-    None. An ensemble that forms the lifted Gram matrix runs it at
-    _POLISH_FIRST when the matrix with its eigenvectors, 2 (2n)^2 floats,
-    fits in the operator's own bytes: 1.0 MB against 2.1 MB of rows at
-    n = 128, M/N = 8 (dense ensembles with M/N >= 4 pass), and never when it
-    does not. Every other ensemble (CDP, or any subclass that gives only
-    forward and adjoint) runs it at _POLISH_EARLY, through those two kernels
-    alone: Gauss-Newton is matrix-free anyway, and the certificate search
-    projects by conjugate gradients instead (see _certificate)."""
-    if not _forms_gram(ens):
+    None. An ensemble with a lifted_gram runs it at _POLISH_FIRST when
+    M/N >= 4, where the matrix with its eigenvectors, 2 (2n)^2 floats, takes
+    no more memory than the m x n complex rows, and never below. Every other
+    ensemble (CDP, or any subclass that gives only forward and adjoint) runs
+    it at _POLISH_EARLY, through those two kernels alone: Gauss-Newton is
+    matrix-free anyway, and the certificate search projects by conjugate
+    gradients instead (see _certificate)."""
+    if ens.lifted_gram is None:
         return _POLISH_EARLY
-    return _POLISH_FIRST if 64 * ens.n * ens.n <= ens.nbytes else None
+    return _POLISH_FIRST if ens.m >= 4 * ens.n else None
 
 
 def _lifted(ens: MeasurementEnsemble, z: np.ndarray, u: np.ndarray, scratch: np.ndarray):
@@ -455,7 +412,7 @@ def _polish(ens: MeasurementEnsemble, b: np.ndarray, a0: np.ndarray, tol_feas: f
     np.square(buf, out=buf)
     np.maximum(buf, _TINY, out=buf)
     mu0 /= buf
-    gram = ens.lifted_gram(z) if _forms_gram(ens) else None
+    gram = None if ens.lifted_gram is None else ens.lifted_gram(z)
     if _certificate(ens, z, a0, mu0, scratch, buf, gram)[0] is None:
         return None
     return x, feas

@@ -112,6 +112,8 @@ def pmin_lower_bound(delta: float, t: float) -> float:
         raise ValueError("delta must lie in (0, 1]")
     if not 0.0 < t < math.inf:
         raise ValueError("t must be finite and > 0")
+    if delta * delta == 0.0:  # the prefactor underflows, and t / delta^2 would divide by 0
+        return 0.0
     root = math.sqrt(max(1.0 - delta * delta, 0.0))
     prefactor = delta * delta / (2.0 * (1.0 + root))  # == (1 - root)/2, stable for small delta
     exponent = -2.0 * math.sqrt(2.0) * t / (delta * delta)
@@ -369,6 +371,8 @@ def sample_complexity(p_min: float, n_dim: int, failure_prob: float) -> int:
 
     At this M the deviation inequality
     (16N log(eM/2N) + 8 log(8/failure_prob)) / M < p_min^2 is satisfied.
+    Raises ValueError when M exceeds the float range, as it does for p_min
+    below about 2e-151 at N = 128.
     """
     if not 0.0 < p_min < 1.0:
         raise ValueError("p_min must lie in (0, 1)")
@@ -377,5 +381,9 @@ def sample_complexity(p_min: float, n_dim: int, failure_prob: float) -> int:
     if not 0.0 < failure_prob < 1.0:
         raise ValueError("failure_prob must lie in (0, 1)")
     c = 2.0 * (math.log(8.0) + 1.0 - 2.0 * math.log(p_min))
-    m_real = (8.0 / (p_min * p_min)) * (c * 2.0 * n_dim + 2.0 * math.log(8.0 / failure_prob))
+    p_sq = p_min * p_min
+    m_real = math.inf if p_sq == 0.0 else (8.0 / p_sq) * (c * 2.0 * n_dim
+                                                         + 2.0 * math.log(8.0 / failure_prob))
+    if m_real == math.inf:
+        raise ValueError(f"the measurement count for p_min = {p_min:g} exceeds the float range")
     return int(math.ceil(m_real))

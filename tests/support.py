@@ -38,13 +38,13 @@ class CountingEnsemble(MeasurementEnsemble):
     """Wraps an ensemble; counts its forward and adjoint calls, and, unless
     subnormals=False, the subnormal entries (0 < |z_i| < tiny) of the vectors
     its adjoint is given. It hands on the wrapped ensemble's own lifted_gram
-    and exact_norm, so the solver polishes the wrapper exactly when it
-    polishes ens, and takes the same steps on it."""
+    and norm, so the solver polishes the wrapper exactly when it polishes
+    ens, and takes the same steps on it."""
 
     def __init__(self, ens, subnormals=True):
         self.ens, self.n, self.m, self.subnormals = ens, ens.n, ens.m, subnormals
         self.forwards = self.adjoints = self.subnormal_inputs = 0
-        self.lifted_gram, self.exact_norm = ens.lifted_gram, ens.exact_norm
+        self.lifted_gram, self.norm = ens.lifted_gram, ens.norm
 
     def forward(self, x, *, out=None):
         self.forwards += 1
@@ -56,10 +56,6 @@ class CountingEnsemble(MeasurementEnsemble):
             mod = np.abs(z)
             self.subnormal_inputs += int(np.count_nonzero((mod > 0) & (mod < np.finfo(float).tiny)))
         return self.ens.adjoint(z)
-
-    @property
-    def nbytes(self):
-        return self.ens.nbytes
 
 
 def disk_project_vector(z: np.ndarray, radii: np.ndarray) -> np.ndarray:

@@ -217,8 +217,7 @@ def test_lifted_gram_matches_explicit_columns():
     cols = lifted_columns(ens.rows, x)
     gram = ens.lifted_gram(ens.forward(x))
     assert np.allclose(gram, cols @ cols.T, rtol=0, atol=1e-12 * np.max(np.abs(gram)))
-    cdp = CodedDiffractionEnsemble.rademacher(16, 4, stream)
-    assert cdp.lifted_gram(cdp.forward(x[:1].repeat(16))) is None
+    assert CodedDiffractionEnsemble.rademacher(16, 4, stream).lifted_gram is None
 
 
 def test_cdp_requires_m_equals_l_times_n():
@@ -352,19 +351,32 @@ def test_operator_norm_matches_svd_oracle():
 @pytest.mark.parametrize("ratio_index, ratio", [(0, 8), (1, 12)])
 def test_operator_norm_at_sweep_scale_matches_svd_oracle(ratio_index, ratio):
     # The ensembles of the gauss-sweep benchmark's first call at run seeds
-    # 1-3, on run_sweep's streams. n = 128 takes the estimate's full step
-    # cap (20 < n), unlike n = 8 above.
+    # 1-3, on run_sweep's streams.
     for seed in (1_000_000, 2_000_000, 3_000_000):
         ens = _gaussian_instance(128, ratio, NoiseModel.none(), RngStream(seed, ratio_index))[0]
-        assert operator_norm(ens) == pytest.approx(np.linalg.norm(ens.rows, 2), rel=1e-4)
+        assert operator_norm(ens) == pytest.approx(np.linalg.norm(ens.rows, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m, stream_id", [(128, 1536, 12011), (128, 1024, 8049), (40, 12, 3)],
+                         ids=["mn12", "mn8", "m-below-n"])
+def test_dense_norm_is_exact_where_a_krylov_estimate_falls_short(n, m, stream_id):
+    # A 20-step Lanczos estimate from a fixed start was 6.5e-3 and 1.8e-3
+    # low on the first two ensembles; with m < n, A^H A is rank-deficient.
+    ens = DenseEnsemble.gaussian(n, m, RngStream(77, stream_id))
+    assert operator_norm(ens) == pytest.approx(np.linalg.norm(ens.rows, 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("ens", [DenseEnsemble(np.zeros((6, 3))),
                                  CodedDiffractionEnsemble(np.zeros((2, 3)))],
                          ids=["dense", "cdp"])
 def test_operator_norm_rejects_a_zero_operator(ens):
-    with pytest.raises(ValueError, match="start vector to zero"):
+    with pytest.raises(ValueError, match="operator is zero"):
         operator_norm(ens)
+
+
+def test_dense_ensemble_rejects_rows_whose_norm_overflows():
+    with pytest.raises(ValueError, match="overflows"):
+        DenseEnsemble(np.full((3, 2), 1e200))
 
 
 def test_operator_norm_cdp_exact_matches_svd_oracle():

@@ -87,7 +87,7 @@ def test_solver_rejects_degenerate_inputs():
         solve_phasemax(ens, obs, np.zeros(ens.n, dtype=complex))
     with pytest.raises(ValueError):
         solve_phasemax(ens, obs, np.full(ens.n, np.nan + 0j))
-    with pytest.raises(ValueError, match="start vector to zero"):
+    with pytest.raises(ValueError, match="operator is zero"):
         solve_phasemax(DenseEnsemble(np.zeros((ens.m, ens.n))), obs, xs)
 
 
@@ -220,17 +220,16 @@ def no_polish(monkeypatch):
 
 def test_polish_only_where_the_gram_is_formed():
     # A dense ensemble polishes through its Gram matrix where the matrix
-    # fits: M/N = 4 passes the size test and M/N = 2 does not. A CDP
-    # operator forms no Gram matrix, bare or wrapped, and polishes
-    # matrix-free, even when its masks take as many bytes as the Gram would.
+    # takes no more memory than the rows: M/N = 4 does and M/N = 2 does not.
+    # A CDP operator forms no Gram matrix, bare or wrapped, and polishes
+    # matrix-free, even at M/N = 8.
     stream = RngStream(442)
     cdp = CodedDiffractionEnsemble.rademacher(4, 8, stream)
-    assert 64 * cdp.n ** 2 <= cdp.nbytes
     for ens in (cdp, CountingEnsemble(cdp)):
-        assert solver._checkpoint(ens) == 20 and not solver._forms_gram(ens)
+        assert solver._checkpoint(ens) == 20 and ens.lifted_gram is None
     dense = DenseEnsemble.gaussian(8, 32, stream)
     for ens in (dense, CountingEnsemble(dense)):
-        assert solver._checkpoint(ens) == 50 and solver._forms_gram(ens)
+        assert solver._checkpoint(ens) == 50 and ens.lifted_gram is not None
     assert solver._checkpoint(DenseEnsemble.gaussian(8, 16, stream)) is None
 
 
@@ -302,8 +301,6 @@ def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
     monkeypatch.setattr(solver, "feasibility_residual", counting_residual)
     solve_phasemax_reference(ens, obs, a0, SolverConfig())
     assert len(checks) >= 100
-    norm = CountingEnsemble(ens)
-    operator_norm(norm)
     counted = CountingEnsemble(ens)
     # The polish stage's forwards are counted apart: it runs once, at
     # _POLISH_FIRST, not every iteration (here Gauss-Newton stalls).
@@ -335,7 +332,7 @@ def test_stop_test_costs_no_forward_per_iteration(monkeypatch):
     # that passes (none here) and the returned residual.
     assert sum(exact_checks) <= 3
     loop_forwards = counted.forwards - sum(polish_forwards)
-    assert loop_forwards <= sol.iters_used + norm.forwards + sum(exact_checks)
+    assert loop_forwards <= sol.iters_used + sum(exact_checks)
 
 
 def test_tracked_forward_matches_a_fresh_one(monkeypatch):
@@ -375,14 +372,15 @@ def test_tracked_forward_matches_a_fresh_one(monkeypatch):
 def test_solve_keeps_its_memory(operator, tol_rel_change, bound, monkeypatch):
     # A solve holds y, the shrink's scratch, each step's m-sized temporaries
     # and, once a relative change has passed (seeded), the tracked sigma A x:
-    # on CDP, peaks of 4.77 and 5.79 complex m-vectors. A loop that kept a
+    # on CDP, peaks of 4.27 and 5.27 complex m-vectors. A loop that kept a
     # row of T(z) and carried sigma A x from the start peaked at 6.83. The
     # dense solve (n = 128, M/N = 12) stops before _POLISH_FIRST, so it forms
-    # no Gram matrix: 5.56 and 6.56, where a ten-step history of (x, y,
-    # sigma A x) and of the steps peaked at 44.7. These four run without the
-    # polish stage. The polished CDP solve is certified at _POLISH_EARLY,
-    # after a four-step search: 7.18, as at _POLISH_FIRST, where a stage with
-    # a real m-vector of its own in place of the loop's buf peaked at 7.68.
+    # no Gram matrix: 5.04 and 6.05, where a ten-step history of (x, y,
+    # sigma A x) and of the steps peaked at 44.7; its ||A|| was computed
+    # when the ensemble was built. These four run without the polish stage.
+    # The polished CDP solve is certified at _POLISH_EARLY, after a
+    # four-step search: 7.18, where a stage with a real m-vector of its own
+    # in place of the loop's buf peaked at 7.68.
     n, iters = (1024, 60) if operator.startswith("cdp") else (128, 40)
     stream = RngStream(435)
     xs = sample_complex_gaussian(n, stream)

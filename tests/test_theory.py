@@ -127,6 +127,9 @@ def test_rayleigh_normal_cdf_rejects_non_finite():
 def test_pmin_lower_bound_vanishes_for_small_delta():
     assert pmin_lower_bound(1e-8, 1.0) == 0.0
     assert pmin_lower_bound(0.05, 1.0) <= 1e-100
+    # delta^2 underflows to 0 here.
+    assert pmin_lower_bound(1e-170, 1.0) == 0.0
+    assert pmin_lower_bound(1e-170, 1e-300) == 0.0
 
 
 def test_pmin_lower_bound_delta_one_vs_high_precision():
@@ -650,6 +653,15 @@ def test_sample_complexity_from_pmin_vs_high_precision():
         c = 2 * mpmath.log(8 * mpmath.e / pm**2)
         expected = mpmath.ceil(8 / pm**2 * (c * 1000 + 2 * mpmath.log(800)))
     assert m == pytest.approx(float(expected), rel=1e-9)
+
+
+@pytest.mark.parametrize("p_min", [1e-155, 1e-170, pmin_lower_bound(0.0205, 0.1)],
+                         ids=["1e-155", "1e-170", "paper-chain"])
+def test_sample_complexity_past_the_float_range(p_min):
+    # p_min^2 is subnormal at 1e-155 and 0 at 1e-170; the bound at the
+    # paper's delta = 0.0205 is about 5e-297.
+    with pytest.raises(ValueError, match="float range"):
+        sample_complexity(p_min, 128, 0.1)
 
 
 def test_sample_complexity_domain():

@@ -34,11 +34,12 @@ With --polish it checks the solver's crossover instead (solver._polish):
 on each held-out trial, or with --cdp on each CDP demo instance, solved
 from the spectral anchor as _run_trial and run_cdp_demo solve them, it
 prints the stop reason and iterations, the checkpoint that certified it
-(- when none did), the kernel calls of the loop (with the dense
-operator-norm estimate's 40 at n = 128) and of Gauss-Newton, and the
-certificate search's kernel calls and Douglas-Rachford steps (- when none
-ran), then the solve's wall time and the recovered error. A checkpoint that searches
-also makes one forward, A xhat, which no column counts.
+(- when none did), the kernel calls of the loop and of Gauss-Newton, and
+the certificate search's kernel calls and Douglas-Rachford steps (- when
+none ran), then the solve's wall time and the recovered error. The wall
+time leaves out ||A||, which the ensemble computed when it was built. A
+checkpoint that searches also makes one forward, A xhat, which no column
+counts.
 With --masks 4 or 6 the crossover certifies neither seed 1 nor 2, so their
 wall times show what its failed attempt costs.
 --noise runs the trials on noisy data, where Gauss-Newton stalls. The
