@@ -19,7 +19,6 @@ from .measurements import (
     NoiseModel,
     Observations,
     observe,
-    operator_norm,
 )
 from .anchor import anchor_correlation, spectral_anchor
 from .solver import (
@@ -62,7 +61,6 @@ __all__ = [
     "NoiseModel",
     "Observations",
     "observe",
-    "operator_norm",
     "anchor_correlation",
     "spectral_anchor",
     "SolverConfig",

@@ -1,7 +1,5 @@
 """Measurement ensembles (dense rows and coded diffraction patterns), each with
-its exact operator norm, the noisy squared-magnitude observation process,
-and the Lanczos core on Sigma_w = (1/M) sum_i w_i a_i a_i^H that gives the
-spectral anchor (weights T(y))."""
+its exact operator norm, and the noisy squared-magnitude observation process."""
 
 from __future__ import annotations
 
@@ -11,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import RngStream, as_signal, sample_complex_gaussian, sample_rademacher
+from .numerics import RngStream, as_signal, sample_rademacher
 
 __all__ = [
     "MeasurementEnsemble",
@@ -20,7 +18,6 @@ __all__ = [
     "NoiseModel",
     "Observations",
     "observe",
-    "operator_norm",
 ]
 
 
@@ -39,22 +36,18 @@ class MeasurementEnsemble:
 
     Each call returns a fresh array that the caller owns and may overwrite,
     and holds at most one m-sized temporary, which becomes the result where
-    it can. Two m-sized buffers alive at once make the allocator return the
-    freed pages to the system after every call and fault them back in on
-    the next one: at n = 4096, m = 81,920 that was over 600 minor page
-    faults a call and more than half of each CDP kernel's time.
+    it can: with two alive at once the allocator returns the freed pages to
+    the system after every call and faults them back in on the next one,
+    over 600 minor page faults a call at n = 4096, m = 81,920.
 
     forward also takes a keyword-only out, a complex128 m-vector that must
     not overlap x; the result is written into it and out is returned, with
     the same bits as a call without it. The spectral anchor's Lanczos loop
-    passes one buffer to every step, so each step frees no m-sized array:
-    freeing two a step made glibc trim the heap and fault the pages back
-    in, 31,040 minor faults an anchor in the cdp-image benchmark process
-    against 320 with the buffer. The solver's loop does not pass it; its
-    crossover (solver._polish) passes one of two buffers to every call.
+    and the solver's crossover (solver._polish) pass a buffer to every call,
+    for the same reason, so that no step frees an m-sized array.
 
     The constructor sets n, m and norm, the exact ||A|| (largest singular
-    value), which fixes the solver's step sizes (operator_norm).
+    value), which fixes the solver's step sizes (solve_phasemax).
 
     lifted_gram is None, as here, or a method z -> the real 2n x 2n matrix
     C C^T. Column i of C is a_i z_i for z = A x, as a real 2n-vector in the
@@ -90,10 +83,9 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return arr
 
 
-# Rows a block of DenseEnsemble.lifted_gram. At n = 128, M/N = 12 (one BLAS
-# thread, 2-vCPU Xeon) blocks of 128, 256 and 512 rows took 5.2, 4.2 and
-# 2.9 ms a Gram, and one block of all rows 2.6 ms, with an m x n complex
-# temporary (3.1 MB) instead of 1 MB; forming H and S took 8.2 ms.
+# Rows a block of DenseEnsemble.lifted_gram, which bounds its m x n complex
+# temporary: at n = 128, M/N = 12 (one BLAS thread, 2-vCPU Xeon) 512-row
+# blocks took 2.9 ms a Gram with 1 MB, one block of all rows 2.6 ms with 3.1 MB.
 _GRAM_BLOCK = 512
 
 
@@ -315,103 +307,3 @@ def observe(ens: MeasurementEnsemble, xstar, noise: NoiseModel, rng: RngStream) 
         np.maximum(b, 0.0, out=b)
         snr_db = 20.0 * math.log10(energy / sigma)
     return Observations(b=b, snr_db=snr_db)
-
-
-# The Lanczos iteration stops once its top Ritz pair (theta, y) has residual
-# ||Sigma_w y - theta y|| <= _LANCZOS_RTOL * |theta|. At 1e-7 the spectral
-# anchor stops after 15-26 steps on the CDP demo (L = 20) and on dense
-# n = 128 trials at M/N 6-12, within 6e-8 of the top eigenvector of Sigma_T
-# (tools/step_scan.py --anchor).
-_LANCZOS_RTOL = 1e-7
-
-
-@dataclass(frozen=True)
-class AnchorReport:
-    """Unit-norm top Ritz vector a0 of Sigma_w = (1/M) sum_i w_i a_i a_i^H
-    plus diagnostics of the Lanczos iteration that built it (see _lanczos):
-    rayleigh_quotient is the top Ritz value theta, the estimate of the
-    largest algebraic eigenvalue of Sigma_w, and steps the number of
-    applications of Sigma_w. For the spectral anchor, w holds the
-    preprocessed weights T(y) (anchor.spectral_anchor)."""
-
-    a0: np.ndarray
-    rayleigh_quotient: float
-    steps: int
-
-
-def _lanczos(ens: MeasurementEnsemble, weights, iters: int, rng: RngStream) -> AnchorReport:
-    """The top eigenpair of Sigma_w = (1/M) sum_i w_i a_i a_i^H by the
-    Hermitian Lanczos method, taking at most iters steps. weights is the
-    m-vector w.
-
-    Sigma_w is applied matrix-free as v -> adjoint(w o forward(v)) / M, once
-    a step, from a random complex start vector; every step writes its forward
-    into one m-vector (see MeasurementEnsemble). Each new Krylov vector is
-    orthogonalised against the stored ones by classical Gram-Schmidt, twice,
-    and the top eigenpair (theta, s) of the k x k tridiagonal, by
-    np.linalg.eigh, gives the Ritz pair (theta, y = V_k s), its sign chosen so
-    that y has a positive overlap with the start vector, as power iterates
-    have. theta estimates the largest algebraic eigenvalue, which needs no
-    shift when Sigma_w is indefinite. The iteration stops when the Ritz
-    residual beta_k |s_k| is at most _LANCZOS_RTOL * |theta|, which a
-    breakdown (beta_k = 0, as for a rank-one Sigma_w) meets, or after
-    min(iters, n) steps.
-
-    The returned anchor is Sigma_w y / ||Sigma_w y||, with Sigma_w y =
-    theta y + beta_k s_k v_{k+1} taken from the Lanczos relation, so at no
-    further application of Sigma_w; it is y itself when Sigma_w y = 0. This
-    power step on the Ritz vector moves a converged one by at most
-    _LANCZOS_RTOL. At a cap of 1, where y is the start vector, it is a plain
-    power step, which on an indefinite Sigma_w can favour the eigenvector of
-    a large negative eigenvalue; from 2 steps on, the anchor is no further
-    from the top eigenvector than as many power steps on Sigma_w shifted by
-    its smallest eigenvalue (tests/test_anchor.py measures both). The basis
-    grows with the steps taken, not with iters. Raises ValueError when the
-    operator maps the start vector to zero.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    n = ens.n
-    cap = min(iters, n)
-    buf = np.empty(ens.m, dtype=np.complex128)
-    v = sample_complex_gaussian(n, rng)
-    basis = np.empty((min(cap, 8), n), dtype=np.complex128)
-    np.divide(v, np.linalg.norm(v), out=basis[0])
-    alpha, beta = [], []
-    for k in range(cap):
-        w = ens.forward(basis[k], out=buf)
-        if k == 0 and not np.any(w):
-            raise ValueError("the measurement operator maps the start vector to zero")
-        w *= weights
-        w = ens.adjoint(w)
-        w /= ens.m
-        alpha.append(np.vdot(basis[k], w).real)
-        krylov = basis[:k + 1]
-        for _ in range(2):
-            w -= np.conj(krylov @ w.conj()) @ krylov
-        beta_k = float(np.linalg.norm(w))
-        values, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-        theta, s = float(values[-1]), vectors[:, -1]
-        if s[0] < 0:
-            s = -s
-        if beta_k * abs(s[-1]) <= _LANCZOS_RTOL * abs(theta) or k + 1 == cap:
-            break
-        if k + 1 == len(basis):  # doubling: rows for the steps taken, not for iters
-            grown = np.empty((min(2 * len(basis), cap), n), dtype=np.complex128)
-            grown[:k + 1] = basis
-            basis = grown
-        beta.append(beta_k)
-        np.divide(w, beta_k, out=basis[k + 1])
-    a0 = theta * (s @ krylov) + s[-1] * w
-    if not np.any(a0):  # Sigma_w y = 0, as when w = 0
-        a0 = s @ krylov
-    a0 /= np.linalg.norm(a0)
-    return AnchorReport(a0=a0, rayleigh_quotient=theta, steps=k + 1)
-
-
-def operator_norm(ens: MeasurementEnsemble) -> float:
-    """||A|| (largest singular value), the ensemble's exact norm. Raises
-    ValueError for a zero operator, which admits no step size."""
-    if not ens.norm > 0:
-        raise ValueError("the measurement operator is zero")
-    return ens.norm

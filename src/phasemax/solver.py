@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurements import MeasurementEnsemble, Observations, operator_norm
+from .measurements import MeasurementEnsemble, Observations
 from .numerics import as_signal
 
 __all__ = [
@@ -465,8 +465,8 @@ def solve_phasemax(
 
     Zero-radius disks (b_i = 0, e.g. after gaussian-noise clipping) stay
     constraints forcing (Ax)_i toward 0. xhat is feasible only to
-    Solution.feas_residual (see Solution). A zero operator raises
-    ValueError (operator_norm).
+    Solution.feas_residual (see Solution). A zero operator (ens.norm = 0)
+    admits no step size and raises ValueError.
     """
     a0 = as_signal(a0, "a0", ens.n)
     a0_norm = np.linalg.norm(a0)
@@ -474,7 +474,9 @@ def solve_phasemax(
         raise ValueError("a0 must be nonzero")
     b = obs.b_for(ens)
     radii = np.sqrt(b)  # Observations guarantees b >= 0
-    op_norm = operator_norm(ens)
+    op_norm = ens.norm
+    if not op_norm > 0:
+        raise ValueError("the measurement operator is zero")
     balance = start = np.linalg.norm(radii) / (op_norm * a0_norm)
     if not 0 < balance < np.inf:
         balance, start = 1.0, 0.0

@@ -203,14 +203,14 @@ def geometry_checks_reference(seed: int, num_h: int, num_a: int) -> list:
     return checks
 
 
-def oracle_solve_small(rows, b, a0, grid_points: int = 501, method: str = "auto") -> np.ndarray:
+def oracle_solve_small(rows, b, a0) -> np.ndarray:
     """Independent brute-force solver for the real case in dimension n <= 3.
 
     Maximizes a0 . x over the polytope {x : |rows_i . x| <= sqrt(b_i)} by
     enumerating all vertices formed by n active constraint hyperplanes
-    rows_i . x = +/- sqrt(b_i). method="grid" instead searches a dense grid
-    with grid_points per axis over a box guaranteed to contain the polytope;
-    method="auto" falls back to the grid when enumeration finds no vertex.
+    rows_i . x = +/- sqrt(b_i). The rows must span the space, so the
+    polytope is bounded; it holds the origin, so it has a vertex, and the
+    maximum is attained at one.
 
     Real-valued data only; used as a test oracle, not in the solve path.
     """
@@ -224,75 +224,25 @@ def oracle_solve_small(rows, b, a0, grid_points: int = 501, method: str = "auto"
         raise ValueError("b must be a non-negative vector with one entry per row")
     if a0.shape != (n,):
         raise ValueError("a0 must have one entry per coordinate")
-    if method not in ("auto", "vertex", "grid"):
-        raise ValueError(f"unknown method {method!r}")
     if np.linalg.matrix_rank(rows) < n:
         raise ValueError("constraint rows do not span the space; program is unbounded")
 
     s = np.sqrt(b)
     scale = max(float(np.max(s)), 1.0)
     feas_tol = 1e-9 * scale
-
-    def is_feasible(x):
-        return np.all(np.abs(rows @ x) <= s + feas_tol)
-
     best_x = np.zeros(n)  # the origin is always feasible
     best_val = float(a0 @ best_x)
-
-    if method in ("auto", "vertex"):
-        found_vertex = False
-        for idx in combinations(range(m), n):
-            sub = rows[list(idx)]
-            if abs(np.linalg.det(sub)) < 1e-12 * scale:
-                continue
-            for signs in product((1.0, -1.0), repeat=n):
-                rhs = np.asarray(signs) * s[list(idx)]
-                x = np.linalg.solve(sub, rhs)
-                if is_feasible(x):
-                    found_vertex = True
-                    val = float(a0 @ x)
-                    if val > best_val:
-                        best_val, best_x = val, x
-        if method == "vertex" or found_vertex:
-            return best_x
-
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    # The polytope is star-shaped around the (always feasible) origin, so each
-    # grid point can be scaled radially onto the boundary: the grid then
-    # samples exactly feasible points and never overshoots the optimum.
-    box = _polytope_box(rows, s)
-    axes = [np.linspace(-r, r, grid_points) for r in box]
-    for first in axes[0]:
-        rest = np.meshgrid(*axes[1:], indexing="ij") if n > 1 else []
-        block = np.empty((axes[1].size ** (n - 1) if n > 1 else 1, n))
-        block[:, 0] = first
-        for j, mg in enumerate(rest):
-            block[:, j + 1] = mg.ravel()
-        proj = np.abs(block @ rows.T)
-        with np.errstate(divide="ignore"):
-            ratios = np.where(proj > 0, s[None, :] / np.where(proj > 0, proj, 1.0), np.inf)
-        t = np.minimum(ratios.min(axis=1), 1.0)
-        snapped = block * t[:, None]
-        vals = snapped @ a0
-        gi = int(np.argmax(vals))
-        if vals[gi] > best_val:
-            best_val, best_x = float(vals[gi]), snapped[gi]
-    return best_x
-
-
-def _polytope_box(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-coordinate bound on {x : |rows @ x| <= s} via the best-conditioned
-    invertible subsystem: |x_j| <= sum_i |inv(A_S)[j, i]| * s_S[i]."""
-    m, n = rows.shape
-    best_det = 0.0
-    best_idx = None
     for idx in combinations(range(m), n):
-        det = abs(np.linalg.det(rows[list(idx)]))
-        if det > best_det:
-            best_det, best_idx = det, idx
-    inv = np.linalg.inv(rows[list(best_idx)])
-    return np.abs(inv) @ s[list(best_idx)]
+        sub = rows[list(idx)]
+        if abs(np.linalg.det(sub)) < 1e-12 * scale:
+            continue
+        for signs in product((1.0, -1.0), repeat=n):
+            x = np.linalg.solve(sub, np.asarray(signs) * s[list(idx)])
+            if np.all(np.abs(rows @ x) <= s + feas_tol):
+                val = float(a0 @ x)
+                if val > best_val:
+                    best_val, best_x = val, x
+    return best_x
 
 
 def preprocessed_weights(b, n):
@@ -310,7 +260,7 @@ def spectral_anchor_reference(ens, obs, iters, rng):
     """spectral_anchor's Lanczos iteration on Sigma_T as plain expressions,
     each step with a fresh forward and the basis kept as a list: (a0, Ritz
     value, steps), which spectral_anchor must return bit for bit."""
-    from phasemax.measurements import _LANCZOS_RTOL
+    from phasemax.anchor import _LANCZOS_RTOL
     from phasemax.numerics import real_inner, sample_complex_gaussian
 
     weights = preprocessed_weights(obs.b, ens.n)
@@ -352,13 +302,12 @@ def solve_phasemax_reference(ens, obs, a0, cfg, polish=True):
     the one solve_phasemax must return bit for bit. With polish=False it is
     the loop alone."""
     from phasemax import solver
-    from phasemax.measurements import operator_norm
     from phasemax.numerics import real_inner
 
     a0 = np.asarray(a0, dtype=np.complex128)
     a0_norm = np.linalg.norm(a0)
     radii = np.sqrt(obs.b)
-    op_norm = operator_norm(ens)
+    op_norm = ens.norm
     # The solve starts at y = 0 and x0, the anchor rescaled to ||r|| / ||A||.
     balance = start = np.linalg.norm(radii) / (op_norm * a0_norm)
     if not 0 < balance < np.inf:

@@ -19,7 +19,6 @@ from phasemax import (
     RngStream,
     SolverConfig,
     SweepConfig,
-    operator_norm,
     phase_align_error,
     run_cdp_demo,
     run_sweep,
@@ -155,7 +154,7 @@ def test_criterion_6_adjoint_and_operator_norm():
             lhs = np.vdot(ens.forward(x), z)
             rhs = np.vdot(x, ens.adjoint(z))
             worst_rel = max(worst_rel, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    norm_err = abs(operator_norm(cdp) - 2.0)
+    norm_err = abs(cdp.norm - 2.0)
     passed = worst_rel <= 1e-10 and norm_err <= 1e-6
     report_line(6, passed,
                 f"worst adjoint mismatch {worst_rel:.2e} (need <= 1e-10); "

@@ -13,9 +13,9 @@ from phasemax import (
     sample_complex_gaussian,
     spectral_anchor,
 )
-from phasemax.anchor import _T_FLOOR, _preprocess
+from phasemax.anchor import _T_FLOOR, _lanczos, _preprocess
 from phasemax.experiments import _cdp_instance, _gaussian_instance, run_cdp_demo
-from phasemax.measurements import MeasurementEnsemble, Observations, _lanczos
+from phasemax.measurements import MeasurementEnsemble, Observations
 from phasemax.numerics import phase_align_error
 from phasemax.pgm import write_pgm
 from support import (CountingEnsemble, preprocessed_weights, spectral_anchor_reference,

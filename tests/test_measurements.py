@@ -10,10 +10,11 @@ from phasemax import (
     NoiseModel,
     Observations,
     RngStream,
+    SolverConfig,
     observe,
-    operator_norm,
     sample_complex_gaussian,
     sample_rademacher,
+    solve_phasemax,
 )
 from phasemax.experiments import _gaussian_instance
 from support import (
@@ -329,23 +330,20 @@ def test_operator_norm_single_unit_row():
     row = sample_complex_gaussian(7, rng)
     row = row / np.linalg.norm(row)
     ens = DenseEnsemble(row[None, :])
-    est = operator_norm(ens)
-    assert est == pytest.approx(1.0, abs=1e-8)
+    assert ens.norm == pytest.approx(1.0, abs=1e-8)
 
 
 def test_operator_norm_cdp_is_sqrt_l():
     for num_masks in (1, 4, 9):
         ens = CodedDiffractionEnsemble.rademacher(16, num_masks, RngStream(217))
-        est = operator_norm(ens)
-        assert est == pytest.approx(np.sqrt(num_masks), abs=1e-6)
+        assert ens.norm == pytest.approx(np.sqrt(num_masks), abs=1e-6)
 
 
 def test_operator_norm_matches_svd_oracle():
     rng = RngStream(219)
     ens = DenseEnsemble.gaussian(8, 16, rng)
     top_singular = np.linalg.svd(ens.rows.conj(), compute_uv=False)[0]
-    est = operator_norm(ens)
-    assert est == pytest.approx(top_singular, abs=1e-6)
+    assert ens.norm == pytest.approx(top_singular, abs=1e-6)
 
 
 @pytest.mark.parametrize("ratio_index, ratio", [(0, 8), (1, 12)])
@@ -354,7 +352,7 @@ def test_operator_norm_at_sweep_scale_matches_svd_oracle(ratio_index, ratio):
     # 1-3, on run_sweep's streams.
     for seed in (1_000_000, 2_000_000, 3_000_000):
         ens = _gaussian_instance(128, ratio, NoiseModel.none(), RngStream(seed, ratio_index))[0]
-        assert operator_norm(ens) == pytest.approx(np.linalg.norm(ens.rows, 2), rel=1e-12)
+        assert ens.norm == pytest.approx(np.linalg.norm(ens.rows, 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, m, stream_id", [(128, 1536, 12011), (128, 1024, 8049), (40, 12, 3)],
@@ -363,15 +361,17 @@ def test_dense_norm_is_exact_where_a_krylov_estimate_falls_short(n, m, stream_id
     # A 20-step Lanczos estimate from a fixed start was 6.5e-3 and 1.8e-3
     # low on the first two ensembles; with m < n, A^H A is rank-deficient.
     ens = DenseEnsemble.gaussian(n, m, RngStream(77, stream_id))
-    assert operator_norm(ens) == pytest.approx(np.linalg.norm(ens.rows, 2), rel=1e-12)
+    assert ens.norm == pytest.approx(np.linalg.norm(ens.rows, 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("ens", [DenseEnsemble(np.zeros((6, 3))),
                                  CodedDiffractionEnsemble(np.zeros((2, 3)))],
                          ids=["dense", "cdp"])
 def test_operator_norm_rejects_a_zero_operator(ens):
+    # An ensemble may have ||A|| = 0; the solve, which takes its step sizes
+    # from ||A||, rejects it.
     with pytest.raises(ValueError, match="operator is zero"):
-        operator_norm(ens)
+        solve_phasemax(ens, Observations(b=np.ones(ens.m)), np.ones(ens.n), SolverConfig())
 
 
 def test_dense_ensemble_rejects_rows_whose_norm_overflows():
@@ -384,8 +384,7 @@ def test_operator_norm_cdp_exact_matches_svd_oracle():
     # the top singular value of the materialized operator.
     masks = sample_complex_gaussian(3 * 16, RngStream(222)).reshape(3, 16)
     top_singular = np.linalg.svd(materialize_cdp_rows(masks).conj(), compute_uv=False)[0]
-    est = operator_norm(CodedDiffractionEnsemble(masks))
-    assert est == pytest.approx(top_singular, rel=1e-12)
+    assert CodedDiffractionEnsemble(masks).norm == pytest.approx(top_singular, rel=1e-12)
 
 
 def test_rademacher_masks_are_signs():

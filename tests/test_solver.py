@@ -22,7 +22,7 @@ from phasemax import (
 )
 from phasemax import solver
 from phasemax.experiments import _gaussian_instance, _run_trial
-from phasemax.measurements import Observations, operator_norm
+from phasemax.measurements import Observations
 from phasemax.solver import _shrink_dual
 from support import (
     CountingEnsemble,
@@ -434,7 +434,7 @@ def test_unit_relaxation_is_the_chambolle_pock_step(monkeypatch):
     iters = 60
     sol = solve_phasemax(ens, obs, a0, SolverConfig(max_iters=iters, tol_rel_change=1e-300))
     radii = np.sqrt(obs.b)
-    op_norm = operator_norm(ens)
+    op_norm = ens.norm
     c = np.linalg.norm(radii) / op_norm
     tau, sigma = c * solver._STEP_SCALE / op_norm, solver._STEP_SCALE / (c * op_norm)
     x = c * a0
@@ -702,18 +702,23 @@ def test_oracle_box_corner():
     assert x == pytest.approx(np.array([1.0, 1.0]), abs=1e-12)
 
 
-def test_oracle_vertex_and_grid_modes_agree():
-    # Generic random polytopes: noiseless-measurement b would make the truth a
-    # fully degenerate vertex, which only the exact vertex mode resolves.
+def test_oracle_vertex_is_optimal_by_lp_duality():
+    # LP duality: x maximizes a0 . x over {|rows_i . x| <= s_i} when it is
+    # feasible and a0 is a non-negative combination of the outward normals
+    # sign(rows_i . x) rows_i of the constraints active at x. Generic random
+    # polytopes: noiseless-measurement b would make the truth a fully
+    # degenerate vertex.
     for seed in range(10):
         g = RngStream(417, seed).generator
         rows = g.standard_normal((8, 2))
         b = g.uniform(0.3, 2.0, 8)
         a0 = g.standard_normal(2)
-        xv = oracle_solve_small(rows, b, a0, method="vertex")
-        xg = oracle_solve_small(rows, b, a0, grid_points=2001, method="grid")
-        assert a0 @ xv == pytest.approx(a0 @ xg, abs=1e-3 * max(1.0, abs(a0 @ xv)))
-        assert a0 @ xv >= a0 @ xg - 1e-9  # vertex mode is at least as good
+        proj, s = rows @ oracle_solve_small(rows, b, a0), np.sqrt(b)
+        assert np.all(np.abs(proj) <= s * (1 + 1e-12))
+        active = np.abs(proj) >= s * (1 - 1e-9)
+        normals = (np.sign(proj[active])[:, None] * rows[active]).T
+        residual = np.linalg.norm(normals @ nnls(normals, a0) - a0)
+        assert residual <= 1e-12 * np.linalg.norm(a0)
 
 
 def test_oracle_rejects_rank_deficiency_and_big_n():

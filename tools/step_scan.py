@@ -71,7 +71,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from phasemax import anchor, measurements, solver  # noqa: E402
+from phasemax import anchor, solver  # noqa: E402
 from phasemax.cli import parse_noise  # noqa: E402
 from phasemax.experiments import (  # noqa: E402
     DEFAULT_CDP_CONFIG,
@@ -121,7 +121,7 @@ def scan_cdp(seeds, caps, masks: int) -> None:
 
 def long_lanczos(ens, obs, steps: int, rng):
     """The anchor after steps Lanczos steps with the stop tolerance at 0."""
-    with mock.patch.object(measurements, "_LANCZOS_RTOL", 0.0):
+    with mock.patch.object(anchor, "_LANCZOS_RTOL", 0.0):
         return anchor.spectral_anchor(ens, obs, steps, rng).a0
 
 
@@ -198,13 +198,13 @@ def scan_polish(instances, noise, cfg) -> None:
 
 
 def scan_anchor(cdp_seeds, masks: int, n: int, ratios, trials: int, seed: int) -> None:
-    print(f"spectral anchor at a cap of 50 steps, _LANCZOS_RTOL={measurements._LANCZOS_RTOL:g}; "
+    print(f"spectral anchor at a cap of 50 steps, _LANCZOS_RTOL={anchor._LANCZOS_RTOL:g}; "
           "distance to the top eigenvector of Sigma_T, and correlation with x* of the anchors "
           "of Sigma_T and of the b-weighted Sigma")
     print(f"{'instance':>22} {'steps':>6} {'distance':>10} {'corr_T':>7} {'corr_b':>7}")
     for name, ens, obs, xs, stream, top in anchor_instances(cdp_seeds, masks, n, ratios, trials,
                                                             seed):
-        b_weighted = measurements._lanczos(ens, obs.b, 50, copy.deepcopy(stream)).a0
+        b_weighted = anchor._lanczos(ens, obs.b, 50, copy.deepcopy(stream)).a0
         report = anchor.spectral_anchor(ens, obs, 50, stream)
         print(f"{name:>22} {report.steps:6d} {phase_align_error(report.a0, top):10.2e} "
               f"{anchor.anchor_correlation(report.a0, xs):7.3f} "
