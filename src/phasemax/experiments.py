@@ -194,14 +194,12 @@ def ratio_summary(records) -> list:
     return out
 
 
-# The cap for demo solves that the crossover does not certify. Certified
-# ones stop at the solver's matrix-free checkpoint, 20 iterations (all 72
-# demo seeds listed at solver._CERT_CALLS, and at L = 8 seeds 1, 2 and
-# 20260809; tools/step_scan.py --polish --cdp). Without the crossover, 175
-# iterations from the rescaled anchor end at errors of 1.9e-8 to 1.4e-7 on
-# criterion 7's instance and cdp-image calls 5,000,000-5,000,002, below the
-# 1.1e-7 to 1.1e-6 that 250 from x = 0 reached (tools/step_scan.py --cdp
-# measures them).
+# The cap for demo solves that the crossover does not certify (certified
+# ones stop at the solver's matrix-free checkpoint, 20 iterations). Without
+# the crossover, 175 iterations from the rescaled anchor end at errors of
+# 1.9e-8 to 1.4e-7 on criterion 7's instance and cdp-image calls
+# 5,000,000-5,000,002, below the 1.1e-7 to 1.1e-6 that 250 from x = 0
+# reached (tools/step_scan.py --cdp).
 DEFAULT_CDP_CONFIG = SolverConfig(max_iters=175)
 
 

@@ -1,15 +1,14 @@
 """Helpers shared by the test modules: an ensemble wrapper that counts kernel
-calls, an independent brute-force oracle for the relaxation in dimension
-n <= 3, the disk projection the solver's dual shrink is checked against,
+calls, the disk projection the solver's dual shrink is checked against,
 one-expression references for the CDP kernels, the full-dimensional
 cut-probability sampler, the geometry suite and its p_min sampler testing
 one vector at a time, the Lanczos core's iteration on the spectral anchor's
 Sigma_T and the dense Gaussian sampler written plainly, the solver loop
-with an exact stop check, a Lawson-Hanson NNLS for KKT certificates, CSV
+with an exact stop check, a KKT oracle (Lawson-Hanson NNLS on the slabs
+active at a point) and criterion 5's small real instances it checks, CSV
 comparison without the wall-clock column, and the CDP demo's image."""
 
 import math
-from itertools import combinations, product
 
 import numpy as np
 
@@ -203,48 +202,6 @@ def geometry_checks_reference(seed: int, num_h: int, num_a: int) -> list:
     return checks
 
 
-def oracle_solve_small(rows, b, a0) -> np.ndarray:
-    """Independent brute-force solver for the real case in dimension n <= 3.
-
-    Maximizes a0 . x over the polytope {x : |rows_i . x| <= sqrt(b_i)} by
-    enumerating all vertices formed by n active constraint hyperplanes
-    rows_i . x = +/- sqrt(b_i). The rows must span the space, so the
-    polytope is bounded; it holds the origin, so it has a vertex, and the
-    maximum is attained at one.
-
-    Real-valued data only; used as a test oracle, not in the solve path.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    b = np.asarray(b, dtype=np.float64)
-    a0 = np.asarray(a0, dtype=np.float64)
-    m, n = rows.shape
-    if n > 3:
-        raise ValueError("oracle supports n <= 3 only")
-    if b.shape != (m,) or np.any(b < 0):
-        raise ValueError("b must be a non-negative vector with one entry per row")
-    if a0.shape != (n,):
-        raise ValueError("a0 must have one entry per coordinate")
-    if np.linalg.matrix_rank(rows) < n:
-        raise ValueError("constraint rows do not span the space; program is unbounded")
-
-    s = np.sqrt(b)
-    scale = max(float(np.max(s)), 1.0)
-    feas_tol = 1e-9 * scale
-    best_x = np.zeros(n)  # the origin is always feasible
-    best_val = float(a0 @ best_x)
-    for idx in combinations(range(m), n):
-        sub = rows[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-12 * scale:
-            continue
-        for signs in product((1.0, -1.0), repeat=n):
-            x = np.linalg.solve(sub, np.asarray(signs) * s[list(idx)])
-            if np.all(np.abs(rows @ x) <= s + feas_tol):
-                val = float(a0 @ x)
-                if val > best_val:
-                    best_val, best_x = val, x
-    return best_x
-
-
 def preprocessed_weights(b, n):
     """Mondelli-Montanari's T(y) = (y - 1) / (y + sqrt(delta) - 1) of y =
     b / mean(b), delta = len(b) / n, as one expression, the denominator
@@ -391,3 +348,25 @@ def nnls(matrix, target):
             free &= mu > tol
             mu[~free] = 0.0
     return mu
+
+
+def kkt_residual(rows, x, a0, b, slack):
+    """The convex program's optimality condition at a feasible x, checked
+    from the rows alone: the relative residual ||C_S mu - lift(a0)|| / ||a0||
+    of the NNLS mu >= 0, where C_S holds the lifted columns of the slabs
+    active at x, |a_i^H x|^2 >= b_i - slack (mu is 0 on the others, by
+    complementary slackness). It is 0 at an optimum, and bounded away from 0
+    at a point that is not one."""
+    active = np.abs(rows.conj() @ x) ** 2 >= b - slack
+    cols, target = lifted_columns(rows[active], x), lift(a0)
+    return np.linalg.norm(cols @ nnls(cols, target) - target) / np.linalg.norm(a0)
+
+
+def small_real_instance(trial):
+    """Criterion 5's instance: real rows (n = 2, m = 15) and x* from
+    RngStream(20260809, 100 + trial), with noiseless b = (rows x*)^2.
+    Returns (rows, b, x*) with complex rows and x*."""
+    g = RngStream(20260809, 100 + trial).generator
+    xs = g.standard_normal(2)
+    rows = g.standard_normal((15, 2))
+    return rows.astype(complex), (rows @ xs) ** 2, xs.astype(complex)

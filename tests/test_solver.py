@@ -28,10 +28,8 @@ from support import (
     CountingEnsemble,
     cdp_forward_reference,
     disk_project_vector,
-    lift,
-    lifted_columns,
-    nnls,
-    oracle_solve_small,
+    kkt_residual,
+    small_real_instance,
     solve_phasemax_reference,
 )
 
@@ -117,23 +115,6 @@ def test_entry_points_reject_bad_vectors(entry, bad):
 def test_zero_constraints_rejected():
     with pytest.raises(ValueError):
         DenseEnsemble(np.empty((0, 4)))
-
-
-def test_solver_matches_small_oracle():
-    worst = 0.0
-    for seed in range(10):
-        stream = RngStream(403, seed)
-        g = stream.generator
-        n, m = 2, 15
-        xs = g.standard_normal(n)
-        rows = g.standard_normal((m, n))
-        b = (rows @ xs) ** 2
-        obs = Observations(b=b)
-        ens = DenseEnsemble(rows.astype(complex))
-        sol = solve_phasemax(ens, obs, xs.astype(complex), SolverConfig(max_iters=4000))
-        x_oracle = oracle_solve_small(rows, b, xs)
-        worst = max(worst, phase_align_error(sol.xhat, x_oracle.astype(complex)))
-    assert worst <= 1e-4
 
 
 def test_solution_accuracy_dense_gaussian():
@@ -250,13 +231,9 @@ REFERENCE_CASES = [
 ]
 
 
-# The history-0 cases are the plain loop's; the unprefixed ones ran the
-# solver's default history of past steps, which is gone, and now run the
-# same loop.
 @pytest.mark.parametrize("noise, stop_at_cap, polish, cdp", [
-    pytest.param(noise, stop_at_cap, polish, False, id=("polish-" if polish else "") + prefix + name)
-    for polish in (False, True) for prefix in ("history-0-", "")
-    for name, noise, stop_at_cap in REFERENCE_CASES] + [
+    pytest.param(noise, stop_at_cap, polish, False, id=("polish-" if polish else "") + name)
+    for polish in (False, True) for name, noise, stop_at_cap in REFERENCE_CASES] + [
     pytest.param(None, False, True, True, id="polish-cdp-noiseless")])
 def test_solver_matches_exact_check_reference(noise, stop_at_cap, polish, cdp, monkeypatch):
     # The tracked A x only screens; every stop decision and the returned
@@ -519,11 +496,11 @@ def noiseless_anchored(stream, n, m, spread, sample=DenseEnsemble.gaussian):
 
 def test_certified_solutions_pass_the_nnls_oracle():
     # The certificate search is Douglas-Rachford; the oracle is Lawson-Hanson
-    # on the same condition, A^H(mu o A xhat) = a0 with mu >= 0, built from
-    # the rows by plain expressions. 17 of the 24 are certified; the anchors
-    # are poor enough that the relaxation is not tight on some of the others,
-    # where a search that accepted mu of any sign certified all 24 and the
-    # oracle rejected 7.
+    # on the same condition, A^H(mu o A xhat) = a0 with mu >= 0 on the active
+    # slabs, built from the rows by plain expressions. 17 of the 24 are
+    # certified; the anchors are poor enough that the relaxation is not tight
+    # on some of the others, where a search that accepted mu of any sign
+    # certified all 24 and the oracle rejected 7.
     cfg = SolverConfig()
     certified = 0
     for seed in range(24):
@@ -532,9 +509,7 @@ def test_certified_solutions_pass_the_nnls_oracle():
         if sol.stop_reason != "certified":
             continue
         certified += 1
-        mu = nnls(lifted_columns(ens.rows, sol.xhat), lift(a0))
-        kkt = np.linalg.norm(ens.adjoint(mu * ens.forward(sol.xhat)) - a0)
-        assert np.all(mu >= 0) and kkt <= 1e-8 * np.linalg.norm(a0)
+        assert kkt_residual(ens.rows, sol.xhat, a0, obs.b, cfg.tol_feas) <= 1e-8
         assert sol.feas_residual <= cfg.tol_feas
         assert sol.feas_residual == feasibility_residual(ens, obs, sol.xhat)
         assert sol.iters_used == solver._POLISH_FIRST
@@ -549,8 +524,8 @@ def test_uncertified_solve_is_the_loop_without_polish(seed, monkeypatch):
     # search runs all its steps, and the solve goes on as if it had not run.
     ens, obs, xs, a0 = noiseless_anchored(RngStream(440, seed), 6, 36, 1.0)
     xs_aligned = xs * np.exp(1j * np.angle(np.vdot(xs, a0)))
-    mu = nnls(lifted_columns(ens.rows, xs_aligned), lift(a0))
-    assert np.linalg.norm(ens.adjoint(mu * ens.forward(xs_aligned)) - a0) > 1e-3 * np.linalg.norm(a0)
+    cfg = SolverConfig(max_iters=150)
+    assert kkt_residual(ens.rows, xs_aligned, a0, obs.b, cfg.tol_feas) > 1e-3
     searches = []
     search = solver._certificate
 
@@ -559,7 +534,6 @@ def test_uncertified_solve_is_the_loop_without_polish(seed, monkeypatch):
         return searches[-1]
 
     monkeypatch.setattr(solver, "_certificate", recording)
-    cfg = SolverConfig(max_iters=150)
     sol = solve_phasemax(ens, obs, a0, cfg)
     assert [(found is None, steps) for found, steps in searches] == [(True, solver._CERT_STEPS)]
     ref = solve_phasemax_reference(ens, obs, a0, cfg, polish=False)
@@ -584,9 +558,7 @@ def test_certified_cdp_solutions_pass_the_nnls_oracle():
         if sol.stop_reason != "certified":
             continue
         certified += 1
-        mu = nnls(lifted_columns(cdp_rows(ens), sol.xhat), lift(a0))
-        kkt = np.linalg.norm(ens.adjoint(mu * ens.forward(sol.xhat)) - a0)
-        assert np.all(mu >= 0) and kkt <= 1e-8 * np.linalg.norm(a0)
+        assert kkt_residual(cdp_rows(ens), sol.xhat, a0, obs.b, cfg.tol_feas) <= 1e-8
         assert sol.feas_residual <= cfg.tol_feas
         assert sol.feas_residual == feasibility_residual(ens, obs, sol.xhat)
         assert sol.iters_used == solver._POLISH_EARLY
@@ -615,9 +587,7 @@ def test_cdp_search_past_200_calls_certifies_at_20(seed, monkeypatch):
     assert [stage[:2] for stage in stages] == [("_gauss_newton", True), ("_certificate", True)]
     assert 200 < stages[1][2] <= solver._CERT_CALLS
     assert (sol.stop_reason, sol.iters_used) == ("certified", solver._POLISH_EARLY)
-    mu = nnls(lifted_columns(cdp_rows(ens), sol.xhat), lift(a0))
-    kkt = np.linalg.norm(ens.adjoint(mu * ens.forward(sol.xhat)) - a0)
-    assert np.all(mu >= 0) and kkt <= 1e-8 * np.linalg.norm(a0)
+    assert kkt_residual(cdp_rows(ens), sol.xhat, a0, obs.b, cfg.tol_feas) <= 1e-8
     assert sol.feas_residual <= cfg.tol_feas
     assert phase_align_error(sol.xhat, xs) <= 1e-12
 
@@ -643,8 +613,8 @@ def test_uncertified_cdp_solve_is_the_loop_without_polish(seed, monkeypatch):
     # the solve then goes on as if the stage had not run.
     ens, obs, xs, a0 = noiseless_anchored(RngStream(450, seed), 16, 8, 1.0, CDP)
     xs_aligned = xs * np.exp(1j * np.angle(np.vdot(xs, a0)))
-    mu = nnls(lifted_columns(cdp_rows(ens), xs_aligned), lift(a0))
-    assert np.linalg.norm(ens.adjoint(mu * ens.forward(xs_aligned)) - a0) > 1e-3 * np.linalg.norm(a0)
+    cfg = SolverConfig(max_iters=150)
+    assert kkt_residual(cdp_rows(ens), xs_aligned, a0, obs.b, cfg.tol_feas) > 1e-3
     counted = CountingEnsemble(ens)
     searches = []
     search = solver._certificate
@@ -656,7 +626,6 @@ def test_uncertified_cdp_solve_is_the_loop_without_polish(seed, monkeypatch):
         return found
 
     monkeypatch.setattr(solver, "_certificate", recording)
-    cfg = SolverConfig(max_iters=150)
     sol = solve_phasemax(counted, obs, a0, cfg)
     [(missed, calls)] = searches
     assert missed and solver._CERT_CALLS - 4 <= calls <= solver._CERT_CALLS
@@ -689,44 +658,21 @@ def test_feasibility_residual_elementwise_oracle():
     assert feasibility_residual(ens, obs, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def test_oracle_interval_endpoint():
-    x = oracle_solve_small(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
-    assert x == pytest.approx(np.array([1.0]), abs=1e-12)
-
-
-def test_oracle_box_corner():
-    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    b = np.array([1.0, 1.0])
-    a0 = np.array([1.0, 1.0]) / np.sqrt(2)
-    x = oracle_solve_small(rows, b, a0)
-    assert x == pytest.approx(np.array([1.0, 1.0]), abs=1e-12)
-
-
-def test_oracle_vertex_is_optimal_by_lp_duality():
-    # LP duality: x maximizes a0 . x over {|rows_i . x| <= s_i} when it is
-    # feasible and a0 is a non-negative combination of the outward normals
-    # sign(rows_i . x) rows_i of the constraints active at x. Generic random
-    # polytopes: noiseless-measurement b would make the truth a fully
-    # degenerate vertex.
-    for seed in range(10):
-        g = RngStream(417, seed).generator
-        rows = g.standard_normal((8, 2))
-        b = g.uniform(0.3, 2.0, 8)
-        a0 = g.standard_normal(2)
-        proj, s = rows @ oracle_solve_small(rows, b, a0), np.sqrt(b)
-        assert np.all(np.abs(proj) <= s * (1 + 1e-12))
-        active = np.abs(proj) >= s * (1 - 1e-9)
-        normals = (np.sign(proj[active])[:, None] * rows[active]).T
-        residual = np.linalg.norm(normals @ nnls(normals, a0) - a0)
-        assert residual <= 1e-12 * np.linalg.norm(a0)
-
-
-def test_oracle_rejects_rank_deficiency_and_big_n():
-    with pytest.raises(ValueError):
-        oracle_solve_small(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0]),
-                           np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        oracle_solve_small(np.eye(4), np.ones(4), np.ones(4))
+def test_kkt_oracle_accepts_the_truth_and_rejects_rotated_points():
+    # Without the solver: on criterion 5's instances, a0 = x* makes x* the
+    # optimum (residual at most 8.7e-16), and x* rotated by 0.3 rad and
+    # scaled radially onto the slabs is feasible with a lower objective, so
+    # not optimal (residual at least 0.79).
+    slack = SolverConfig().tol_feas
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    for trial in range(50):
+        rows, b, xs = small_real_instance(trial)
+        assert kkt_residual(rows, xs, xs, b, slack) <= 1e-8
+        x = turn @ xs
+        x *= np.min(np.sqrt(b) / np.abs(rows.conj() @ x))
+        assert np.max(np.abs(rows.conj() @ x) ** 2 - b) <= slack
+        assert real_inner(xs, x) < real_inner(xs, xs)
+        assert kkt_residual(rows, x, xs, b, slack) > 1e-3
 
 
 def test_solver_config_validation():
