@@ -117,6 +117,26 @@ def test_zero_constraints_rejected():
         DenseEnsemble(np.empty((0, 4)))
 
 
+def test_solver_matches_small_oracle():
+    # Criterion 5's setting on 10 other seeds. With a0 = x*, the KKT oracle
+    # certifies x* as the program's optimum (the deleted vertex oracle
+    # returned x* on all 10 to 1.1e-13), so the solve must return x*.
+    cfg = SolverConfig(max_iters=4000)
+    worst = 0.0
+    for seed in range(10):
+        stream = RngStream(403, seed)
+        g = stream.generator
+        n, m = 2, 15
+        xs = g.standard_normal(n)
+        rows = g.standard_normal((m, n))
+        b = (rows @ xs) ** 2
+        rows, xs = rows.astype(complex), xs.astype(complex)
+        assert kkt_residual(rows, xs, xs, b, cfg.tol_feas) <= 1e-8
+        sol = solve_phasemax(DenseEnsemble(rows), Observations(b=b), xs, cfg)
+        worst = max(worst, phase_align_error(sol.xhat, xs))
+    assert worst <= 1e-4
+
+
 def test_solution_accuracy_dense_gaussian():
     ens, obs, xs = make_instance(404, n=32, m=320)
     from phasemax import spectral_anchor
@@ -231,9 +251,13 @@ REFERENCE_CASES = [
 ]
 
 
+# The history-0 cases are the plain loop's; the unprefixed ones ran the
+# solver's default history of past steps, which is gone, and now run the
+# same loop.
 @pytest.mark.parametrize("noise, stop_at_cap, polish, cdp", [
-    pytest.param(noise, stop_at_cap, polish, False, id=("polish-" if polish else "") + name)
-    for polish in (False, True) for name, noise, stop_at_cap in REFERENCE_CASES] + [
+    pytest.param(noise, stop_at_cap, polish, False, id=("polish-" if polish else "") + prefix + name)
+    for polish in (False, True) for prefix in ("history-0-", "")
+    for name, noise, stop_at_cap in REFERENCE_CASES] + [
     pytest.param(None, False, True, True, id="polish-cdp-noiseless")])
 def test_solver_matches_exact_check_reference(noise, stop_at_cap, polish, cdp, monkeypatch):
     # The tracked A x only screens; every stop decision and the returned
