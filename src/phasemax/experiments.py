@@ -62,6 +62,8 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.anchor_iters < 1:
             raise ValueError("anchor_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -239,7 +241,7 @@ def _cdp_instance(image_path, num_masks: int, seed: int):
 def run_cdp_demo(
     image_path,
     num_masks: int,
-    cfg: Optional[SolverConfig] = None,
+    cfg: SolverConfig = DEFAULT_CDP_CONFIG,
     seed: int = 0,
     out_prefix: str = "cdp",
     anchor_iters: int = 50,
@@ -250,8 +252,8 @@ def run_cdp_demo(
     unit energy before measuring (solutions of the relaxation scale linearly
     with the data). The masks are Rademacher, so A^H A = L I and the solver
     starts from the spectral anchor, built in at most anchor_iters Lanczos
-    steps, rescaled to exactly ||xstar||. cfg defaults to
-    DEFAULT_CDP_CONFIG: solves the crossover certifies stop at its
+    steps, rescaled to exactly ||xstar||. With the default cfg,
+    DEFAULT_CDP_CONFIG, solves the crossover certifies stop at its
     checkpoint, 20 iterations; 175 iterations cap the others. The
     recovered estimate is phase-aligned, rescaled, and its real part
     written both as a clamped 8-bit PGM and as a raw float64 sidecar for
@@ -264,8 +266,7 @@ def run_cdp_demo(
     one.
     """
     ens, obs, xstar, stream, shape, scale = _cdp_instance(image_path, num_masks, seed)
-    _, sol, runtime_ms, rel_error = _recover(ens, obs, xstar, anchor_iters,
-                                             DEFAULT_CDP_CONFIG if cfg is None else cfg, stream)
+    _, sol, runtime_ms, rel_error = _recover(ens, obs, xstar, anchor_iters, cfg, stream)
 
     overlap = np.vdot(sol.xhat, xstar)
     phase = np.exp(1j * np.angle(overlap)) if overlap != 0 else 1.0

@@ -29,6 +29,10 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.stream_id < 0:
+            raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.default_rng(ss)
 

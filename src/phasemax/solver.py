@@ -6,7 +6,6 @@ that form none, such as coded diffraction patterns, at iteration 20."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -151,14 +150,6 @@ def _shrink_dual(y: np.ndarray, sigma_radii: np.ndarray, floor: np.ndarray,
     np.divide(sigma_radii, buf, out=buf)
     np.subtract(1.0, buf, out=buf)
     y *= buf
-
-
-def _flush_dual(y: np.ndarray, y_floor: float, buf: np.ndarray, small: np.ndarray) -> None:
-    """Set the entries of y with modulus below y_floor to 0; buf and small are
-    float and bool scratch of y's length."""
-    np.abs(y, out=buf)
-    np.less(buf, y_floor, out=small)
-    y[small] = 0.0
 
 
 def feasibility_residual(ens: MeasurementEnsemble, obs: Observations, x) -> float:
@@ -448,10 +439,14 @@ def solve_phasemax(
     It stops when the relative change ||T(z)_x - x|| / ||T(z)_x|| is at most
     tol_rel_change and the feasibility residual of T(z)_x at most tol_feas,
     returning T(z)_x (stop_reason "optimal"), or at max_iters, returning the
-    last T(z)_x ("max_iters"). A tracked sigma A x screens the residual
-    without an operator call (see _iterate), and a fresh forward confirms
-    every stop, so the stop decisions are those of an exact check made
-    whenever the relative change passes.
+    last T(z)_x ("max_iters"). A tracked sax = sigma A x screens the
+    residual without an operator call, and a fresh forward confirms every
+    stop, so the stop decisions are those of an exact check made whenever
+    the relative change passes. A x_half is the mean of A (2 x_half - x),
+    which the step computes, and A x, so the relaxed x has
+    sigma A x = sax + (rho / 2) (sigma A (2 x_half - x) - sax). The first
+    exact check seeds sax, so a solve whose relative change never passes
+    keeps none.
 
     At the checkpoint _checkpoint(ens) (none on dense ensembles with
     M/N < 4), the crossover _polish runs once from T(z): Gauss-Newton on
@@ -484,42 +479,14 @@ def solve_phasemax(
     sigma = _STEP_SCALE / (balance * op_norm)
     sigma_radii = radii  # radii itself is not needed past here
     sigma_radii *= sigma
-    x, iters_used, feas, stop_reason = _iterate(
-        ens, b, start * a0,
-        (tau * a0, tau, sigma, sigma_radii, np.maximum(sigma_radii, _TINY)),
-        _DUAL_FLOOR * a0_norm / op_norm, cfg, functools.partial(_polish, ens, b, a0, cfg.tol_feas))
-    if feas is None:
-        # Computed after _iterate has returned its m-sized buffers.
-        feas = _max_violation(ens.forward(x), b)
-    return Solution(
-        xhat=x,
-        iters_used=iters_used,
-        objective=float(np.vdot(a0, x).real),
-        feas_residual=feas,
-        stop_reason=stop_reason,
-    )
-
-
-def _iterate(ens, b, x, steps, y_floor: float, cfg, polish):
-    """Iterate T from z = (x, 0), writing T(z) over z; x is the caller's
-    array and is written in place. Returns (x, iters_used, feasibility
-    residual of x, stop reason), the residual None when the solve ran to
-    max_iters. Every _FLUSH_EVERY steps, dual entries below y_floor are set
-    to 0. When the count of steps reaches _checkpoint(ens), polish reads
-    T(z) = (x, y), may use buf as scratch, and may end the solve.
-
-    The stop test's screen tracks sax = sigma A x: A x_half is the mean of
-    A (2 x_half - x), which the step computes, and A x, so the relaxed x has
-    sigma A x = sax + (rho / 2) (sigma A (2 x_half - x) - sax). The first
-    exact check seeds it, so a solve whose relative change never passes
-    keeps no sax.
-    """
-    tau_a0, tau, sigma, sigma_radii, radii_floor = steps
-    m = ens.m
-    y, sax = np.zeros(m, dtype=np.complex128), None
+    radii_floor = np.maximum(sigma_radii, _TINY)
+    tau_a0 = tau * a0
+    y_floor = _DUAL_FLOOR * a0_norm / op_norm
+    x = start * a0
+    y, sax = np.zeros(ens.m, dtype=np.complex128), None
     xbar = np.empty(ens.n, dtype=np.complex128)
-    buf = np.empty(m)
-    small = np.empty(m, dtype=bool)
+    buf = np.empty(ens.m)
+    small = np.empty(ens.m, dtype=bool)
     rho = _RELAXATION
     screen_tol = 2.0 * cfg.tol_feas + _SCREEN_RTOL * np.max(b)
     checkpoint = _checkpoint(ens)
@@ -563,11 +530,26 @@ def _iterate(ens, b, x, steps, y_floor: float, cfg, polish):
             else:
                 feas = math.inf
             if feas <= cfg.tol_feas:
-                return x, k + 1, feas, "optimal"
+                stop_reason = "optimal"
+                break
         if k + 1 == checkpoint:
-            certified = polish(x, y, buf)
+            certified = _polish(ens, b, a0, cfg.tol_feas, x, y, buf)
             if certified is not None:
-                return certified[0], k + 1, certified[1], "certified"
+                (x, feas), stop_reason = certified, "certified"
+                break
         if k % _FLUSH_EVERY == 0:
-            _flush_dual(y, y_floor, buf, small)
-    return x, cfg.max_iters, None, "max_iters"
+            np.abs(y, out=buf)
+            np.less(buf, y_floor, out=small)
+            y[small] = 0.0
+    else:
+        stop_reason = "max_iters"
+        # A fresh forward, taken after the loop's m-sized buffers are freed.
+        del y, sax, buf, small, radii_floor
+        feas = _max_violation(ens.forward(x), b)
+    return Solution(
+        xhat=x,
+        iters_used=k + 1,
+        objective=float(np.vdot(a0, x).real),
+        feas_residual=feas,
+        stop_reason=stop_reason,
+    )

@@ -51,7 +51,13 @@ class GeometryContext:
 
     def __post_init__(self):
         xs = as_signal(self.xstar, "xstar")
-        norm = np.linalg.norm(xs)
+        with np.errstate(over="ignore"):  # checked below
+            norm = np.linalg.norm(xs)
+        if norm == 0 or norm == math.inf:  # ||xstar||^2 under- or overflows
+            peak = max(np.max(np.abs(xs.real)), np.max(np.abs(xs.imag)))
+            if peak > 0:  # real divisions: numpy's complex one forms 1 / peak
+                xs = xs.real / peak + 1j * (xs.imag / peak)
+                norm = np.linalg.norm(xs)
         if norm == 0:
             raise ValueError("xstar must be nonzero")
         object.__setattr__(self, "xstar", xs / norm)
@@ -83,21 +89,29 @@ def rayleigh_normal_cdf(alpha: float, beta: float) -> float:
         beta <  0:  (s + alpha)/(2s) * exp(beta/(alpha + s))
 
     (s - alpha) and (s + alpha) are reciprocal, which is used to avoid
-    cancellation for large |alpha|; the branches agree at beta = 0.
+    cancellation for large |alpha|; the branches agree at beta = 0. s + |alpha|
+    overflows once |alpha| > 9e307, so it is carried as its half, far, and
+    s - |alpha| as 0.5 / far. Halving is exact, so the value is the plain
+    form's wherever that is finite; past 9e307 it tends to 0 as
+    alpha -> -inf and to 1 as alpha -> +inf.
     """
     alpha = float(alpha)
     beta = float(beta)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError("alpha and beta must be finite")
     s = math.hypot(alpha, 1.0)
-    sum_pos = s + alpha if alpha >= 0 else 1.0 / (s - alpha)  # alpha + s > 0
-    diff_pos = s - alpha if alpha <= 0 else 1.0 / (s + alpha)  # s - alpha > 0
+    far = s / 2.0 + abs(alpha) / 2.0  # (s + |alpha|) / 2
+    near = 0.5 / far  # s - |alpha| > 0
     if beta >= 0:
-        exponent = -beta * sum_pos
-        value = 1.0 - diff_pos / (2.0 * s) * (math.exp(exponent) if exponent > -_MAX_EXP else 0.0)
+        # -beta (alpha + s) and (s - alpha) / (2s)
+        exponent = -(beta * far) * 2.0 if alpha >= 0 else -beta * near
+        factor = near / 2.0 / s if alpha >= 0 else far / s
+        value = 1.0 - factor * (math.exp(exponent) if exponent > -_MAX_EXP else 0.0)
     else:
-        exponent = beta / sum_pos
-        value = sum_pos / (2.0 * s) * (math.exp(exponent) if exponent > -_MAX_EXP else 0.0)
+        # beta / (alpha + s) and (s + alpha) / (2s)
+        exponent = beta / 2.0 / far if alpha >= 0 else beta / near
+        factor = far / s if alpha >= 0 else near / 2.0 / s
+        value = factor * (math.exp(exponent) if exponent > -_MAX_EXP else 0.0)
     return min(max(value, 0.0), 1.0)
 
 

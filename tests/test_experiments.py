@@ -482,6 +482,22 @@ def test_cli_verify_exit_codes(capsys, monkeypatch):
     assert main(["verify", "--suite", "vc"]) == 1
 
 
+def test_cli_rejects_a_negative_seed_before_writing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--n", "4", "--ratios", "4", "--trials", "1",
+                 "--seed", "-3", "--out", str(out)])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+    img_path = gradient_image(tmp_path / "in.pgm", 8, 8)
+    for argv in (["cdp", "--image", str(img_path), "--seed", "-2",
+                  "--out-prefix", str(tmp_path / "cli")],
+                 ["verify", "--suite", "geometry", "--seed", "-1"]):
+        assert main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+
 def test_cli_rejects_bad_noise(capsys):
     for noise in ("exotic:1", "uniform:inf", "uniform:nan", "gaussian:nan",
                   "gaussian:8000", "gaussian:-8000"):

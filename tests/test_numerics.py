@@ -151,3 +151,10 @@ def test_sampling_rejects_bad_length():
         sample_complex_gaussian(0, RngStream(1))
     with pytest.raises(ValueError):
         sample_rademacher(0, RngStream(1))
+
+
+def test_rng_stream_rejects_a_negative_seed_or_stream_id():
+    with pytest.raises(ValueError, match="seed"):
+        RngStream(-1)
+    with pytest.raises(ValueError, match="stream_id"):
+        RngStream(1, -2)

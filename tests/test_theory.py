@@ -121,6 +121,20 @@ def test_rayleigh_normal_cdf_rejects_non_finite():
         rayleigh_normal_cdf(0.0, math.inf)
 
 
+def test_rayleigh_normal_cdf_at_extreme_alpha():
+    # s + |alpha| overflows once |alpha| > 9e307. For fixed beta the value
+    # tends to 0 as alpha -> -inf and to 1 as alpha -> +inf; with
+    # beta = -alpha it is P(v > 1) = e^(-1/2) at every scale.
+    big = np.finfo(np.float64).max
+    for beta in (-1.0, 0.0, 1.0):
+        for alpha in (-1e308, -big):
+            assert rayleigh_normal_cdf(alpha, beta) == 0.0
+        for alpha in (1e308, big):
+            assert rayleigh_normal_cdf(alpha, beta) == 1.0
+    for alpha in (1e308, big):
+        assert rayleigh_normal_cdf(alpha, -alpha) == pytest.approx(math.exp(-0.5), rel=1e-15)
+
+
 # ------------------------------------------------------------ pmin lower bound
 
 
@@ -253,6 +267,13 @@ def test_geometry_context_normalizes_and_validates():
         GeometryContext(xstar=xs, delta=0.5, t=-1.0)
     with pytest.raises(ValueError):
         GeometryContext(xstar=xs, delta=0.5, t=1.0, eta_inv=-0.1)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_geometry_context_normalizes_where_the_norm_over_or_underflows(scale):
+    ctx = GeometryContext(xstar=np.array([scale, scale]), delta=0.5, t=1.0)
+    np.testing.assert_allclose(ctx.xstar, np.array([1.0, 1.0]) / math.sqrt(2.0), rtol=1e-15)
+    assert in_C_delta(ctx.xstar, ctx)
 
 
 @pytest.mark.parametrize("field", ["t", "eta_inv"])
